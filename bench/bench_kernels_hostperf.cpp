@@ -28,14 +28,9 @@
 #include "rt/core/plan.hpp"
 #include "rt/core/plan_cache.hpp"
 #include "rt/core/temporal.hpp"
-#include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
-#include "rt/kernels/redblack.hpp"
-#include "rt/kernels/resid.hpp"
-#include "rt/par/par_kernels.hpp"
 #include "rt/par/thread_pool.hpp"
-#include "rt/simd/par_rows.hpp"
-#include "rt/simd/row_kernels.hpp"
+#include "rt/simd/exec.hpp"
 #include "rt/simd/simd.hpp"
 #include "rt/temporal/wavefront.hpp"
 
@@ -70,7 +65,7 @@ void BM_Kernel(benchmark::State& state, Cfg cfg) {
   const rt::core::TilingPlan plan =
       rt::core::plan_for(cfg.tr, 2048, cfg.n, cfg.n, info.spec);
   const Dims3 d = Dims3::padded(cfg.n, cfg.n, kDim, plan.dip, plan.djp);
-  const SimdLevel lvl = rt::simd::resolve(cfg.simd);
+  const SimdLevel lvl = rt::simd::exec_level(cfg.simd, cfg.threads);
   std::unique_ptr<rt::par::ThreadPool> pool;
   if (cfg.threads > 1) pool = std::make_unique<rt::par::ThreadPool>(cfg.threads);
 
@@ -79,112 +74,9 @@ void BM_Kernel(benchmark::State& state, Cfg cfg) {
     arr.emplace_back(d);
     init(arr.back());
   }
-  const auto rc = rt::kernels::nas_mg_a();
-
-  auto step = [&] {
-    switch (cfg.id) {
-      case KernelId::kJacobi: {
-        const double c = 1.0 / 6.0;
-        if (lvl != SimdLevel::kScalar && pool) {
-          if (plan.tiled) {
-            rt::simd::jacobi3d_tiled_rows_par(*pool, arr[0], arr[1], c,
-                                              plan.tile, lvl);
-          } else {
-            rt::simd::jacobi3d_rows_par(*pool, arr[0], arr[1], c, lvl);
-          }
-          rt::simd::copy_interior_rows_par(*pool, arr[1], arr[0], lvl);
-        } else if (lvl != SimdLevel::kScalar) {
-          if (plan.tiled) {
-            rt::simd::jacobi3d_tiled_rows(arr[0], arr[1], c, plan.tile, lvl);
-          } else {
-            rt::simd::jacobi3d_rows(arr[0], arr[1], c, lvl);
-          }
-          rt::simd::copy_interior_rows(arr[1], arr[0], lvl);
-        } else if (pool) {
-          if (plan.tiled) {
-            rt::par::jacobi3d_tiled_par(*pool, arr[0], arr[1], c, plan.tile);
-          } else {
-            rt::par::jacobi3d_par(*pool, arr[0], arr[1], c);
-          }
-          rt::par::copy_interior_par(*pool, arr[1], arr[0]);
-        } else {
-          if (plan.tiled) {
-            rt::kernels::jacobi3d_tiled(arr[0], arr[1], c, plan.tile);
-          } else {
-            rt::kernels::jacobi3d(arr[0], arr[1], c);
-          }
-          rt::kernels::copy_interior(arr[1], arr[0]);
-        }
-        break;
-      }
-      case KernelId::kRedBlack: {
-        const double c1 = 0.4, c2 = 0.1;
-        if (lvl != SimdLevel::kScalar && pool) {
-          if (plan.tiled) {
-            rt::simd::redblack_tiled_rows_par(*pool, arr[0], c1, c2,
-                                              plan.tile, lvl);
-          } else {
-            rt::simd::redblack_rows_par(*pool, arr[0], c1, c2, lvl);
-          }
-        } else if (lvl != SimdLevel::kScalar) {
-          if (plan.tiled) {
-            rt::simd::redblack_tiled_rows(arr[0], c1, c2, plan.tile, lvl);
-          } else {
-            rt::simd::redblack_rows(arr[0], c1, c2, lvl);
-          }
-        } else if (pool) {
-          if (plan.tiled) {
-            rt::par::redblack_tiled_par(*pool, arr[0], c1, c2, plan.tile);
-          } else {
-            rt::par::redblack_par(*pool, arr[0], c1, c2);
-          }
-        } else {
-          if (plan.tiled) {
-            rt::kernels::redblack_tiled(arr[0], c1, c2, plan.tile);
-          } else {
-            rt::kernels::redblack_naive(arr[0], c1, c2);
-          }
-        }
-        break;
-      }
-      case KernelId::kResid: {
-        if (lvl != SimdLevel::kScalar && pool) {
-          if (plan.tiled) {
-            rt::simd::resid_tiled_rows_par(*pool, arr[0], arr[1], arr[2], rc,
-                                           plan.tile, lvl);
-          } else {
-            rt::simd::resid_rows_par(*pool, arr[0], arr[1], arr[2], rc, lvl);
-          }
-        } else if (lvl != SimdLevel::kScalar) {
-          if (plan.tiled) {
-            rt::simd::resid_tiled_rows(arr[0], arr[1], arr[2], rc, plan.tile,
-                                       lvl);
-          } else {
-            rt::simd::resid_rows(arr[0], arr[1], arr[2], rc, lvl);
-          }
-        } else if (pool) {
-          if (plan.tiled) {
-            rt::par::resid_tiled_par(*pool, arr[0], arr[1], arr[2], rc,
-                                     plan.tile);
-          } else {
-            rt::par::resid_par(*pool, arr[0], arr[1], arr[2], rc);
-          }
-        } else {
-          if (plan.tiled) {
-            rt::kernels::resid_tiled(arr[0], arr[1], arr[2], rc, plan.tile);
-          } else {
-            rt::kernels::resid(arr[0], arr[1], arr[2], rc);
-          }
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  };
-
+  const rt::simd::Exec ex{pool.get(), lvl};
   for (auto _ : state) {
-    step();
+    rt::bench::host_step(cfg.id, plan, ex, arr);
     benchmark::ClobberMemory();
   }
   const double flops_per_iter =
@@ -210,7 +102,7 @@ constexpr int kTemporalSteps = 4;
 /// process-wide PlanCache).  Degraded plans or thread-spawn fallbacks skip
 /// the benchmark with an error instead of reporting a misleading number.
 void BM_TemporalJacobi(benchmark::State& state, TemporalCfg cfg) {
-  const SimdLevel lvl = rt::simd::resolve(cfg.simd);
+  const SimdLevel lvl = rt::simd::exec_level(cfg.simd, cfg.threads);
   const auto rep = rt::core::PlanCache::instance().temporal(
       cfg.mode, rt::bench::outer_cache_elems(), cfg.n, cfg.n, kDim,
       kTemporalSteps, 0, cfg.threads);

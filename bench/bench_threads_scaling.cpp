@@ -1,4 +1,4 @@
-// Threads x tile-shape scaling of the parallel tiled kernels (rt::par):
+// Threads x tile-shape scaling of the executor (rt/simd/exec.hpp):
 // host wall-clock MFlops for JACOBI / REDBLACK / RESID under every paper
 // transform, at 1..T threads.  The point being tested: the JI tile grid is
 // an embarrassingly parallel work unit (K stays untiled), so Euc3D/GcdPad/
@@ -6,10 +6,10 @@
 // spread over cores — tiled configurations should scale at least as well
 // as Orig and stay ahead of it at every thread count.
 //
-// Before timing, each kernel's parallel variant is checked bit-for-bit
-// against its serial counterpart at the benched size (red-black against
-// the naive two-pass schedule, which the serial tiled kernel is itself
-// bit-identical to — see tests/kernels_test.cpp).
+// Before timing, each kernel's executor run is checked bit-for-bit against
+// its serial accessor kernel at the benched size, on the thread pool and
+// at the row levels the sweep runs (red-black's two-pass colour schedule
+// against the serial fused tiled one — see tests/exec_test.cpp).
 //
 // Flags: --threads=T sets the top of the thread sweep ({1, 2, 4, ..., T});
 // default sweep is {1, 2, 4}.  --nmax=N overrides the problem size
@@ -30,14 +30,9 @@
 #include "rt/core/plan.hpp"
 #include "rt/core/plan_cache.hpp"
 #include "rt/core/temporal.hpp"
-#include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
-#include "rt/kernels/redblack.hpp"
-#include "rt/kernels/resid.hpp"
 #include "rt/kernels/timeskew.hpp"
-#include "rt/par/par_kernels.hpp"
-#include "rt/simd/par_rows.hpp"
-#include "rt/simd/row_kernels.hpp"
+#include "rt/simd/exec.hpp"
 #include "rt/temporal/wavefront.hpp"
 
 namespace {
@@ -81,78 +76,41 @@ bool interiors_equal(const Array3D<double>& a, const Array3D<double>& b) {
   return true;
 }
 
-/// One serial-vs-parallel step of each kernel at the benched size; returns
-/// false (and reports) on any bitwise difference.
+/// One step of each kernel at the benched size through the serial
+/// accessor kernels and through the executor on a @p threads pool, at kRows
+/// and at the host's auto level; returns false (and reports) on any bitwise
+/// difference.
 bool verify_bit_identical(long n, long kd, int threads) {
   const auto plan = rt::core::plan_for(Transform::kGcdPad, 2048, n, n,
                                        rt::core::StencilSpec::jacobi3d());
   const Dims3 d = Dims3::padded(n, n, kd, plan.dip, plan.djp);
+  const auto grids = [&d](KernelId id) {
+    std::vector<Array3D<double>> g;
+    for (int i = 0; i < rt::kernels::kernel_info(id).num_arrays; ++i) {
+      g.push_back(make_grid(d, 0.1 + 0.3 * i));
+    }
+    return g;
+  };
   rt::par::ThreadPool pool(threads);
   bool ok = true;
-
-  {  // JACOBI (+ copy-back)
-    Array3D<double> b1 = make_grid(d, 0.5), b2 = b1;
-    Array3D<double> a1(d), a2(d);
-    rt::kernels::jacobi3d_tiled(a1, b1, 1.0 / 6.0, plan.tile);
-    rt::kernels::copy_interior(b1, a1);
-    rt::par::jacobi3d_tiled_par(pool, a2, b2, 1.0 / 6.0, plan.tile);
-    rt::par::copy_interior_par(pool, b2, a2);
-    if (!interiors_equal(a1, a2) || !interiors_equal(b1, b2)) {
-      std::cerr << "VERIFY FAILED: parallel JACOBI differs from serial\n";
-      ok = false;
-    }
-  }
-  {  // REDBLACK (parallel two-pass vs serial naive == serial tiled)
-    Array3D<double> a1 = make_grid(d, 0.3), a2 = a1;
-    rt::kernels::redblack_naive(a1, 0.4, 0.1);
-    rt::par::redblack_tiled_par(pool, a2, 0.4, 0.1, plan.tile);
-    if (!interiors_equal(a1, a2)) {
-      std::cerr << "VERIFY FAILED: parallel REDBLACK differs from serial\n";
-      ok = false;
-    }
-  }
-  {  // RESID
-    Array3D<double> v = make_grid(d, 0.7), u = make_grid(d, 0.1);
-    Array3D<double> r1(d), r2(d);
-    const auto a = rt::kernels::nas_mg_a();
-    rt::kernels::resid_tiled(r1, v, u, a, plan.tile);
-    rt::par::resid_tiled_par(pool, r2, v, u, a, plan.tile);
-    if (!interiors_equal(r1, r2)) {
-      std::cerr << "VERIFY FAILED: parallel RESID differs from serial\n";
-      ok = false;
-    }
-  }
-  {  // Row kernels (serial and parallel) at the host's resolved auto level.
-    const auto lvl = rt::simd::resolve(rt::simd::SimdMode::kAuto);
-    Array3D<double> b1 = make_grid(d, 0.5), b2 = b1, b3 = b1;
-    Array3D<double> a1(d), a2(d), a3(d);
-    rt::kernels::jacobi3d_tiled(a1, b1, 1.0 / 6.0, plan.tile);
-    rt::kernels::copy_interior(b1, a1);
-    rt::simd::jacobi3d_tiled_rows(a2, b2, 1.0 / 6.0, plan.tile, lvl);
-    rt::simd::copy_interior_rows(b2, a2, lvl);
-    rt::simd::jacobi3d_tiled_rows_par(pool, a3, b3, 1.0 / 6.0, plan.tile,
-                                      lvl);
-    rt::simd::copy_interior_rows_par(pool, b3, a3, lvl);
-    if (!interiors_equal(a1, a2) || !interiors_equal(b1, b2) ||
-        !interiors_equal(a1, a3) || !interiors_equal(b1, b3)) {
-      std::cerr << "VERIFY FAILED: simd row JACOBI differs from accessor\n";
-      ok = false;
-    }
-    Array3D<double> v = make_grid(d, 0.7), u = make_grid(d, 0.1);
-    Array3D<double> r1(d), r2(d);
-    const auto a = rt::kernels::nas_mg_a();
-    rt::kernels::resid_tiled(r1, v, u, a, plan.tile);
-    rt::simd::resid_tiled_rows_par(pool, r2, v, u, a, plan.tile, lvl);
-    if (!interiors_equal(r1, r2)) {
-      std::cerr << "VERIFY FAILED: simd row RESID differs from accessor\n";
-      ok = false;
-    }
-    Array3D<double> c1 = make_grid(d, 0.3), c2 = c1;
-    rt::kernels::redblack_naive(c1, 0.4, 0.1);
-    rt::simd::redblack_tiled_rows_par(pool, c2, 0.4, 0.1, plan.tile, lvl);
-    if (!interiors_equal(c1, c2)) {
-      std::cerr << "VERIFY FAILED: simd row REDBLACK differs from accessor\n";
-      ok = false;
+  for (const KernelId id : {KernelId::kJacobi, KernelId::kRedBlack,
+                            KernelId::kResid, KernelId::kPsinv}) {
+    std::vector<Array3D<double>> want = grids(id);
+    rt::bench::host_step(id, plan, {nullptr, rt::simd::SimdLevel::kScalar},
+                         want);
+    for (const auto lvl : {rt::simd::SimdLevel::kRows,
+                           rt::simd::resolve(rt::simd::SimdMode::kAuto)}) {
+      std::vector<Array3D<double>> got = grids(id);
+      rt::bench::host_step(id, plan, {&pool, lvl}, got);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        if (!interiors_equal(want[i], got[i])) {
+          std::cerr << "VERIFY FAILED: executor "
+                    << rt::kernels::kernel_info(id).name << " at "
+                    << rt::simd::simd_level_name(lvl)
+                    << " differs from the serial accessor kernel\n";
+          ok = false;
+        }
+      }
     }
   }
   return ok;
@@ -174,8 +132,8 @@ int main(int argc, char** argv) {
 
   const int vthreads = std::max(threads.back(), 4);
   if (!verify_bit_identical(n, ro.k_dim, vthreads)) return 1;
-  std::cout << "verified: parallel + simd-row kernels bit-identical to "
-               "serial at N=" << n << " with " << vthreads << " threads\n\n";
+  std::cout << "verified: executor bit-identical to the serial kernels at N="
+            << n << " with " << vthreads << " threads\n\n";
 
   const std::vector<rt::simd::SimdMode> simd_modes =
       bo.simd_given ? std::vector<rt::simd::SimdMode>{bo.simd}
@@ -203,10 +161,9 @@ int main(int argc, char** argv) {
         for (int t : threads) {
           ro.threads = t;
           const auto r = rt::bench::run_kernel(kn.kid, tr, n, ro);
-          // A kernel with no parallel/simd variant (PSINV) times serially
-          // whatever was requested; every such configuration beyond the
-          // serial-scalar one would print an identical row masquerading as
-          // a real data point — skip it and say so below.
+          // A run that could not honour the request (a pool that spawned
+          // fewer threads, a planner fallback) would print a row
+          // masquerading as a real data point — skip it and say so below.
           if (r.degraded()) {
             ++skipped_fallback;
             continue;
@@ -238,8 +195,8 @@ int main(int argc, char** argv) {
             << rt::par::ThreadPool::default_threads() << "\n";
   if (skipped_fallback > 0) {
     std::cout << "skipped " << skipped_fallback
-              << " serial-fallback duplicates (PSINV has no parallel or "
-                 "simd variant;\nonly its serial scalar row is real data)\n";
+              << " degraded configuration(s) (fewer threads than requested "
+                 "or a planner fallback)\n";
   }
 
   // --- Temporal-blocking thread scaling (rt::temporal wavefronts) ---
@@ -250,8 +207,8 @@ int main(int argc, char** argv) {
   if (!bo.temporal_given || bo.temporal != rt::core::TemporalMode::kOff) {
     const long kd = ro.k_dim;
     const int tsteps = bo.steps > 2 ? bo.steps : 4;
-    const auto lvl = rt::simd::resolve(
-        bo.simd_given ? bo.simd : rt::simd::SimdMode::kAuto);
+    const rt::simd::SimdMode simd_mode =
+        bo.simd_given ? bo.simd : rt::simd::SimdMode::kAuto;
     const long cs = rt::bench::outer_cache_elems();
     const Dims3 d = Dims3::unpadded(n, n, kd);
     auto& cache = rt::core::PlanCache::instance();
@@ -284,6 +241,7 @@ int main(int argc, char** argv) {
           continue;
         }
         Array3D<double> a(d), b = make_grid(d, 0.5);
+        const auto lvl = rt::simd::exec_level(simd_mode, t);
         rt::temporal::TemporalRun run;
         const double t1 = secs();
         if (mode == rt::core::TemporalMode::kSkew) {

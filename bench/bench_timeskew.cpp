@@ -24,10 +24,8 @@
 #include "rt/core/temporal.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/timeskew.hpp"
-#include "rt/par/par_kernels.hpp"
 #include "rt/par/thread_pool.hpp"
-#include "rt/simd/par_rows.hpp"
-#include "rt/simd/row_kernels.hpp"
+#include "rt/simd/exec.hpp"
 #include "rt/temporal/wavefront.hpp"
 
 using rt::array::Array3D;
@@ -138,8 +136,8 @@ int main(int argc, char** argv) {
   {
     const long n = sizes.back();
     const int threads = bo.threads > 0 ? bo.threads : 1;
-    const auto lvl = rt::simd::resolve(
-        bo.simd_given ? bo.simd : rt::simd::SimdMode::kAuto);
+    const auto lvl = rt::simd::exec_level(
+        bo.simd_given ? bo.simd : rt::simd::SimdMode::kAuto, threads);
     const long cs = rt::bench::outer_cache_elems();
     const Dims3 dims = Dims3::unpadded(n, n, kd);
     rt::par::ThreadPool pool(threads);
@@ -256,14 +254,10 @@ int main(int argc, char** argv) {
     all_ok &= run_variant(
         "pingpong rows+par (best spatial)", nullptr,
         [&](Array3D<double>& a, Array3D<double>& b) {
+          const rt::simd::Exec ex{threads > 1 ? &pool : nullptr, lvl};
           for (int t = 0; t < tsteps; ++t) {
-            Array3D<double>& dst = (t % 2 == 0) ? a : b;
-            const Array3D<double>& src = (t % 2 == 0) ? b : a;
-            if (threads > 1) {
-              rt::simd::jacobi3d_rows_par(pool, dst, src, 1.0 / 6.0, lvl);
-            } else {
-              rt::simd::jacobi3d_rows(dst, src, 1.0 / 6.0, lvl);
-            }
+            rt::simd::jacobi(ex, rt::core::TilingPlan{}, t % 2 == 0 ? a : b,
+                             t % 2 == 0 ? b : a, 1.0 / 6.0);
           }
           return rt::temporal::TemporalRun{threads, 1};
         });

@@ -25,8 +25,8 @@ cmake -B "${BUILD_DIR}" -S . "${GEN_FLAG[@]}" \
 cmake --build "${BUILD_DIR}" -j \
   --target guard_test guard_fault_injection_test array_test core_plan_test \
            core_backend_test cachesim_lattice_test plan_cache_test \
-           mg_fastpath_test temporal_test tune_test serve_test resil_test \
-           bench_chaos_soak
+           exec_test mg_fastpath_test temporal_test tune_test serve_test \
+           resil_test bench_chaos_soak
 
 # halt_on_error turns the first finding into a hard failure.  Abandonment
 # tests deliberately detach a wedged worker, but always wait for it to
@@ -45,6 +45,9 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/core_backend_test"
 "${BUILD_DIR}/tests/cachesim_lattice_test"
 "${BUILD_DIR}/tests/plan_cache_test"
+# The executor's block driver (degenerate tiles, empty interiors, recursive
+# leaves) and every row sweep on padded and minimum-size grids.
+"${BUILD_DIR}/tests/exec_test"
 "${BUILD_DIR}/tests/mg_fastpath_test"
 "${BUILD_DIR}/tests/temporal_test"
 "${BUILD_DIR}/tests/tune_test"
@@ -57,6 +60,7 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "${BUILD_DIR}/bench/bench_chaos_soak"
 echo "ASan+UBSan clean: guard_test + guard_fault_injection_test +" \
      "array_test + core_plan_test + core_backend_test" \
-     "+ cachesim_lattice_test + plan_cache_test + mg_fastpath_test" \
+     "+ cachesim_lattice_test + plan_cache_test + exec_test" \
+     "+ mg_fastpath_test" \
      "+ temporal_test + tune_test + serve_test + resil_test" \
      "+ bench_chaos_soak reported no findings."

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ThreadSanitizer gate for the rt::par, rt::simd and rt::obs subsystems:
 # configure a separate build tree with -DRT_SANITIZE=thread, build the
-# parallel-/simd-kernel and observability tests, and run them under TSan
+# pool, executor and observability tests, and run them under TSan
 # (obs_test drives phase timers and perf counters from inside rt::par
 # workers).  Any reported race fails the script (TSan exits nonzero on
 # findings; halt_on_error makes the first one fatal).  Registered as a
@@ -22,16 +22,17 @@ cmake -B "${BUILD_DIR}" -S . "${GEN_FLAG[@]}" \
   -DRT_SANITIZE=thread \
   -DRT_BUILD_BENCH=ON -DRT_BUILD_EXAMPLES=OFF
 cmake --build "${BUILD_DIR}" -j \
-  --target par_pool_test par_kernels_test simd_kernels_test \
-           simd_mg_kernels_test plan_cache_test core_backend_test \
+  --target par_pool_test exec_test simd_kernels_test \
+           plan_cache_test core_backend_test \
            mg_fastpath_test obs_test temporal_test tune_test serve_test \
            resil_test bench_chaos_soak
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/par_pool_test"
-"${BUILD_DIR}/tests/par_kernels_test"
+# The executor's differential matrix: every operator and schedule on 2- and
+# 4-thread pools, plus the red-black colour-barrier stress.
+"${BUILD_DIR}/tests/exec_test"
 "${BUILD_DIR}/tests/simd_kernels_test"
-"${BUILD_DIR}/tests/simd_mg_kernels_test"
 "${BUILD_DIR}/tests/plan_cache_test"
 # The backend registry is a process-wide singleton read from every planning
 # thread; the driver suite exercises registration + concurrent lookup paths.
@@ -50,7 +51,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # supervisor respawn and reconnecting clients — the full concurrency story
 # under injected failure, with invariants checked.
 "${BUILD_DIR}/bench/bench_chaos_soak"
-echo "TSan clean: par_pool_test + par_kernels_test + simd_kernels_test" \
-     "+ simd_mg_kernels_test + plan_cache_test + core_backend_test" \
+echo "TSan clean: par_pool_test + exec_test + simd_kernels_test" \
+     "+ plan_cache_test + core_backend_test" \
      "+ mg_fastpath_test + obs_test + temporal_test + tune_test" \
      "+ serve_test + resil_test + bench_chaos_soak reported no races."

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -25,11 +24,7 @@
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
-#include "rt/multigrid/par_operators.hpp"
-#include "rt/par/par_kernels.hpp"
 #include "rt/par/thread_pool.hpp"
-#include "rt/simd/par_rows.hpp"
-#include "rt/simd/row_kernels.hpp"
 
 namespace rt::bench {
 
@@ -45,19 +40,10 @@ using rt::core::TilingPlan;
 using rt::core::Transform;
 using rt::kernels::KernelId;
 
-/// Deterministic smooth-ish initialisation (values are irrelevant to the
-/// cache trace; they only need to stay finite across sweeps).
-void init_grid(Array3D<double>& a, double scale) {
-  for (long k = 0; k < a.n3(); ++k) {
-    for (long j = 0; j < a.n2(); ++j) {
-      for (long i = 0; i < a.n1(); ++i) {
-        a(i, j, k) = scale * (0.001 * static_cast<double>(i) +
-                              0.002 * static_cast<double>(j) +
-                              0.003 * static_cast<double>(k));
-      }
-    }
-  }
-}
+// The paper kernels' coefficients (JACOBI c, red-black c1/c2).
+constexpr double kJacobiC = 1.0 / 6.0;
+constexpr double kRbC1 = 0.4;
+constexpr double kRbC2 = 0.1;
 
 /// Interior points of an n1 x n2 x n3 grid (one boundary layer in every
 /// dimension).  All three extents matter: the old two-scalar form silently
@@ -74,73 +60,62 @@ double now_seconds() {
       .count();
 }
 
-/// One full measured time step of a kernel, templated over accessors.
-/// Plans with LoopSchedule::kRecursive (the oblivious backend) run the
-/// cache-oblivious recursive forms with plan.tile as the base case; tiled
-/// flat plans run the paper's strip-mined nests.
-struct JacobiStep {
-  double c = 1.0 / 6.0;
-  TilingPlan plan;
-  template <class A, class B>
-  void operator()(A& a, B& b) const {
-    if (plan.schedule == rt::core::LoopSchedule::kRecursive) {
-      rt::kernels::jacobi3d_oblivious(a, b, c, plan.tile);
-      rt::kernels::copy_interior_oblivious(b, a, plan.tile);
+/// One time step of @p id through the accessor kernels, on native arrays
+/// (the serial reference) or traced ones (simulation).  Plans with
+/// LoopSchedule::kRecursive (the oblivious backend) run the cache-oblivious
+/// recursive forms with plan.tile as the base case; tiled flat plans run
+/// the paper's strip-mined nests.
+template <class A>
+void accessor_step(KernelId id, const TilingPlan& plan, std::vector<A>& x) {
+  const bool rec = plan.schedule == rt::core::LoopSchedule::kRecursive;
+  const rt::core::IterTile t = plan.tile;
+  switch (id) {
+    case KernelId::kJacobi:
+      if (rec) {
+        rt::kernels::jacobi3d_oblivious(x[0], x[1], kJacobiC, t);
+        rt::kernels::copy_interior_oblivious(x[1], x[0], t);
+        return;
+      }
+      if (plan.tiled) {
+        rt::kernels::jacobi3d_tiled(x[0], x[1], kJacobiC, t);
+      } else {
+        rt::kernels::jacobi3d(x[0], x[1], kJacobiC);
+      }
+      rt::kernels::copy_interior(x[1], x[0]);
+      return;
+    case KernelId::kRedBlack:
+      if (rec) {
+        rt::kernels::redblack_oblivious(x[0], kRbC1, kRbC2, t);
+      } else if (plan.tiled) {
+        rt::kernels::redblack_tiled(x[0], kRbC1, kRbC2, t);
+      } else {
+        rt::kernels::redblack_naive(x[0], kRbC1, kRbC2);
+      }
+      return;
+    case KernelId::kResid: {
+      const auto a = rt::kernels::nas_mg_a();
+      if (rec) {
+        rt::kernels::resid_oblivious(x[0], x[1], x[2], a, t);
+      } else if (plan.tiled) {
+        rt::kernels::resid_tiled(x[0], x[1], x[2], a, t);
+      } else {
+        rt::kernels::resid(x[0], x[1], x[2], a);
+      }
       return;
     }
-    if (plan.tiled) {
-      rt::kernels::jacobi3d_tiled(a, b, c, plan.tile);
-    } else {
-      rt::kernels::jacobi3d(a, b, c);
-    }
-    rt::kernels::copy_interior(b, a);
-  }
-};
-
-struct RedBlackStep {
-  double c1 = 0.4, c2 = 0.1;
-  TilingPlan plan;
-  template <class A>
-  void operator()(A& a) const {
-    if (plan.schedule == rt::core::LoopSchedule::kRecursive) {
-      rt::kernels::redblack_oblivious(a, c1, c2, plan.tile);
-    } else if (plan.tiled) {
-      rt::kernels::redblack_tiled(a, c1, c2, plan.tile);
-    } else {
-      rt::kernels::redblack_naive(a, c1, c2);
+    case KernelId::kPsinv: {
+      const auto c = rt::multigrid::nas_mg_c();
+      if (rec) {
+        rt::multigrid::psinv_oblivious(x[0], x[1], c, t);
+      } else if (plan.tiled) {
+        rt::multigrid::psinv_tiled(x[0], x[1], c, t);
+      } else {
+        rt::multigrid::psinv(x[0], x[1], c);
+      }
+      return;
     }
   }
-};
-
-struct ResidStep {
-  rt::kernels::ResidCoeffs a = rt::kernels::nas_mg_a();
-  TilingPlan plan;
-  template <class R, class V, class U>
-  void operator()(R& r, V& v, U& u) const {
-    if (plan.schedule == rt::core::LoopSchedule::kRecursive) {
-      rt::kernels::resid_oblivious(r, v, u, a, plan.tile);
-    } else if (plan.tiled) {
-      rt::kernels::resid_tiled(r, v, u, a, plan.tile);
-    } else {
-      rt::kernels::resid(r, v, u, a);
-    }
-  }
-};
-
-struct PsinvStep {
-  rt::multigrid::SmootherCoeffs c = rt::multigrid::nas_mg_c();
-  TilingPlan plan;
-  template <class U, class R>
-  void operator()(U& u, R& r) const {
-    if (plan.schedule == rt::core::LoopSchedule::kRecursive) {
-      rt::multigrid::psinv_oblivious(u, r, c, plan.tile);
-    } else if (plan.tiled) {
-      rt::multigrid::psinv_tiled(u, r, c, plan.tile);
-    } else {
-      rt::multigrid::psinv(u, r, c);
-    }
-  }
-};
+}
 
 /// Flops per time step (stencil nest(s); the Jacobi copy-back adds none).
 std::uint64_t flops_per_step(KernelId id, long n1, long n2, long n3) {
@@ -226,7 +201,7 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
   try {
     for (int i = 0; i < info.num_arrays; ++i) {
       arrays.emplace_back(dims);
-      init_grid(arrays.back(), 1.0 / (1.0 + i));
+      rt::kernels::init_grid(arrays.back(), 1.0 / (1.0 + i));
     }
   } catch (const std::bad_alloc&) {
     res.status = rt::guard::Status::kAllocFailed;
@@ -258,39 +233,16 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
 
   if (opts.simulate) {
     CacheHierarchy hier(opts.l1, opts.l2);
-    auto run_traced = [&](auto&& stepfn, auto&&... accs) {
-      for (int t = 0; t < opts.time_steps; ++t) {
-        if (rt::guard::FaultInjector::armed(rt::guard::FaultKind::kHang)) {
-          rt::guard::FaultInjector::instance().hang_point();
-        }
-        stepfn(accs...);
+    std::vector<TracedArray3D<double>> traced;
+    for (int i = 0; i < info.num_arrays; ++i) {
+      traced.emplace_back(arrays[static_cast<std::size_t>(i)],
+                          bases[static_cast<std::size_t>(i)], hier);
+    }
+    for (int t = 0; t < opts.time_steps; ++t) {
+      if (rt::guard::FaultInjector::armed(rt::guard::FaultKind::kHang)) {
+        rt::guard::FaultInjector::instance().hang_point();
       }
-    };
-    switch (id) {
-      case KernelId::kJacobi: {
-        TracedArray3D<double> a(arrays[0], bases[0], hier);
-        TracedArray3D<double> b(arrays[1], bases[1], hier);
-        run_traced(JacobiStep{1.0 / 6.0, res.plan}, a, b);
-        break;
-      }
-      case KernelId::kRedBlack: {
-        TracedArray3D<double> a(arrays[0], bases[0], hier);
-        run_traced(RedBlackStep{0.4, 0.1, res.plan}, a);
-        break;
-      }
-      case KernelId::kResid: {
-        TracedArray3D<double> r(arrays[0], bases[0], hier);
-        TracedArray3D<double> v(arrays[1], bases[1], hier);
-        TracedArray3D<double> u(arrays[2], bases[2], hier);
-        run_traced(ResidStep{rt::kernels::nas_mg_a(), res.plan}, r, v, u);
-        break;
-      }
-      case KernelId::kPsinv: {
-        TracedArray3D<double> u(arrays[0], bases[0], hier);
-        TracedArray3D<double> r(arrays[1], bases[1], hier);
-        run_traced(PsinvStep{rt::multigrid::nas_mg_c(), res.plan}, u, r);
-        break;
-      }
+      accessor_step(id, res.plan, traced);
     }
     rt::cachesim::HierarchyStats st = hier.stats();
     st.flops = fl_step * static_cast<std::uint64_t>(opts.time_steps);
@@ -302,16 +254,9 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
   }
 
   if (opts.time_host) {
-    // threads > 1 dispatches the native arrays to the rt::par kernels over
-    // the JI tile grid (or over K planes for untiled plans); --simd=auto/
-    // avx2 swaps the accessor loops for the rt::simd row sweeps in both
-    // the serial and the parallel case (bit-identical either way).
-    // Recursive (oblivious) plans carry tiled = true with the base tile,
-    // so the SIMD/pool fast paths run them as flat tiles of the base case
-    // — the same block set the recursion bottoms out at, still
-    // bit-identical; only the serial-scalar path (and simulation) walks
-    // the true recursion.
-    using rt::simd::SimdLevel;
+    // The level exec_level reports is what runs: the serial accessor
+    // kernels for a single-threaded --simd=off run, otherwise the executor
+    // (row kernels, on a pool when threads > 1, recursive plans recursing).
     res.threads_requested = opts.threads > 1 ? opts.threads : 1;
     res.simd_requested = opts.simd;
     std::unique_ptr<rt::par::ThreadPool> pool;
@@ -319,159 +264,10 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
       pool = std::make_unique<rt::par::ThreadPool>(opts.threads);
       res.threads = pool->num_threads();
     }
-    const SimdLevel lvl = rt::simd::resolve(opts.simd);
-    res.simd = lvl;
-    const bool tiled = res.plan.tiled;
-    const rt::core::IterTile tile = res.plan.tile;
-    std::function<void()> step;
-    switch (id) {
-      case KernelId::kJacobi: {
-        const double c = 1.0 / 6.0;
-        if (lvl != SimdLevel::kScalar && pool) {
-          step = [&, c, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::jacobi3d_tiled_rows_par(*pool, arrays[0], arrays[1],
-                                                c, tile, lvl);
-            } else {
-              rt::simd::jacobi3d_rows_par(*pool, arrays[0], arrays[1], c,
-                                          lvl);
-            }
-            rt::simd::copy_interior_rows_par(*pool, arrays[1], arrays[0],
-                                             lvl);
-          };
-        } else if (lvl != SimdLevel::kScalar) {
-          step = [&, c, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::jacobi3d_tiled_rows(arrays[0], arrays[1], c, tile,
-                                            lvl);
-            } else {
-              rt::simd::jacobi3d_rows(arrays[0], arrays[1], c, lvl);
-            }
-            rt::simd::copy_interior_rows(arrays[1], arrays[0], lvl);
-          };
-        } else if (pool) {
-          step = [&, c, tiled, tile] {
-            if (tiled) {
-              rt::par::jacobi3d_tiled_par(*pool, arrays[0], arrays[1], c,
-                                          tile);
-            } else {
-              rt::par::jacobi3d_par(*pool, arrays[0], arrays[1], c);
-            }
-            rt::par::copy_interior_par(*pool, arrays[1], arrays[0]);
-          };
-        } else {
-          step = [&] { JacobiStep{1.0 / 6.0, res.plan}(arrays[0], arrays[1]); };
-        }
-        break;
-      }
-      case KernelId::kRedBlack: {
-        const double c1 = 0.4, c2 = 0.1;
-        if (lvl != SimdLevel::kScalar && pool) {
-          step = [&, c1, c2, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::redblack_tiled_rows_par(*pool, arrays[0], c1, c2,
-                                                tile, lvl);
-            } else {
-              rt::simd::redblack_rows_par(*pool, arrays[0], c1, c2, lvl);
-            }
-          };
-        } else if (lvl != SimdLevel::kScalar) {
-          step = [&, c1, c2, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::redblack_tiled_rows(arrays[0], c1, c2, tile, lvl);
-            } else {
-              rt::simd::redblack_rows(arrays[0], c1, c2, lvl);
-            }
-          };
-        } else if (pool) {
-          step = [&, c1, c2, tiled, tile] {
-            if (tiled) {
-              rt::par::redblack_tiled_par(*pool, arrays[0], c1, c2, tile);
-            } else {
-              rt::par::redblack_par(*pool, arrays[0], c1, c2);
-            }
-          };
-        } else {
-          step = [&] { RedBlackStep{0.4, 0.1, res.plan}(arrays[0]); };
-        }
-        break;
-      }
-      case KernelId::kResid: {
-        const auto a = rt::kernels::nas_mg_a();
-        if (lvl != SimdLevel::kScalar && pool) {
-          step = [&, a, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::resid_tiled_rows_par(*pool, arrays[0], arrays[1],
-                                             arrays[2], a, tile, lvl);
-            } else {
-              rt::simd::resid_rows_par(*pool, arrays[0], arrays[1],
-                                       arrays[2], a, lvl);
-            }
-          };
-        } else if (lvl != SimdLevel::kScalar) {
-          step = [&, a, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::resid_tiled_rows(arrays[0], arrays[1], arrays[2], a,
-                                         tile, lvl);
-            } else {
-              rt::simd::resid_rows(arrays[0], arrays[1], arrays[2], a, lvl);
-            }
-          };
-        } else if (pool) {
-          step = [&, a, tiled, tile] {
-            if (tiled) {
-              rt::par::resid_tiled_par(*pool, arrays[0], arrays[1],
-                                       arrays[2], a, tile);
-            } else {
-              rt::par::resid_par(*pool, arrays[0], arrays[1], arrays[2], a);
-            }
-          };
-        } else {
-          step = [&] {
-            ResidStep{rt::kernels::nas_mg_a(), res.plan}(arrays[0], arrays[1],
-                                                         arrays[2]);
-          };
-        }
-        break;
-      }
-      case KernelId::kPsinv: {
-        const auto c = rt::multigrid::nas_mg_c();
-        if (lvl != SimdLevel::kScalar && pool) {
-          step = [&, c, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::psinv_tiled_rows_par(*pool, arrays[0], arrays[1], c,
-                                             tile, lvl);
-            } else {
-              rt::simd::psinv_rows_par(*pool, arrays[0], arrays[1], c, lvl);
-            }
-          };
-        } else if (lvl != SimdLevel::kScalar) {
-          step = [&, c, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::psinv_tiled_rows(arrays[0], arrays[1], c, tile, lvl);
-            } else {
-              rt::simd::psinv_rows(arrays[0], arrays[1], c, lvl);
-            }
-          };
-        } else if (pool) {
-          step = [&, c, tiled, tile] {
-            if (tiled) {
-              rt::multigrid::psinv_tiled_par(*pool, arrays[0], arrays[1], c,
-                                             tile);
-            } else {
-              rt::multigrid::psinv_par(*pool, arrays[0], arrays[1], c);
-            }
-          };
-        } else {
-          step = [&] {
-            PsinvStep{rt::multigrid::nas_mg_c(), res.plan}(arrays[0],
-                                                           arrays[1]);
-          };
-        }
-        break;
-      }
-    }
-    time_host(step, fl_step, opts, res);
+    res.simd = rt::simd::exec_level(opts.simd, opts.threads);
+    const rt::simd::Exec ex{pool.get(), res.simd};
+    time_host([&] { host_step(id, res.plan, ex, arrays); }, fl_step, opts,
+              res);
   }
 
   if (opts.verify != rt::guard::VerifyMode::kOff) {
@@ -497,6 +293,31 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
 }
 
 }  // namespace
+
+void host_step(KernelId id, const TilingPlan& plan, const rt::simd::Exec& ex,
+               std::vector<Array3D<double>>& arrays) {
+  if (ex.lvl == rt::simd::SimdLevel::kScalar) {
+    accessor_step(id, plan, arrays);
+    return;
+  }
+  switch (id) {
+    case KernelId::kJacobi:
+      rt::simd::jacobi(ex, plan, arrays[0], arrays[1], kJacobiC);
+      rt::simd::copy_interior(ex, arrays[1], arrays[0]);
+      return;
+    case KernelId::kRedBlack:
+      rt::simd::redblack(ex, plan, arrays[0], kRbC1, kRbC2);
+      return;
+    case KernelId::kResid:
+      rt::simd::resid(ex, plan, arrays[0], arrays[1], arrays[2],
+                      rt::kernels::nas_mg_a());
+      return;
+    case KernelId::kPsinv:
+      rt::simd::psinv(ex, plan, arrays[0], arrays[1],
+                      rt::multigrid::nas_mg_c());
+      return;
+  }
+}
 
 RunResult run_kernel(KernelId id, Transform tr, long n, const RunOptions& opts) {
   // Through the PlanCache when the caller provides one (pinned autotuned
@@ -595,7 +416,7 @@ MissRates run_jacobi2d_missrates(long n, const RunOptions& opts, long p1) {
 MissRates run_jacobi3d_missrates(long n, long k, const RunOptions& opts) {
   const Dims3 dims = Dims3::unpadded(n, n, k);
   Array3D<double> a(dims), b(dims);
-  init_grid(b, 1.0);
+  rt::kernels::init_grid(b, 1.0);
   rt::array::AddressSpace space(0, 64);
   const std::uint64_t ba =
       space.place("a", static_cast<std::uint64_t>(dims.alloc_elems()));

@@ -1,13 +1,19 @@
 #pragma once
 // Registry describing the three paper kernels: stencil spec for the tiling
 // algorithms plus flop/access counts per interior point (used for MFlops
-// and for cross-checking simulated access counts).
+// and for cross-checking simulated access counts), and the deterministic
+// grid initialisation every host run of them starts from.
 
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
+#include "rt/array/array3d.hpp"
 #include "rt/core/stencil_spec.hpp"
+
+namespace rt::par {
+class ThreadPool;
+}
 
 namespace rt::kernels {
 
@@ -32,5 +38,14 @@ struct KernelInfo {
 
 const KernelInfo& kernel_info(KernelId id);
 const std::vector<KernelId>& all_kernels();
+
+/// The deterministic initialisation the bench runner and the solve server
+/// give every kernel array (array i gets scale 1 / (1 + i)):
+/// a(i, j, k) = scale * (0.001 i + 0.002 j + 0.003 k) over the logical
+/// region; padding is left untouched.  Served checksums are reproducible
+/// from it.  With a multi-thread @p pool the K planes are written in
+/// parallel (same values, pages first touched by the sweeping threads).
+void init_grid(rt::array::Array3D<double>& a, double scale,
+               rt::par::ThreadPool* pool = nullptr);
 
 }  // namespace rt::kernels

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "rt/par/thread_pool.hpp"
+
 namespace rt::kernels {
 
 namespace {
@@ -33,6 +35,24 @@ const std::vector<KernelId>& all_kernels() {
   static const std::vector<KernelId> kAll = {
       KernelId::kJacobi, KernelId::kRedBlack, KernelId::kResid};
   return kAll;
+}
+
+void init_grid(rt::array::Array3D<double>& a, double scale,
+               rt::par::ThreadPool* pool) {
+  const auto init_plane = [&a, scale](long k) {
+    for (long j = 0; j < a.n2(); ++j) {
+      for (long i = 0; i < a.n1(); ++i) {
+        a(i, j, k) = scale * (0.001 * static_cast<double>(i) +
+                              0.002 * static_cast<double>(j) +
+                              0.003 * static_cast<double>(k));
+      }
+    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(a.n3(), init_plane);
+  } else {
+    for (long k = 0; k < a.n3(); ++k) init_plane(k);
+  }
 }
 
 }  // namespace rt::kernels

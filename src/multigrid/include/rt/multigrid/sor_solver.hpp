@@ -13,10 +13,10 @@
 // Tiled and untiled runs are bitwise identical (tests assert it).
 //
 // Host fast path (threads/simd options): sweeps run the two-pass
-// colour-barrier schedule on a rt::par pool and/or the rt::simd row
-// kernels — still bit-identical to the serial kernels (the colour barrier
-// argument of rt/par/par_kernels.hpp).  Arrays are first-touch initialized
-// on the pool for NUMA placement.  Trace-driven runs stay serial.
+// colour-barrier schedule through the executor (rt/simd/exec.hpp) — row
+// kernels, on a pool when threads > 1 — still bit-identical to the serial
+// kernels.  Arrays are first-touch initialized on the pool for NUMA
+// placement.  Trace-driven runs stay serial.
 //
 // Plan validation: a plan whose pad (dip/djp) does not cover the logical
 // extent n cannot be applied; instead of silently clamping to unpadded
@@ -48,7 +48,8 @@ struct SorOptions {
   /// Host fast path: execution width of the sweeps (1 = serial, <= 0 =
   /// all hardware threads).  Ignored under trace-driven simulation.
   int threads = 1;
-  /// Host fast path: SIMD row-kernel mode (kOff keeps accessor kernels).
+  /// Host fast path: SIMD row-kernel mode, resolved by rt::simd::exec_level
+  /// (kOff keeps the accessor kernels only when single-threaded).
   rt::simd::SimdMode simd = rt::simd::SimdMode::kOff;
 };
 
@@ -80,7 +81,8 @@ class SorSolver {
 
   /// Actual execution width (1 when serial or trace-driven).
   int threads() const { return pool_ ? pool_->num_threads() : 1; }
-  /// Resolved SIMD level of the fast path (kScalar when off or traced).
+  /// Level the sweeps run at, from rt::simd::exec_level (kScalar: the
+  /// serial accessor kernels, also whenever traced).
   rt::simd::SimdLevel simd_level() const { return lvl_; }
 
   /// Wall-clock phase timings accumulated across all calls.

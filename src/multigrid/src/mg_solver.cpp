@@ -6,9 +6,7 @@
 #include <utility>
 
 #include "rt/cachesim/traced_array.hpp"
-#include "rt/multigrid/par_operators.hpp"
-#include "rt/simd/par_rows.hpp"
-#include "rt/simd/row_kernels.hpp"
+#include "rt/simd/exec.hpp"
 
 namespace rt::multigrid {
 
@@ -16,7 +14,6 @@ namespace {
 
 using Grid = rt::array::Array3D<double>;
 using GB = std::pair<Grid*, std::uint64_t>;
-using rt::simd::SimdLevel;
 
 /// Run op(fn) over grids either natively or through traced accessors.
 template <class Fn, class... Gs>
@@ -60,7 +57,7 @@ MgSolver::MgSolver(const MgOptions& opts, rt::cachesim::CacheHierarchy* hier)
     if (opts.threads != 1) {
       pool_ = std::make_unique<rt::par::ThreadPool>(opts.threads);
     }
-    lvl_ = rt::simd::resolve(opts.simd);
+    lvl_ = rt::simd::exec_level(opts.simd, threads());
   }
   if (rt::obs::counters_enabled(opts.counters)) {
     pc_ = std::make_unique<rt::obs::PerfCounters>();
@@ -138,7 +135,7 @@ void MgSolver::comm3_grid(Grid& g) {
 
 void MgSolver::zero3_grid(Grid& g) {
   rt::obs::ScopedTimer timer(phases_.zero3);
-  if (fast_path() && pool_) {
+  if (hier_ == nullptr && pool_) {
     // Plane-parallel zero of the logical region (zeros are zeros: trivially
     // bit-identical to the serial zero3, whatever thread writes them).
     double* base = g.data();
@@ -163,25 +160,8 @@ void MgSolver::resid_level(int l, Grid& r, Grid& v, Grid& u, bool allow_tile) {
   {
     rt::obs::ScopedTimer timer(phases_.resid);
     if (fast_path()) {
-      if (lvl_ != SimdLevel::kScalar && pool_) {
-        if (tile) {
-          rt::simd::resid_tiled_rows_par(*pool_, r, v, u, a, t, lvl_);
-        } else {
-          rt::simd::resid_rows_par(*pool_, r, v, u, a, lvl_);
-        }
-      } else if (lvl_ != SimdLevel::kScalar) {
-        if (tile) {
-          rt::simd::resid_tiled_rows(r, v, u, a, t, lvl_);
-        } else {
-          rt::simd::resid_rows(r, v, u, a, lvl_);
-        }
-      } else {
-        if (tile) {
-          rt::par::resid_tiled_par(*pool_, r, v, u, a, t);
-        } else {
-          rt::par::resid_par(*pool_, r, v, u, a);
-        }
-      }
+      rt::simd::resid(exec(), tile ? opts_.resid_plan : rt::core::TilingPlan{},
+                      r, v, u, a);
     } else {
       run_op(
           hier_,
@@ -206,25 +186,8 @@ void MgSolver::psinv_level(int l, Grid& u, Grid& r) {
   {
     rt::obs::ScopedTimer timer(phases_.psinv);
     if (fast_path()) {
-      if (lvl_ != SimdLevel::kScalar && pool_) {
-        if (tile) {
-          rt::simd::psinv_tiled_rows_par(*pool_, u, r, c, t, lvl_);
-        } else {
-          rt::simd::psinv_rows_par(*pool_, u, r, c, lvl_);
-        }
-      } else if (lvl_ != SimdLevel::kScalar) {
-        if (tile) {
-          rt::simd::psinv_tiled_rows(u, r, c, t, lvl_);
-        } else {
-          rt::simd::psinv_rows(u, r, c, lvl_);
-        }
-      } else {
-        if (tile) {
-          psinv_tiled_par(*pool_, u, r, c, t);
-        } else {
-          psinv_par(*pool_, u, r, c);
-        }
-      }
+      rt::simd::psinv(exec(), tile ? opts_.resid_plan : rt::core::TilingPlan{},
+                      u, r, c);
     } else {
       run_op(
           hier_,
@@ -246,13 +209,7 @@ void MgSolver::rprj3_level(Grid& coarse, Grid& fine) {
   {
     rt::obs::ScopedTimer timer(phases_.rprj3);
     if (fast_path()) {
-      if (lvl_ != SimdLevel::kScalar && pool_) {
-        rt::simd::rprj3_rows_par(*pool_, coarse, fine, lvl_);
-      } else if (lvl_ != SimdLevel::kScalar) {
-        rt::simd::rprj3_rows(coarse, fine, lvl_);
-      } else {
-        rprj3_par(*pool_, coarse, fine);
-      }
+      rt::simd::rprj3(exec(), coarse, fine);
     } else {
       run_op(hier_, [](auto&& s, auto&& r) { rprj3(s, r); },
              GB{&coarse, base_of(coarse)}, GB{&fine, base_of(fine)});
@@ -266,13 +223,7 @@ void MgSolver::interp_level(Grid& fine, Grid& coarse) {
   {
     rt::obs::ScopedTimer timer(phases_.interp);
     if (fast_path()) {
-      if (lvl_ != SimdLevel::kScalar && pool_) {
-        rt::simd::interp_add_rows_par(*pool_, fine, coarse, lvl_);
-      } else if (lvl_ != SimdLevel::kScalar) {
-        rt::simd::interp_add_rows(fine, coarse, lvl_);
-      } else {
-        interp_add_par(*pool_, fine, coarse);
-      }
+      rt::simd::interp_add(exec(), fine, coarse);
     } else {
       run_op(hier_, [](auto&& u, auto&& z) { interp_add(u, z); },
              GB{&fine, base_of(fine)}, GB{&coarse, base_of(coarse)});

@@ -7,9 +7,7 @@
 #include "rt/array/address_space.hpp"
 #include "rt/cachesim/traced_array.hpp"
 #include "rt/kernels/redblack.hpp"
-#include "rt/par/par_kernels.hpp"
-#include "rt/simd/par_rows.hpp"
-#include "rt/simd/row_kernels.hpp"
+#include "rt/simd/exec.hpp"
 
 namespace rt::multigrid {
 
@@ -36,7 +34,7 @@ SorSolver::SorSolver(const SorOptions& opts,
     if (opts.threads != 1) {
       pool_ = std::make_unique<rt::par::ThreadPool>(opts.threads);
     }
-    lvl_ = rt::simd::resolve(opts.simd);
+    lvl_ = rt::simd::exec_level(opts.simd, threads());
   }
   const long n = opts.n;
   rt::array::Dims3 d = rt::array::Dims3::unpadded(n, n, n);
@@ -117,43 +115,25 @@ void SorSolver::setup(std::uint64_t seed, int charges) {
 void SorSolver::sweep() {
   const double c1 = 1.0 - opts_.omega;
   const double c2 = opts_.omega / 6.0;
+  // The accessor path: the serial reference, natively or traced.
+  const auto accessor_sweep = [&](auto&& u, auto&& r) {
+    if (opts_.plan.tiled) {
+      rt::kernels::redblack_tiled_rhs(u, r, c1, c2, opts_.plan.tile);
+    } else {
+      rt::kernels::redblack_naive_rhs(u, r, c1, c2);
+    }
+  };
   {
     rt::obs::ScopedTimer timer(phases_.sweep);
     if (hier_) {
-      rt::cachesim::TracedArray3D<double> tu(u_, u_base_, *hier_);
-      rt::cachesim::TracedArray3D<double> tr(rhs_, rhs_base_, *hier_);
-      if (opts_.plan.tiled) {
-        rt::kernels::redblack_tiled_rhs(tu, tr, c1, c2, opts_.plan.tile);
-      } else {
-        rt::kernels::redblack_naive_rhs(tu, tr, c1, c2);
-      }
-    } else if (lvl_ != rt::simd::SimdLevel::kScalar && pool_) {
-      if (opts_.plan.tiled) {
-        rt::simd::redblack_tiled_rhs_rows_par(*pool_, u_, rhs_, c1, c2,
-                                              opts_.plan.tile, lvl_);
-      } else {
-        rt::simd::redblack_rhs_rows_par(*pool_, u_, rhs_, c1, c2, lvl_);
-      }
-    } else if (lvl_ != rt::simd::SimdLevel::kScalar) {
-      if (opts_.plan.tiled) {
-        rt::simd::redblack_tiled_rhs_rows(u_, rhs_, c1, c2, opts_.plan.tile,
-                                          lvl_);
-      } else {
-        rt::simd::redblack_rhs_rows(u_, rhs_, c1, c2, lvl_);
-      }
-    } else if (pool_) {
-      if (opts_.plan.tiled) {
-        rt::par::redblack_tiled_rhs_par(*pool_, u_, rhs_, c1, c2,
-                                        opts_.plan.tile);
-      } else {
-        rt::par::redblack_rhs_par(*pool_, u_, rhs_, c1, c2);
-      }
+      accessor_sweep(rt::cachesim::TracedArray3D<double>(u_, u_base_, *hier_),
+                     rt::cachesim::TracedArray3D<double>(rhs_, rhs_base_,
+                                                         *hier_));
+    } else if (lvl_ == rt::simd::SimdLevel::kScalar) {
+      accessor_sweep(u_, rhs_);
     } else {
-      if (opts_.plan.tiled) {
-        rt::kernels::redblack_tiled_rhs(u_, rhs_, c1, c2, opts_.plan.tile);
-      } else {
-        rt::kernels::redblack_naive_rhs(u_, rhs_, c1, c2);
-      }
+      rt::simd::redblack_rhs({pool_.get(), lvl_}, opts_.plan, u_, rhs_, c1,
+                             c2);
     }
   }
   const auto pts = static_cast<std::uint64_t>(opts_.n - 2);

@@ -1,6 +1,7 @@
 #pragma once
-// Small reusable thread pool with a fork-join `parallel_for`, the executor
-// underneath the parallel tiled kernels (rt/par/par_kernels.hpp).
+// Small reusable thread pool with a fork-join `parallel_for`: the pool the
+// kernel executor (rt/simd/exec.hpp) runs its tile, leaf and plane work
+// items on.
 //
 // Design constraints, in order:
 //  * deterministic results — work items must write disjoint data, so any
@@ -9,10 +10,10 @@
 //    grids whose edge tiles are smaller);
 //  * a pool of 1 thread degenerates to a plain sequential loop in index
 //    order on the calling thread (no worker threads are ever spawned), so
-//    single-threaded execution is bit-for-bit and trace-for-trace identical
-//    to the serial kernels;
+//    single-threaded execution is bit-for-bit identical to the serial
+//    kernels;
 //  * `parallel_for` is a barrier: it returns only after every index has
-//    completed, which is what gives the parallel kernels their inter-sweep
+//    completed, which is what gives parallel sweeps their inter-sweep
 //    ordering guarantees (e.g. red before black);
 //  * concurrent entry is safe: a multi-tenant caller (rt::serve request
 //    threads sharing one pool) may call `parallel_for` from many threads at

@@ -4,11 +4,12 @@
 //
 // Bit-identity contract (the acceptance bar for serving at all): a served
 // JACOBI/REDBLACK/RESID result is bit-identical to the batch-binary path —
-// same deterministic grid init as rt::bench's runner, same step structure
-// (jacobi3d(+copy_interior) / redblack / resid, tiled when the plan says
-// so), checksummed over the logical region only so the plan's padding
-// cannot leak into the witness.  MGRID/SOR go through MgSolver/SorSolver
-// with the same options the app benches use.
+// the same rt::kernels::init_grid as rt::bench's runner, the same step
+// structure (jacobi(+copy_interior) / redblack / resid through the
+// executor, rt/simd/exec.hpp, tiled when the plan says so), checksummed
+// over the logical region only so the plan's padding cannot leak into the
+// witness.  MGRID/SOR go through MgSolver/SorSolver.  Every path runs the
+// best row kernels the host supports (SimdMode::kAuto).
 //
 // Batching model: requests with equal BatchKey (kernel, n, k, transform)
 // share one plan lookup and one padded allocation set; requests with fully
@@ -75,10 +76,10 @@ struct SolveOutcome {
 /// Execute one solve.  Kernel paths run on @p arrays — at least
 /// num_arrays_for(kernel) buffers shaped batch_dims(), contents stale
 /// (this function initializes every logical element before reading).  Apps
-/// ignore @p arrays.  @p pool (optional) runs kernel sweeps and init
-/// plane-parallel — results stay bit-identical to serial, every grid point
-/// is computed independently with the same FP order.  @p app_threads sizes
-/// the MGRID/SOR solvers' internal pools.
+/// ignore @p arrays.  @p pool (optional) runs the executor's work items and
+/// the init in parallel — results stay bit-identical to serial, every grid
+/// point is computed independently with the same FP order.  @p app_threads
+/// sizes the MGRID/SOR solvers' internal pools.
 ///
 /// Deadline safety: reads/writes only its arguments; checks the rt::guard
 /// hang-injection point each sweep so tests can wedge a solve under a

@@ -6,13 +6,10 @@
 
 #include "rt/core/cache_topology.hpp"
 #include "rt/guard/fault_injector.hpp"
-#include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
-#include "rt/kernels/redblack.hpp"
-#include "rt/kernels/resid.hpp"
 #include "rt/multigrid/mg_solver.hpp"
 #include "rt/multigrid/sor_solver.hpp"
-#include "rt/par/par_kernels.hpp"
+#include "rt/simd/exec.hpp"
 
 namespace rt::serve {
 
@@ -22,26 +19,6 @@ using rt::array::Array3D;
 using rt::array::Dims3;
 using rt::core::TilingPlan;
 using rt::guard::Status;
-
-/// The runner's deterministic grid init, replicated bit-for-bit (tests
-/// compare served checksums against grids initialized by this formula and
-/// stepped by the same kernels).  Writes the logical region only.
-void init_grid(Array3D<double>& a, double scale, rt::par::ThreadPool* pool) {
-  auto init_plane = [&a, scale](long k) {
-    for (long j = 0; j < a.dims().n2; ++j) {
-      for (long i = 0; i < a.dims().n1; ++i) {
-        a(i, j, k) = scale * (0.001 * static_cast<double>(i) +
-                              0.002 * static_cast<double>(j) +
-                              0.003 * static_cast<double>(k));
-      }
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->parallel_for(a.dims().n3, init_plane);
-  } else {
-    for (long k = 0; k < a.dims().n3; ++k) init_plane(k);
-  }
-}
 
 /// One relaxed load per sweep, same as the runner's measured loop: lets
 /// RT_GUARD_FAULTS=hang wedge a served solve so the deadline/abandonment
@@ -78,83 +55,30 @@ SolveOutcome solve_kernels(const SolveParams& p, const TilingPlan& plan,
     return out;
   }
   for (int i = 0; i < want; ++i) {
-    init_grid(arrays[static_cast<std::size_t>(i)], 1.0 / (1.0 + i), pool);
+    rt::kernels::init_grid(arrays[static_cast<std::size_t>(i)],
+                           1.0 / (1.0 + i), pool);
   }
-  const bool par = pool != nullptr && pool->num_threads() > 1;
-
-  switch (p.kernel) {
-    case ServeKernel::kJacobi: {
-      const double c = 1.0 / 6.0;
-      Array3D<double>& a = arrays[0];
-      Array3D<double>& b = arrays[1];
-      for (int t = 0; t < p.tsteps; ++t) {
-        hang_check();
-        if (par) {
-          if (plan.tiled) {
-            rt::par::jacobi3d_tiled_par(*pool, a, b, c, plan.tile);
-          } else {
-            rt::par::jacobi3d_par(*pool, a, b, c);
-          }
-          rt::par::copy_interior_par(*pool, b, a);
-        } else {
-          if (plan.tiled) {
-            rt::kernels::jacobi3d_tiled(a, b, c, plan.tile);
-          } else {
-            rt::kernels::jacobi3d(a, b, c);
-          }
-          rt::kernels::copy_interior(b, a);
-        }
-      }
-      break;
+  // The server always runs the best row kernels this host supports.
+  const rt::simd::Exec ex{pool, rt::simd::resolve(rt::simd::SimdMode::kAuto)};
+  for (int t = 0; t < p.tsteps; ++t) {
+    hang_check();
+    switch (p.kernel) {
+      case ServeKernel::kJacobi:
+        rt::simd::jacobi(ex, plan, arrays[0], arrays[1], 1.0 / 6.0);
+        rt::simd::copy_interior(ex, arrays[1], arrays[0]);
+        break;
+      case ServeKernel::kRedBlack:
+        rt::simd::redblack(ex, plan, arrays[0], 0.4, 0.1);
+        break;
+      case ServeKernel::kResid:
+        rt::simd::resid(ex, plan, arrays[0], arrays[1], arrays[2],
+                        rt::kernels::nas_mg_a());
+        break;
+      default:
+        out.status = Status::kInvalidArgument;
+        out.detail = "internal: app kernel routed to solve_kernels";
+        return out;
     }
-    case ServeKernel::kRedBlack: {
-      const double c1 = 0.4, c2 = 0.1;
-      Array3D<double>& a = arrays[0];
-      for (int t = 0; t < p.tsteps; ++t) {
-        hang_check();
-        if (par) {
-          if (plan.tiled) {
-            rt::par::redblack_tiled_par(*pool, a, c1, c2, plan.tile);
-          } else {
-            rt::par::redblack_par(*pool, a, c1, c2);
-          }
-        } else {
-          if (plan.tiled) {
-            rt::kernels::redblack_tiled(a, c1, c2, plan.tile);
-          } else {
-            rt::kernels::redblack_naive(a, c1, c2);
-          }
-        }
-      }
-      break;
-    }
-    case ServeKernel::kResid: {
-      const rt::kernels::ResidCoeffs a = rt::kernels::nas_mg_a();
-      Array3D<double>& r = arrays[0];
-      Array3D<double>& v = arrays[1];
-      Array3D<double>& u = arrays[2];
-      for (int t = 0; t < p.tsteps; ++t) {
-        hang_check();
-        if (par) {
-          if (plan.tiled) {
-            rt::par::resid_tiled_par(*pool, r, v, u, a, plan.tile);
-          } else {
-            rt::par::resid_par(*pool, r, v, u, a);
-          }
-        } else {
-          if (plan.tiled) {
-            rt::kernels::resid_tiled(r, v, u, a, plan.tile);
-          } else {
-            rt::kernels::resid(r, v, u, a);
-          }
-        }
-      }
-      break;
-    }
-    default:
-      out.status = Status::kInvalidArgument;
-      out.detail = "internal: app kernel routed to solve_kernels";
-      return out;
   }
   out.iters = p.tsteps;
   out.checksum = checksum_region(arrays[0]);
@@ -183,6 +107,7 @@ SolveOutcome solve_mgrid(const SolveParams& p, const TilingPlan& plan,
   mo.resid_plan = plan;
   mo.seed = p.seed;
   mo.threads = app_threads;
+  mo.simd = rt::simd::SimdMode::kAuto;
   hang_check();
   rt::multigrid::MgSolver solver(mo);
   solver.setup();
@@ -216,6 +141,7 @@ SolveOutcome solve_sor(const SolveParams& p, const TilingPlan& plan,
   so.n = p.n;
   so.plan = plan;
   so.threads = app_threads;
+  so.simd = rt::simd::SimdMode::kAuto;
   hang_check();
   rt::multigrid::SorSolver solver(so);
   solver.setup(p.seed);

@@ -10,7 +10,7 @@
 // the column-major Array3D, so the compiler auto-vectorizes it; because
 // vectorizing across I preserves each element's own operation order, the
 // results are bit-identical to the accessor kernels for every SimdLevel
-// (asserted exhaustively by tests/simd_kernels_test.cpp).
+// (asserted exhaustively by tests/exec_test.cpp).
 //
 // Two ISA instantiations of every sweep are compiled (baseline, and a
 // target("avx2") clone on x86); SimdLevel picks one at run time, so no
@@ -24,28 +24,24 @@
 // guarantees the written row is disjoint from the neighbour rows read
 // through other pointers.
 //
-// The *_sweep functions cover the interior sub-box [ilo,ihi) x [jlo,jhi)
-// x [klo,khi); they are the composition point with rt::par — each
-// parallel tile or plane work item calls one sweep (rt/simd/par_rows.hpp).
+// Each *_sweep function covers one interior sub-box [ilo,ihi) x [jlo,jhi)
+// x [klo,khi): one work item of the executor (rt/simd/exec.hpp), which
+// turns a plan's schedule into those boxes.
 
 #include <array>
 
 #include "rt/array/array3d.hpp"
-#include "rt/core/cost.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/simd/simd.hpp"
 
 namespace rt::simd {
 
 using rt::array::Array3D;
-using rt::core::IterTile;
 
 /// Smoother coefficients in rt::multigrid::SmootherCoeffs layout (centre,
 /// faces, edges, corners) — duplicated as a plain array type so rt::simd
 /// stays below rt::multigrid in the layering.
 using PsinvCoeffs = std::array<double, 4>;
-
-// --- Mid-level sweeps over an interior sub-box (par composition unit) ---
 
 /// a(i,j,k) = c * (six face neighbours of b); a and b share dims.
 void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,
@@ -89,65 +85,5 @@ void rprj3_sweep(Array3D<double>& s, const Array3D<double>& r, long j1lo,
 void interp_sweep(Array3D<double>& u, const Array3D<double>& z, long ilo,
                   long ihi, long jlo, long jhi, long klo, long khi,
                   SimdLevel lvl);
-
-// --- Full kernels, bit-identical to their rt::kernels counterparts ---
-
-/// == rt::kernels::jacobi3d.
-void jacobi3d_rows(Array3D<double>& a, const Array3D<double>& b, double c,
-                   SimdLevel lvl);
-
-/// == rt::kernels::jacobi3d_tiled (same jj-outer / ii-inner tile walk).
-void jacobi3d_tiled_rows(Array3D<double>& a, const Array3D<double>& b,
-                         double c, IterTile t, SimdLevel lvl);
-
-/// == rt::kernels::copy_interior.
-void copy_interior_rows(Array3D<double>& dst, const Array3D<double>& src,
-                        SimdLevel lvl);
-
-/// == rt::kernels::redblack_naive (two-pass colour schedule).
-void redblack_rows(Array3D<double>& a, double c1, double c2, SimdLevel lvl);
-
-/// Tiled two-pass red-black over the JI tile grid.  Uses the same
-/// colour-barrier schedule as rt::par::redblack_tiled_par, which is
-/// bit-identical to redblack_naive *and* to the serial fused
-/// redblack_tiled (within one colour no update reads same-colour values).
-void redblack_tiled_rows(Array3D<double>& a, double c1, double c2, IterTile t,
-                         SimdLevel lvl);
-
-/// == rt::kernels::resid.
-void resid_rows(Array3D<double>& r, const Array3D<double>& v,
-                const Array3D<double>& u, const rt::kernels::ResidCoeffs& a,
-                SimdLevel lvl);
-
-/// == rt::kernels::resid_tiled.
-void resid_tiled_rows(Array3D<double>& r, const Array3D<double>& v,
-                      const Array3D<double>& u,
-                      const rt::kernels::ResidCoeffs& a, IterTile t,
-                      SimdLevel lvl);
-
-/// == rt::kernels::redblack_naive_rhs (two-pass colour schedule).
-void redblack_rhs_rows(Array3D<double>& a, const Array3D<double>& r,
-                       double c1, double c2, SimdLevel lvl);
-
-/// Tiled two-pass red-black with constant term over the JI tile grid
-/// (colour barrier between passes; bit-identical to redblack_naive_rhs
-/// and to the serial fused redblack_tiled_rhs).
-void redblack_tiled_rhs_rows(Array3D<double>& a, const Array3D<double>& r,
-                             double c1, double c2, IterTile t, SimdLevel lvl);
-
-/// == rt::multigrid::psinv.
-void psinv_rows(Array3D<double>& u, const Array3D<double>& r,
-                const PsinvCoeffs& c, SimdLevel lvl);
-
-/// == rt::multigrid::psinv_tiled (same jj-outer / ii-inner tile walk).
-void psinv_tiled_rows(Array3D<double>& u, const Array3D<double>& r,
-                      const PsinvCoeffs& c, IterTile t, SimdLevel lvl);
-
-/// == rt::multigrid::rprj3 (s coarse, r fine; dims may differ in padding).
-void rprj3_rows(Array3D<double>& s, const Array3D<double>& r, SimdLevel lvl);
-
-/// == rt::multigrid::interp_add (u fine, z coarse).
-void interp_add_rows(Array3D<double>& u, const Array3D<double>& z,
-                     SimdLevel lvl);
 
 }  // namespace rt::simd

@@ -10,11 +10,12 @@
 // contiguous restrict-qualified rows it can vectorize.  Vectorizing
 // across I keeps each element's floating-point operation order unchanged,
 // so every level below computes *bit-identical* results to the accessor
-// kernels (tests/simd_kernels_test.cpp asserts it across a shape sweep).
+// kernels (tests/exec_test.cpp asserts it across a shape sweep).
 //
 // Mode (requested, a CLI-level knob) vs Level (resolved, what actually
 // runs):
-//   --simd=off   -> kScalar : accessor kernels, the historical path
+//   --simd=off   -> kScalar : accessor kernels, single-threaded only
+//                   (exec_level: with threads > 1 it runs kRows)
 //   --simd=auto  -> kAvx2 when the host supports AVX2, else kRows
 //   --simd=avx2  -> kAvx2, falling back to kRows off-x86 / pre-AVX2
 // kRows is portable C++ (restrict rows + `#pragma omp simd` hint, baseline
@@ -29,7 +30,7 @@ namespace rt::simd {
 
 /// Requested SIMD behaviour (the --simd= flag).
 enum class SimdMode {
-  kOff,   ///< accessor kernels only
+  kOff,   ///< accessor kernels when single-threaded, else kRows
   kAuto,  ///< best level this host supports
   kAvx2,  ///< force the AVX2 path (falls back to kRows if unsupported)
 };
@@ -48,8 +49,13 @@ inline constexpr long kVecDoubles = 8;
 /// True when this CPU executes AVX2 (always false off x86).
 bool avx2_supported();
 
-/// Map a requested mode to the level that will actually run on this host.
+/// Map a requested mode to the best level this host can execute.
 SimdLevel resolve(SimdMode mode);
+
+/// The level a run with @p threads workers actually executes (what every
+/// caller reports): resolve(mode), except that a multi-threaded --simd=off
+/// run uses kRows — the accessor kernels (kScalar) run single-threaded only.
+SimdLevel exec_level(SimdMode mode, int threads);
 
 const char* simd_mode_name(SimdMode m);
 const char* simd_level_name(SimdLevel l);

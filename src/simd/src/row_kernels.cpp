@@ -225,128 +225,4 @@ void interp_sweep(Array3D<double>& u, const Array3D<double>& z, long ilo,
                     jhi, klo, khi);
 }
 
-void jacobi3d_rows(Array3D<double>& a, const Array3D<double>& b, double c,
-                   SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  jacobi_sweep(a, b, c, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
-}
-
-void jacobi3d_tiled_rows(Array3D<double>& a, const Array3D<double>& b,
-                         double c, IterTile t, SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  if (t.ti <= 0 || t.tj <= 0) return;
-  for (long jj = 1; jj < n2 - 1; jj += t.tj) {
-    const long jhi = std::min(jj + t.tj, n2 - 1);
-    for (long ii = 1; ii < n1 - 1; ii += t.ti) {
-      const long ihi = std::min(ii + t.ti, n1 - 1);
-      jacobi_sweep(a, b, c, ii, ihi, jj, jhi, 1, n3 - 1, lvl);
-    }
-  }
-}
-
-void copy_interior_rows(Array3D<double>& dst, const Array3D<double>& src,
-                        SimdLevel lvl) {
-  const long n1 = dst.n1(), n2 = dst.n2(), n3 = dst.n3();
-  copy_sweep(dst, src, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
-}
-
-void redblack_rows(Array3D<double>& a, double c1, double c2, SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  for (long parity = 0; parity < 2; ++parity) {
-    redblack_sweep(a, c1, c2, parity, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
-  }
-}
-
-void redblack_tiled_rows(Array3D<double>& a, double c1, double c2, IterTile t,
-                         SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  if (t.ti <= 0 || t.tj <= 0) return;
-  for (long parity = 0; parity < 2; ++parity) {
-    for (long jj = 1; jj < n2 - 1; jj += t.tj) {
-      const long jhi = std::min(jj + t.tj, n2 - 1);
-      for (long ii = 1; ii < n1 - 1; ii += t.ti) {
-        const long ihi = std::min(ii + t.ti, n1 - 1);
-        redblack_sweep(a, c1, c2, parity, ii, ihi, jj, jhi, 1, n3 - 1, lvl);
-      }
-    }
-  }
-}
-
-void resid_rows(Array3D<double>& r, const Array3D<double>& v,
-                const Array3D<double>& u, const rt::kernels::ResidCoeffs& a,
-                SimdLevel lvl) {
-  const long n1 = r.n1(), n2 = r.n2(), n3 = r.n3();
-  resid_sweep(r, v, u, a, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
-}
-
-void resid_tiled_rows(Array3D<double>& r, const Array3D<double>& v,
-                      const Array3D<double>& u,
-                      const rt::kernels::ResidCoeffs& a, IterTile t,
-                      SimdLevel lvl) {
-  const long n1 = r.n1(), n2 = r.n2(), n3 = r.n3();
-  if (t.ti <= 0 || t.tj <= 0) return;
-  for (long jj = 1; jj < n2 - 1; jj += t.tj) {
-    const long jhi = std::min(jj + t.tj, n2 - 1);
-    for (long ii = 1; ii < n1 - 1; ii += t.ti) {
-      const long ihi = std::min(ii + t.ti, n1 - 1);
-      resid_sweep(r, v, u, a, ii, ihi, jj, jhi, 1, n3 - 1, lvl);
-    }
-  }
-}
-
-void redblack_rhs_rows(Array3D<double>& a, const Array3D<double>& r,
-                       double c1, double c2, SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  for (long parity = 0; parity < 2; ++parity) {
-    redblack_rhs_sweep(a, r, c1, c2, parity, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1,
-                       lvl);
-  }
-}
-
-void redblack_tiled_rhs_rows(Array3D<double>& a, const Array3D<double>& r,
-                             double c1, double c2, IterTile t, SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  if (t.ti <= 0 || t.tj <= 0) return;
-  for (long parity = 0; parity < 2; ++parity) {
-    for (long jj = 1; jj < n2 - 1; jj += t.tj) {
-      const long jhi = std::min(jj + t.tj, n2 - 1);
-      for (long ii = 1; ii < n1 - 1; ii += t.ti) {
-        const long ihi = std::min(ii + t.ti, n1 - 1);
-        redblack_rhs_sweep(a, r, c1, c2, parity, ii, ihi, jj, jhi, 1, n3 - 1,
-                           lvl);
-      }
-    }
-  }
-}
-
-void psinv_rows(Array3D<double>& u, const Array3D<double>& r,
-                const PsinvCoeffs& c, SimdLevel lvl) {
-  const long n1 = u.n1(), n2 = u.n2(), n3 = u.n3();
-  psinv_sweep(u, r, c, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
-}
-
-void psinv_tiled_rows(Array3D<double>& u, const Array3D<double>& r,
-                      const PsinvCoeffs& c, IterTile t, SimdLevel lvl) {
-  const long n1 = u.n1(), n2 = u.n2(), n3 = u.n3();
-  if (t.ti <= 0 || t.tj <= 0) return;
-  for (long jj = 1; jj < n2 - 1; jj += t.tj) {
-    const long jhi = std::min(jj + t.tj, n2 - 1);
-    for (long ii = 1; ii < n1 - 1; ii += t.ti) {
-      const long ihi = std::min(ii + t.ti, n1 - 1);
-      psinv_sweep(u, r, c, ii, ihi, jj, jhi, 1, n3 - 1, lvl);
-    }
-  }
-}
-
-void rprj3_rows(Array3D<double>& s, const Array3D<double>& r, SimdLevel lvl) {
-  const long m1 = s.n1(), m2 = s.n2(), m3 = s.n3();
-  rprj3_sweep(s, r, 1, m1 - 1, 1, m2 - 1, 1, m3 - 1, lvl);
-}
-
-void interp_add_rows(Array3D<double>& u, const Array3D<double>& z,
-                     SimdLevel lvl) {
-  const long n1 = u.n1(), n2 = u.n2(), n3 = u.n3();
-  interp_sweep(u, z, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
-}
-
 }  // namespace rt::simd

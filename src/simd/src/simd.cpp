@@ -21,6 +21,11 @@ SimdLevel resolve(SimdMode mode) {
   return SimdLevel::kScalar;
 }
 
+SimdLevel exec_level(SimdMode mode, int threads) {
+  if (mode == SimdMode::kOff && threads > 1) return SimdLevel::kRows;
+  return resolve(mode);
+}
+
 const char* simd_mode_name(SimdMode m) {
   switch (m) {
     case SimdMode::kOff:

@@ -11,6 +11,7 @@
 #include "rt/bench/options.hpp"
 #include "rt/bench/table.hpp"
 #include "rt/tune/plan_store.hpp"
+#include "tmpdir.hpp"
 
 namespace rt::bench {
 namespace {
@@ -197,12 +198,12 @@ TEST(OptionsDeathTest, RejectsBadAndContradictoryRetryFlags) {
 }
 
 TEST(Options, TuneLoadAcceptsAnExistingStoreFile) {
-  const std::string path = "/tmp/rt_bench_tune_load_test.json";
+  const rt::test::TmpDir tmp("rt_bench_tune_load_test");
+  const std::string path = tmp.file("plans.json");
   std::ofstream(path) << "{}\n";  // existence is all parse checks here
   const std::string flag = "--plan-store=" + path;
   const BenchOptions o = parse({"--tune=load", flag.c_str()});
   EXPECT_EQ(o.tune, rt::tune::TuneMode::kLoad);
-  std::remove(path.c_str());
 }
 
 TEST(Options, BackendFlagParsesAndDefaultsToModel) {
@@ -239,7 +240,8 @@ TEST(OptionsDeathTest, RejectsBadBackendAndPreBackendStore) {
 
   // A pre-backend (v1) plan store carries winners with no backend id:
   // serving them under an explicit --backend= is a contradiction.
-  const std::string path = "/tmp/rt_bench_backend_v1_store_test.json";
+  const rt::test::TmpDir tmp("rt_bench_backend_store_test");
+  const std::string path = tmp.file("v1.json");
   std::ofstream(path) << "{\n  \"version\": 1,\n  \"fingerprint\": \"x\",\n"
                          "  \"entries\": []\n}\n";
   const std::string flag = "--plan-store=" + path;
@@ -252,10 +254,9 @@ TEST(OptionsDeathTest, RejectsBadBackendAndPreBackendStore) {
   // as kStale at load time and the bench keeps running on model plans.
   EXPECT_EQ(parse({"--tune=load", flag.c_str()}).tune,
             rt::tune::TuneMode::kLoad);
-  std::remove(path.c_str());
 
   // A current-version store satisfies the explicit-backend combination.
-  const std::string path2 = "/tmp/rt_bench_backend_v2_store_test.json";
+  const std::string path2 = tmp.file("v2.json");
   std::ofstream(path2) << "{\n  \"version\": "
                        << rt::tune::kPlanStoreVersion
                        << ",\n  \"fingerprint\": \"x\",\n  \"entries\": []\n"
@@ -264,7 +265,6 @@ TEST(OptionsDeathTest, RejectsBadBackendAndPreBackendStore) {
   const BenchOptions ok = parse({"--backend=lattice", "--tune=load",
                                  flag2.c_str()});
   EXPECT_EQ(ok.backend, rt::core::Backend::kLattice);
-  std::remove(path2.c_str());
 }
 
 TEST(Table, FmtPrecision) {
@@ -303,8 +303,8 @@ namespace rt::bench {
 namespace {
 
 TEST(Csv, TablesAndSeriesAppendToSink) {
-  const std::string path = "/tmp/rt_bench_csv_test.csv";
-  std::remove(path.c_str());
+  const rt::test::TmpDir tmp("rt_bench_csv_test");
+  const std::string path = tmp.file("tables.csv");
   set_csv_sink(path);
   testing::internal::CaptureStdout();
   print_table({"a", "b"}, {{"1", "x,y"}, {"2", "z\"q"}});
@@ -321,7 +321,6 @@ TEST(Csv, TablesAndSeriesAppendToSink) {
   EXPECT_NE(got.find("\"z\"\"q\""), std::string::npos) << got;
   EXPECT_NE(got.find("# series one"), std::string::npos);
   EXPECT_NE(got.find("10,1.25"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(Csv, NoSinkNoOutput) {

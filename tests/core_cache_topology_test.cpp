@@ -12,6 +12,7 @@
 #include <string>
 
 #include "rt/core/cache_topology.hpp"
+#include "tmpdir.hpp"
 
 namespace fs = std::filesystem;
 using rt::core::CacheTopology;
@@ -21,23 +22,13 @@ namespace {
 
 class FakeSysfs {
  public:
-  FakeSysfs() {
-    root_ = fs::path(::testing::TempDir()) /
-            ("cache_topo_" + std::to_string(counter_++));
-    fs::create_directories(root_);
-  }
-  ~FakeSysfs() {
-    std::error_code ec;
-    fs::remove_all(root_, ec);
-  }
-
-  std::string root() const { return root_.string(); }
+  std::string root() const { return root_.path().string(); }
 
   void add_index(int idx, const std::string& type, const std::string& level,
                  const std::string& size, const std::string& ways = "",
                  const std::string& line = "",
                  const std::string& shared = "") {
-    const fs::path dir = root_ / ("index" + std::to_string(idx));
+    const fs::path dir = root_.path() / ("index" + std::to_string(idx));
     fs::create_directories(dir);
     write(dir / "type", type);
     if (!level.empty()) write(dir / "level", level);
@@ -52,11 +43,8 @@ class FakeSysfs {
     std::ofstream f(p);
     f << v << "\n";
   }
-  fs::path root_;
-  static int counter_;
+  rt::test::TmpDir root_{"cache_topo"};
 };
-
-int FakeSysfs::counter_ = 0;
 
 /// The canonical 3-level tree most x86 hosts expose: split L1, unified
 /// L2/L3, instruction cache interleaved at index1.

@@ -1,0 +1,530 @@
+// Differential test of the executor (rt/simd/exec.hpp), the one dispatch
+// every host fast path runs through.  Every operator, under every loop
+// schedule (untiled K planes, the flat JI tile grid, the recursive co_over
+// leaves), inline and on 2- and 4-thread pools, at every SimdLevel, must be
+// bitwise equal to the serial accessor kernel of the same schedule — run
+// on unpadded grids, while the executor runs on the shape's padded ones.
+// Shapes cover n = 3, cubic, padded (odd and vector-aligned leading
+// dimensions) and ragged non-cubic grids, with tiles that do not divide,
+// or exceed, the interior; each operator runs several steps so any
+// divergence compounds.  Red-black is checked against the serial fused
+// tiled schedule as well as the naive one.
+//
+// Also pinned: the block driver's work items (a null pool runs the serial
+// tile order; a recursive plan runs exactly the co_over leaves, not the
+// flat grid), degenerate tiles and empty interiors, and the red-black
+// colour barrier under many threads.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <mutex>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "rt/array/array3d.hpp"
+#include "rt/kernels/jacobi3d.hpp"
+#include "rt/kernels/oblivious.hpp"
+#include "rt/kernels/redblack.hpp"
+#include "rt/kernels/resid.hpp"
+#include "rt/multigrid/operators.hpp"
+#include "rt/par/thread_pool.hpp"
+#include "rt/simd/exec.hpp"
+
+namespace rt::simd {
+namespace {
+
+using rt::array::Array3D;
+using rt::array::Dims3;
+using rt::core::IterTile;
+using rt::core::LoopSchedule;
+using rt::par::ThreadPool;
+using Grids = std::vector<Array3D<double>>;
+
+Array3D<double> make_grid(long n1, long n2, long n3, double seed, long p1,
+                          long p2) {
+  Array3D<double> a(p1 > 0 ? Dims3::padded(n1, n2, n3, p1, p2)
+                           : Dims3::unpadded(n1, n2, n3));
+  for (long k = 0; k < n3; ++k) {
+    for (long j = 0; j < n2; ++j) {
+      for (long i = 0; i < n1; ++i) {
+        a(i, j, k) = std::sin(seed + 0.1 * i + 0.2 * j + 0.3 * k);
+      }
+    }
+  }
+  return a;
+}
+
+/// Bitwise equality over the logical region (boundaries included), so
+/// grids of different padding compare by value.
+bool logical_equal(const Array3D<double>& a, const Array3D<double>& b) {
+  for (long k = 0; k < a.n3(); ++k) {
+    for (long j = 0; j < a.n2(); ++j) {
+      for (long i = 0; i < a.n1(); ++i) {
+        if (a(i, j, k) != b(i, j, k)) return false;
+      }
+    }
+  }
+  return true;
+}
+
+struct Shape {
+  long n1, n2, n3, ti, tj, p1, p2;  // p1 = 0: unpadded
+};
+
+/// "9x7x11_t2x5_p0x0": extents, tile, pad (also the test-name suffix).
+std::string describe(const Shape& s) {
+  return std::to_string(s.n1) + "x" + std::to_string(s.n2) + "x" +
+         std::to_string(s.n3) + "_t" + std::to_string(s.ti) + "x" +
+         std::to_string(s.tj) + "_p" + std::to_string(s.p1) + "x" +
+         std::to_string(s.p2);
+}
+
+const std::vector<Shape>& shapes() {
+  static const std::vector<Shape> kShapes = {
+      // Minimum stencil-admitting grids: one interior point per row.
+      {3, 3, 3, 1, 1, 0, 0},
+      {3, 5, 4, 2, 2, 0, 0},
+      // Cubic; the tile divides / does not divide the interior.
+      {8, 8, 8, 3, 3, 0, 0},
+      {16, 16, 16, 7, 5, 0, 0},
+      // Ragged non-cubic; tiles of one row or column; tiles exceeding the
+      // interior.
+      {9, 7, 11, 2, 5, 0, 0},
+      {23, 41, 11, 7, 3, 0, 0},
+      {40, 12, 30, 13, 22, 0, 0},
+      {41, 6, 9, 41, 1, 0, 0},
+      {12, 30, 5, 100, 100, 0, 0},
+      {21, 9, 6, 6, 4, 0, 0},
+      {64, 10, 13, 22, 13, 0, 0},
+      {17, 13, 7, 1, 1, 0, 0},
+      // Padded: odd leading dimension (rows never share an alignment
+      // phase), vector-aligned leading dimension, pad in both dimensions.
+      {12, 18, 8, 5, 4, 17, 23},
+      {12, 18, 8, 5, 4, 16, 18},
+      {30, 10, 7, 9, 9, 40, 12},
+  };
+  return kShapes;
+}
+
+/// kAvx2 runs on every host: without AVX2 the dispatcher must fall back to
+/// the baseline stamp rather than fault.
+const SimdLevel kLevels[] = {SimdLevel::kRows, SimdLevel::kAvx2};
+
+/// Every executor configuration: inline (no pool), 2 and 4 threads, at
+/// every level.
+struct Runner {
+  ThreadPool two{2}, four{4};
+  std::vector<Exec> execs() {
+    std::vector<Exec> v;
+    for (const SimdLevel lvl : kLevels) {
+      v.push_back(Exec{nullptr, lvl});
+      v.push_back(Exec{&two, lvl});
+      v.push_back(Exec{&four, lvl});
+    }
+    return v;
+  }
+};
+
+std::string describe(const Exec& ex) {
+  return std::string(" threads ") +
+         std::to_string(ex.pool != nullptr ? ex.pool->num_threads() : 1) +
+         " level " + simd_level_name(ex.lvl);
+}
+
+// --- Plan-driven operators ---
+
+enum class Op {
+  kJacobi,
+  kRedBlack,
+  kRedBlackRhs,
+  kResid,
+  kPsinvNas,
+  kPsinvDense,
+};
+enum class Sched { kUntiled, kFlat, kRecursive };
+
+int num_grids(Op op) {
+  switch (op) {
+    case Op::kRedBlack:
+      return 1;
+    case Op::kResid:
+      return 3;
+    default:
+      return 2;
+  }
+}
+
+rt::multigrid::SmootherCoeffs psinv_coeffs(Op op) {
+  // The NAS set zeroes the corner term; the dense set exercises it.
+  return op == Op::kPsinvNas
+             ? rt::multigrid::nas_mg_c()
+             : rt::multigrid::SmootherCoeffs{-0.4, 0.03, -0.015, 0.007};
+}
+
+TilingPlan plan_of(Sched s, IterTile t) {
+  TilingPlan p;
+  p.tiled = s != Sched::kUntiled;
+  p.tile = t;
+  p.schedule = s == Sched::kRecursive ? LoopSchedule::kRecursive
+               : s == Sched::kFlat    ? LoopSchedule::kTiled
+                                      : LoopSchedule::kFlat;
+  return p;
+}
+
+constexpr int kSteps = 3;
+
+/// The serial accessor kernels of @p op under @p s, kSteps times.
+void run_reference(Op op, Sched s, IterTile t, Grids& x) {
+  const auto a = rt::kernels::nas_mg_a();
+  for (int step = 0; step < kSteps; ++step) {
+    switch (op) {
+      case Op::kJacobi:
+        if (s == Sched::kRecursive) {
+          rt::kernels::jacobi3d_oblivious(x[0], x[1], 1.0 / 6.0, t);
+          rt::kernels::copy_interior_oblivious(x[1], x[0], t);
+          break;
+        }
+        if (s == Sched::kFlat) {
+          rt::kernels::jacobi3d_tiled(x[0], x[1], 1.0 / 6.0, t);
+        } else {
+          rt::kernels::jacobi3d(x[0], x[1], 1.0 / 6.0);
+        }
+        rt::kernels::copy_interior(x[1], x[0]);
+        break;
+      case Op::kRedBlack:
+        if (s == Sched::kRecursive) {
+          rt::kernels::redblack_oblivious(x[0], 0.4, 0.1, t);
+        } else if (s == Sched::kFlat) {
+          rt::kernels::redblack_tiled(x[0], 0.4, 0.1, t);  // fused
+        } else {
+          rt::kernels::redblack_naive(x[0], 0.4, 0.1);
+        }
+        break;
+      case Op::kRedBlackRhs:
+        if (s == Sched::kFlat) {
+          rt::kernels::redblack_tiled_rhs(x[0], x[1], 0.4, 0.1, t);  // fused
+        } else {
+          rt::kernels::redblack_naive_rhs(x[0], x[1], 0.4, 0.1);
+        }
+        break;
+      case Op::kResid:
+        if (s == Sched::kRecursive) {
+          rt::kernels::resid_oblivious(x[0], x[1], x[2], a, t);
+        } else if (s == Sched::kFlat) {
+          rt::kernels::resid_tiled(x[0], x[1], x[2], a, t);
+        } else {
+          rt::kernels::resid(x[0], x[1], x[2], a);
+        }
+        break;
+      case Op::kPsinvNas:
+      case Op::kPsinvDense:
+        if (s == Sched::kRecursive) {
+          rt::multigrid::psinv_oblivious(x[0], x[1], psinv_coeffs(op), t);
+        } else if (s == Sched::kFlat) {
+          rt::multigrid::psinv_tiled(x[0], x[1], psinv_coeffs(op), t);
+        } else {
+          rt::multigrid::psinv(x[0], x[1], psinv_coeffs(op));
+        }
+        break;
+    }
+  }
+}
+
+/// The executor's run of @p op, kSteps times.
+void run_executor(Op op, const Exec& ex, const TilingPlan& plan, Grids& x) {
+  for (int step = 0; step < kSteps; ++step) {
+    switch (op) {
+      case Op::kJacobi:
+        jacobi(ex, plan, x[0], x[1], 1.0 / 6.0);
+        copy_interior(ex, x[1], x[0]);
+        break;
+      case Op::kRedBlack:
+        redblack(ex, plan, x[0], 0.4, 0.1);
+        break;
+      case Op::kRedBlackRhs:
+        redblack_rhs(ex, plan, x[0], x[1], 0.4, 0.1);
+        break;
+      case Op::kResid:
+        resid(ex, plan, x[0], x[1], x[2], rt::kernels::nas_mg_a());
+        break;
+      case Op::kPsinvNas:
+      case Op::kPsinvDense:
+        psinv(ex, plan, x[0], x[1], psinv_coeffs(op));
+        break;
+    }
+  }
+}
+
+Grids make_grids(int count, const Shape& s, bool padded) {
+  Grids g;
+  for (int i = 0; i < count; ++i) {
+    g.push_back(make_grid(s.n1, s.n2, s.n3, 0.3 + 0.4 * i, padded ? s.p1 : 0,
+                          padded ? s.p2 : 0));
+  }
+  return g;
+}
+
+/// operator x schedule x shape; each case runs every executor
+/// configuration (threads x level).
+using SweepParam = std::tuple<Op, Sched, Shape>;
+
+class ExecSweep : public ::testing::TestWithParam<SweepParam> {};
+
+TEST_P(ExecSweep, BitIdenticalToSerialAccessorKernel) {
+  const auto [op, sched, s] = GetParam();
+  const IterTile t{s.ti, s.tj};
+  Grids ref = make_grids(num_grids(op), s, /*padded=*/false);
+  run_reference(op, sched, t, ref);
+  Runner runner;
+  for (const Exec& ex : runner.execs()) {
+    Grids got = make_grids(num_grids(op), s, /*padded=*/true);
+    run_executor(op, ex, plan_of(sched, t), got);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_TRUE(logical_equal(ref[i], got[i]))
+          << "grid " << i << describe(ex);
+    }
+  }
+}
+
+std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
+  static const char* const kOps[] = {"Jacobi", "RedBlack",  "RedBlackRhs",
+                                     "Resid",  "PsinvNas", "PsinvDense"};
+  static const char* const kScheds[] = {"Untiled", "Flat", "Recursive"};
+  const auto [op, sched, s] = info.param;
+  return std::string(kOps[static_cast<int>(op)]) + "_" +
+         kScheds[static_cast<int>(sched)] + "_" + describe(s);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, ExecSweep,
+    ::testing::Combine(::testing::Values(Op::kJacobi, Op::kRedBlack,
+                                         Op::kRedBlackRhs, Op::kResid,
+                                         Op::kPsinvNas, Op::kPsinvDense),
+                       ::testing::Values(Sched::kUntiled, Sched::kFlat,
+                                         Sched::kRecursive),
+                       ::testing::ValuesIn(shapes())),
+    sweep_name);
+
+// --- Plane operators: the copy-back and the grid transfers ---
+
+class ExecCopy : public ::testing::TestWithParam<Shape> {};
+
+TEST_P(ExecCopy, BitIdenticalToSerialAccessorKernel) {
+  const Shape s = GetParam();
+  const Array3D<double> src = make_grid(s.n1, s.n2, s.n3, 0.9, s.p1, s.p2);
+  Array3D<double> want = make_grid(s.n1, s.n2, s.n3, 0.2, 0, 0);
+  rt::kernels::copy_interior(want, src);
+  Runner runner;
+  for (const Exec& ex : runner.execs()) {
+    Array3D<double> got = make_grid(s.n1, s.n2, s.n3, 0.2, s.p1, s.p2);
+    copy_interior(ex, got, src);
+    EXPECT_TRUE(logical_equal(want, got)) << describe(ex);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ExecCopy, ::testing::ValuesIn(shapes()),
+    [](const ::testing::TestParamInfo<Shape>& info) {
+      return describe(info.param);
+    });
+
+/// Coarse grids m with their fine grids 2m - 2 (the MgSolver level
+/// relationship): the minimum n = 3, real level sizes, non-cubic grids,
+/// and padded coarse grids whose fine grid gets a different, odd pad.
+const std::vector<Shape>& coarse_shapes() {
+  static const std::vector<Shape> kCoarse = {
+      {3, 3, 3, 0, 0, 0, 0},   {5, 5, 5, 0, 0, 0, 0},
+      {9, 9, 9, 0, 0, 0, 0},   {18, 18, 18, 0, 0, 0, 0},
+      {3, 5, 7, 0, 0, 0, 0},   {12, 5, 9, 0, 0, 0, 0},
+      {9, 9, 9, 0, 0, 13, 11}, {10, 6, 8, 0, 0, 16, 9}};
+  return kCoarse;
+}
+
+/// (rprj3?, coarse shape): rprj3 sweeps the coarse planes,
+/// interp_add the fine ones.
+using TransferParam = std::tuple<bool, Shape>;
+
+class ExecTransfer : public ::testing::TestWithParam<TransferParam> {};
+
+TEST_P(ExecTransfer, BitIdenticalToSerialAccessorKernel) {
+  const auto [is_rprj3, c] = GetParam();
+  const long f1 = 2 * c.n1 - 2, f2 = 2 * c.n2 - 2, f3 = 2 * c.n3 - 2;
+  const long fp1 = c.p1 > 0 ? 2 * c.p1 + 1 : 0;
+  const long fp2 = c.p2 > 0 ? 2 * c.p2 - 1 : 0;
+  Runner runner;
+  if (is_rprj3) {
+    const Array3D<double> r = make_grid(f1, f2, f3, 0.4, fp1, fp2);
+    Array3D<double> want = make_grid(c.n1, c.n2, c.n3, 0.2, 0, 0);
+    rt::multigrid::rprj3(want, r);
+    for (const Exec& ex : runner.execs()) {
+      Array3D<double> got = make_grid(c.n1, c.n2, c.n3, 0.2, c.p1, c.p2);
+      rprj3(ex, got, r);
+      EXPECT_TRUE(logical_equal(want, got)) << describe(ex);
+    }
+    return;
+  }
+  const Array3D<double> z = make_grid(c.n1, c.n2, c.n3, 0.6, c.p1, c.p2);
+  Array3D<double> want = make_grid(f1, f2, f3, 0.1, 0, 0);
+  for (int step = 0; step < kSteps; ++step) rt::multigrid::interp_add(want, z);
+  for (const Exec& ex : runner.execs()) {
+    Array3D<double> got = make_grid(f1, f2, f3, 0.1, fp1, fp2);
+    for (int step = 0; step < kSteps; ++step) interp_add(ex, got, z);
+    EXPECT_TRUE(logical_equal(want, got)) << describe(ex);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ExecTransfer,
+    ::testing::Combine(::testing::Bool(), ::testing::ValuesIn(coarse_shapes())),
+    [](const ::testing::TestParamInfo<TransferParam>& info) {
+      return std::string(std::get<0>(info.param) ? "Rprj3_" : "InterpAdd_") +
+             describe(std::get<1>(info.param));
+    });
+
+// --- The block driver itself ---
+
+using Box = std::array<long, 6>;  // ilo, ihi, jlo, jhi, klo, khi
+
+/// The work items for_each_block hands out, in the order they ran (sorted
+/// when a multi-thread pool ran them).
+std::vector<Box> blocks_of(const Exec& ex, const TilingPlan& plan, long n1,
+                           long n2, long n3) {
+  std::vector<Box> boxes;
+  std::mutex m;
+  for_each_block(ex, plan, n1, n2, n3,
+                 [&](long i0, long i1, long j0, long j1, long k0, long k1) {
+                   std::lock_guard<std::mutex> lk(m);
+                   boxes.push_back({i0, i1, j0, j1, k0, k1});
+                 });
+  if (ex.pool != nullptr && ex.pool->num_threads() > 1) {
+    std::sort(boxes.begin(), boxes.end());
+  }
+  return boxes;
+}
+
+TEST(ExecDriver, NullPoolRunsTheSerialTileOrder) {
+  // jj-outer / ii-inner with ragged last tiles, full K: the accessor
+  // kernels' tile walk.  A 1-thread pool runs the same sequence.
+  const TilingPlan plan = plan_of(Sched::kFlat, IterTile{4, 3});
+  std::vector<Box> want;
+  for (long jj = 1; jj < 7; jj += 3) {
+    for (long ii = 1; ii < 9; ii += 4) {
+      want.push_back({ii, std::min(ii + 4, 9L), jj, std::min(jj + 3, 7L), 1, 4});
+    }
+  }
+  EXPECT_EQ(blocks_of(Exec{}, plan, 10, 8, 5), want);
+  ThreadPool one(1);
+  EXPECT_EQ(blocks_of(Exec{&one}, plan, 10, 8, 5), want);
+}
+
+TEST(ExecDriver, UntiledPlanRunsOnePlanePerItem) {
+  std::vector<Box> want;
+  for (long k = 1; k < 6; ++k) want.push_back({1, 9, 1, 7, k, k + 1});
+  ThreadPool pool(3);
+  EXPECT_EQ(blocks_of(Exec{}, TilingPlan{}, 10, 8, 7), want);
+  EXPECT_EQ(blocks_of(Exec{&pool}, TilingPlan{}, 10, 8, 7), want);
+}
+
+TEST(ExecDriver, RecursivePlanRunsTheCoOverLeaves) {
+  const long n1 = 40, n2 = 23, n3 = 6;
+  const IterTile base{6, 4};
+  std::vector<Box> leaves;
+  rt::kernels::co_over(1, n1 - 1, 1, n2 - 1, base.ti, base.tj,
+                       [&](long i0, long i1, long j0, long j1) {
+                         leaves.push_back({i0, i1, j0, j1, 1, n3 - 1});
+                       });
+  const TilingPlan rec = plan_of(Sched::kRecursive, base);
+  EXPECT_EQ(blocks_of(Exec{}, rec, n1, n2, n3), leaves);
+  ThreadPool pool(4);
+  std::vector<Box> sorted = leaves;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(blocks_of(Exec{&pool}, rec, n1, n2, n3), sorted);
+  // Bisection leaves are not the flat tile grid of the same base tile.
+  std::vector<Box> flat =
+      blocks_of(Exec{}, plan_of(Sched::kFlat, base), n1, n2, n3);
+  std::sort(flat.begin(), flat.end());
+  EXPECT_NE(sorted, flat);
+}
+
+TEST(ExecDriver, DegenerateTilesAndEmptyInteriorsAreSafe) {
+  const Array3D<double> b = make_grid(9, 7, 6, 0.1, 0, 0);
+  Array3D<double> want(9, 7, 6);
+  rt::kernels::jacobi3d(want, b, 1.0 / 6.0);
+  // A flat tile with a non-positive extent runs as untiled K planes; a
+  // recursive one bottoms out at 1x1 leaves.  Both compute the sweep.
+  for (const IterTile t : {IterTile{0, 5}, IterTile{3, -2}, IterTile{0, 0}}) {
+    EXPECT_EQ(blocks_of(Exec{}, plan_of(Sched::kFlat, t), 9, 7, 6),
+              blocks_of(Exec{}, TilingPlan{}, 9, 7, 6));
+    for (const Sched s : {Sched::kFlat, Sched::kRecursive}) {
+      Array3D<double> got(9, 7, 6);
+      jacobi(Exec{}, plan_of(s, t), got, b, 1.0 / 6.0);
+      EXPECT_TRUE(logical_equal(want, got))
+          << "tile " << t.ti << "x" << t.tj << " sched " << int(s);
+    }
+  }
+  // No interior point: no work item runs, nothing is written.
+  ThreadPool pool(2);
+  for (const Exec& ex : {Exec{}, Exec{&pool}}) {
+    for (const Sched s : {Sched::kUntiled, Sched::kFlat, Sched::kRecursive}) {
+      const TilingPlan plan = plan_of(s, IterTile{2, 2});
+      EXPECT_TRUE(blocks_of(ex, plan, 2, 7, 6).empty());
+      EXPECT_TRUE(blocks_of(ex, plan, 9, 1, 6).empty());
+      EXPECT_TRUE(blocks_of(ex, plan, 9, 7, 2).empty());
+      EXPECT_TRUE(blocks_of(ex, plan, 0, 0, 0).empty());
+      Array3D<double> a(2, 7, 6, 5.0);
+      const Array3D<double> src(2, 7, 6, 1.0);
+      jacobi(ex, plan, a, src, 1.0 / 6.0);
+      copy_interior(ex, a, src);
+      EXPECT_TRUE(logical_equal(a, Array3D<double>(2, 7, 6, 5.0)));
+    }
+  }
+}
+
+// --- Red-black colour barrier ---
+
+TEST(ExecRedBlack, ColourBarrierHoldsUnderManyThreads) {
+  // With c1 = 0, c2 = 1 and a single red hot point, a correct schedule
+  // zeroes the whole interior: the red sweep replaces every red point by
+  // the sum of its (all-zero) black neighbours — including the hot point —
+  // and the black sweep then reads only post-red (zero) values.  A black
+  // update that ran before the barrier could read the stale 1.0 and leave
+  // a nonzero black point behind.  Tiny tiles maximise the number of
+  // concurrently executing items; repeat to shake out interleavings.
+  ThreadPool pool(5);
+  for (const Sched s : {Sched::kUntiled, Sched::kFlat, Sched::kRecursive}) {
+    for (int rep = 0; rep < 50; ++rep) {
+      Array3D<double> a(17, 13, 9);
+      a(4, 4, 4) = 1.0;  // (4+4+4) even -> red
+      redblack(Exec{&pool}, plan_of(s, IterTile{2, 2}), a, 0.0, 1.0);
+      for (long k = 1; k < 8; ++k) {
+        for (long j = 1; j < 12; ++j) {
+          for (long i = 1; i < 16; ++i) {
+            ASSERT_EQ(a(i, j, k), 0.0) << "sched " << int(s) << " rep "
+                                       << rep << " at (" << i << "," << j
+                                       << "," << k << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecRedBlack, RepeatedPoolRunsAreDeterministic) {
+  // Scheduling nondeterminism must never leak into values: 20 runs on a
+  // 4-thread pool all equal the serial result bit-for-bit.
+  ThreadPool pool(4);
+  Array3D<double> want = make_grid(19, 23, 10, 0.6, 0, 0);
+  rt::kernels::redblack_naive(want, 0.4, 0.1);
+  for (int rep = 0; rep < 20; ++rep) {
+    Array3D<double> a = make_grid(19, 23, 10, 0.6, 0, 0);
+    redblack(Exec{&pool}, plan_of(Sched::kFlat, IterTile{3, 2}), a, 0.4, 0.1);
+    ASSERT_TRUE(logical_equal(want, a)) << "rep " << rep;
+  }
+}
+
+}  // namespace
+}  // namespace rt::simd

@@ -88,6 +88,12 @@ TEST(MgFastPath, ReportsWidthLevelAndPhases) {
   MgSolver s(o);
   EXPECT_EQ(s.threads(), 3);
   EXPECT_EQ(s.simd_level(), rt::simd::resolve(SimdMode::kAuto));
+  // --simd=off runs the accessor operators only single-threaded; a pool
+  // runs the kRows row kernels, and the solver reports what ran.
+  o.simd = SimdMode::kOff;
+  EXPECT_EQ(MgSolver(o).simd_level(), SimdLevel::kRows);
+  o.threads = 1;
+  EXPECT_EQ(MgSolver(o).simd_level(), SimdLevel::kScalar);
   s.setup();
   (void)s.iterate();
   const MgSolver::Phases& p = s.phases();
@@ -173,6 +179,15 @@ TEST(SorFastPath, UntiledPlanFastPathIsBitIdenticalToo) {
   o.threads = 3;
   o.simd = SimdMode::kAuto;
   EXPECT_EQ(run_sor(o), serial);
+}
+
+TEST(SorFastPath, ReportsTheLevelThatRuns) {
+  SorOptions o = sor_base_opts();
+  EXPECT_EQ(SorSolver(o).simd_level(), SimdLevel::kScalar);
+  o.threads = 3;
+  EXPECT_EQ(SorSolver(o).simd_level(), SimdLevel::kRows);
+  o.simd = SimdMode::kAuto;
+  EXPECT_EQ(SorSolver(o).simd_level(), rt::simd::resolve(SimdMode::kAuto));
 }
 
 TEST(SorFastPath, FirstTouchArraysStartZeroed) {

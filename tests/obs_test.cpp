@@ -23,6 +23,7 @@
 #include "rt/obs/perf_counters.hpp"
 #include "rt/obs/phase_timer.hpp"
 #include "rt/par/thread_pool.hpp"
+#include "tmpdir.hpp"
 
 namespace rt::obs {
 namespace {
@@ -437,8 +438,8 @@ TEST(MetricsWriter, GoldenFileByteExact) {
 }
 
 TEST(MetricsWriter, WriteFileRoundTrips) {
-  const std::string path = ::testing::TempDir() + "rt_obs_metrics_test.json";
-  std::remove(path.c_str());
+  const rt::test::TmpDir tmp("rt_obs_metrics_test");
+  const std::string path = tmp.file("metrics.json");
   MetricsWriter w;
   w.add_record().set("k", "v\n\"quoted\"").set("x", 1.25);
   ASSERT_TRUE(w.write_file(path));
@@ -447,7 +448,6 @@ TEST(MetricsWriter, WriteFileRoundTrips) {
   ss << in.rdbuf();
   EXPECT_EQ(ss.str(), w.dump());
   EXPECT_NE(ss.str().find("\\\"quoted\\\""), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(MetricsWriter, WriteFileFailsOnBadPath) {
@@ -461,15 +461,14 @@ TEST(MetricsWriter, CheckedWriteReportsTypedOutcomes) {
   w.add_record().set("a", 1);
 
   // Success: kOk, file content identical to dump().
-  const std::string path = ::testing::TempDir() + "rt_obs_checked_test.json";
-  std::remove(path.c_str());
+  const rt::test::TmpDir tmp("rt_obs_checked_test");
+  const std::string path = tmp.file("metrics.json");
   std::string why;
   EXPECT_EQ(w.write_file_checked(path, &why), rt::guard::Status::kOk) << why;
   std::ifstream in(path, std::ios::binary);
   std::stringstream ss;
   ss << in.rdbuf();
   EXPECT_EQ(ss.str(), w.dump());
-  std::remove(path.c_str());
 
   // Unopenable path: kInvalidArgument with a reason, not a silent false.
   EXPECT_EQ(w.write_file_checked("/nonexistent-dir/nope/m.json", &why),

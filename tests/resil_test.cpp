@@ -268,6 +268,14 @@ TEST_F(ResilFixture, OverloadedResponseRetriedAndPacedByServerHint) {
   }
   ASSERT_TRUE(wedged);
   ASSERT_EQ(filler.value().send(solve_req(2, 12, 1)), Status::kOk);
+  // The queue is full only once the second solve is admitted; until then
+  // the retrying client's request could take the slot instead.
+  bool full = false;
+  for (int i = 0; i < 500 && !full; ++i) {
+    full = server.stats_json().find("admitted")->as_int() >= 2;
+    if (!full) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(full);
 
   // Release the wedge shortly after the retrying client's first rejection:
   // the queue drains and a later attempt succeeds.

@@ -120,6 +120,31 @@ TEST(RunnerMore, PsinvRunsThreadedAndSimdLikeOtherKernels) {
   EXPECT_FALSE(j.degraded());
 }
 
+TEST(RunnerMore, ThreadedSimdOffRunsRowKernelsAndIsNotDegraded) {
+  // --simd=off means the accessor kernels only when single-threaded; a
+  // threaded run executes the kRows row kernels and must report that,
+  // not flag itself degraded (benches skip degraded rows as duplicates).
+  RunOptions o = fast_opts();
+  o.simulate = false;
+  o.time_host = true;
+  o.min_host_seconds = 0.001;
+  o.threads = 2;
+  const auto r = run_kernel(KernelId::kRedBlack, Transform::kGcdPad, 32, o);
+  EXPECT_EQ(r.threads, 2);
+  EXPECT_EQ(r.simd_requested, rt::simd::SimdMode::kOff);
+  EXPECT_EQ(r.simd, rt::simd::SimdLevel::kRows);
+  EXPECT_FALSE(r.degraded());
+  rt::obs::MetricsWriter w;
+  append_json_record(w, "REDBLACK", 32, r);
+  EXPECT_NE(w.dump().find("\"simd_level\": \"rows\""), std::string::npos)
+      << w.dump();
+
+  o.threads = 1;
+  const auto s = run_kernel(KernelId::kRedBlack, Transform::kGcdPad, 32, o);
+  EXPECT_EQ(s.simd, rt::simd::SimdLevel::kScalar);
+  EXPECT_FALSE(s.degraded());
+}
+
 TEST(RunnerMore, HostRunReportsPhasesAndUnavailableCounters) {
   rt::obs::PerfCounters::force_unavailable(true);
   RunOptions o = fast_opts();

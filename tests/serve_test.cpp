@@ -34,6 +34,7 @@
 #include "rt/serve/protocol.hpp"
 #include "rt/serve/server.hpp"
 #include "rt/tune/plan_store.hpp"
+#include "tmpdir.hpp"
 
 namespace rt::serve {
 namespace {
@@ -68,20 +69,6 @@ std::string field(const JsonValue& doc, const std::string& key) {
   return v ? v->as_string() : std::string();
 }
 
-/// The runner's deterministic init, replicated so the test computes its
-/// reference grids exactly the way the batch binaries (and the server) do.
-void init_grid(Array3D<double>& a, double scale) {
-  for (long k = 0; k < a.n3(); ++k) {
-    for (long j = 0; j < a.n2(); ++j) {
-      for (long i = 0; i < a.n1(); ++i) {
-        a(i, j, k) = scale * (0.001 * static_cast<double>(i) +
-                              0.002 * static_cast<double>(j) +
-                              0.003 * static_cast<double>(k));
-      }
-    }
-  }
-}
-
 /// Direct (no server) reference checksum for a kernel request — the
 /// batch-binary computation: plan, padded arrays, runner init, tsteps
 /// steps, checksum of the result grid's logical region.
@@ -99,7 +86,7 @@ std::string reference_kernel_checksum(ServeKernel kernel, long n, int tsteps,
   std::vector<Array3D<double>> arrays;
   for (int i = 0; i < rt::kernels::kernel_info(id).num_arrays; ++i) {
     arrays.emplace_back(dims);
-    init_grid(arrays.back(), 1.0 / (1.0 + i));
+    rt::kernels::init_grid(arrays.back(), 1.0 / (1.0 + i));
   }
   for (int t = 0; t < tsteps; ++t) {
     switch (kernel) {
@@ -571,8 +558,8 @@ TEST_F(ServeFixture, ArenaRecyclesBuffersAcrossRequests) {
 TEST_F(ServeFixture, PlanStorePinnedWinnersServeBatches) {
   // Persist a tuned winner for exactly the (transform, cs, n, n, spec, k)
   // key the server will look up, then check the lookup was served pinned.
-  const std::string path =
-      ::testing::TempDir() + "rt_serve_store_test.json";
+  const rt::test::TmpDir tmp("rt_serve_store_test");
+  const std::string path = tmp.file("plans.json");
   const rt::core::StencilSpec& spec =
       rt::kernels::kernel_info(rt::kernels::KernelId::kJacobi).spec;
   rt::tune::PlanStore store;
@@ -603,7 +590,6 @@ TEST_F(ServeFixture, PlanStorePinnedWinnersServeBatches) {
   const JsonValue stats = server.stats_json();
   EXPECT_GE(stats.find("plan_cache")->find("pinned_hits")->as_int(), 1);
   server.stop();
-  std::remove(path.c_str());
 }
 
 TEST_F(ServeFixture, GracefulDrainAnswersEverythingThenRefuses) {

@@ -1,11 +1,8 @@
-// rt::simd correctness: the row-sweep kernels must be *bit-identical* to
-// the accessor kernels at every SimdLevel, across an exhaustive shape
-// sweep — cubic, non-cubic, minimum-size (n = 3, a single interior
-// plane), padded leading dimensions (aligned and deliberately misaligned),
-// and tile sizes that leave ragged edge tiles or exceed the interior.
-// The parallel compositions (rt/simd/par_rows.hpp) must hold the same
-// identity under a multi-thread pool.  Also covers the policy layer:
-// mode parsing, mode->level resolution, and leading-dimension alignment.
+// rt::simd policy layer and sweep composition: mode parsing, mode->level
+// resolution (resolve and exec_level), leading-dimension alignment, and
+// the property the executor rests on — sweeping arbitrary sub-boxes of
+// the interior equals one full sweep.  The differential test of every
+// operator under every schedule, pool width and level is exec_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +12,6 @@
 
 #include "rt/array/array3d.hpp"
 #include "rt/kernels/jacobi3d.hpp"
-#include "rt/kernels/redblack.hpp"
-#include "rt/kernels/resid.hpp"
-#include "rt/par/thread_pool.hpp"
-#include "rt/simd/par_rows.hpp"
 #include "rt/simd/row_kernels.hpp"
 #include "rt/simd/simd.hpp"
 
@@ -27,14 +20,9 @@ namespace {
 
 using rt::array::Array3D;
 using rt::array::Dims3;
-using rt::core::IterTile;
-using rt::par::ThreadPool;
 
-Array3D<double> make_grid(long n1, long n2, long n3, double seed,
-                          long p1 = 0, long p2 = 0) {
-  Dims3 d = (p1 > 0) ? Dims3::padded(n1, n2, n3, p1, p2)
-                     : Dims3::unpadded(n1, n2, n3);
-  Array3D<double> a(d);
+Array3D<double> make_grid(long n1, long n2, long n3, double seed) {
+  Array3D<double> a(n1, n2, n3);
   for (long k = 0; k < n3; ++k) {
     for (long j = 0; j < n2; ++j) {
       for (long i = 0; i < n1; ++i) {
@@ -63,136 +51,10 @@ std::vector<SimdLevel> levels_under_test() {
   return {SimdLevel::kRows, SimdLevel::kAvx2};
 }
 
-/// Shapes with ragged tiles (ti/tj not dividing the interior), tiles
-/// larger than the interior, the minimum stencil-admitting size n = 3,
-/// and optional padding (p1/p2 = 0 means unpadded).  p1 = 17 is odd on
-/// purpose: rows then never share an alignment phase, which would expose
-/// any alignment assumption in the sweeps.
-struct Shape {
-  long n1, n2, n3, ti, tj, p1, p2;
-};
-
-class SimdEquivalence : public ::testing::TestWithParam<Shape> {
- protected:
-  ThreadPool pool_{4};
-};
-
-TEST_P(SimdEquivalence, JacobiRowsMatchAccessor) {
-  const auto [n1, n2, n3, ti, tj, p1, p2] = GetParam();
-  const IterTile t{ti, tj};
-  for (SimdLevel lvl : levels_under_test()) {
-    Array3D<double> b1 = make_grid(n1, n2, n3, 0.5, p1, p2);
-    Array3D<double> b2 = b1, b3 = b1, b4 = b1;
-    const Dims3 d = b1.dims();
-    Array3D<double> a1(d), a2(d), a3(d), a4(d);
-    rt::kernels::jacobi3d_tiled(a1, b1, 1.0 / 6.0, t);
-    rt::kernels::copy_interior(b1, a1);
-    jacobi3d_tiled_rows(a2, b2, 1.0 / 6.0, t, lvl);
-    copy_interior_rows(b2, a2, lvl);
-    EXPECT_TRUE(interiors_equal(a1, a2)) << "tiled lvl=" << int(lvl);
-    EXPECT_TRUE(interiors_equal(b1, b2)) << "copy lvl=" << int(lvl);
-    // Untiled row kernel vs untiled accessor kernel.
-    Array3D<double> r1(d), r2(d);
-    rt::kernels::jacobi3d(r1, b3, 1.0 / 6.0);
-    jacobi3d_rows(r2, b3, 1.0 / 6.0, lvl);
-    EXPECT_TRUE(interiors_equal(r1, r2)) << "untiled lvl=" << int(lvl);
-    // Parallel composition.
-    jacobi3d_tiled_rows_par(pool_, a3, b4, 1.0 / 6.0, t, lvl);
-    copy_interior_rows_par(pool_, b4, a3, lvl);
-    EXPECT_TRUE(interiors_equal(a1, a3)) << "par tiled lvl=" << int(lvl);
-    EXPECT_TRUE(interiors_equal(b1, b4)) << "par copy lvl=" << int(lvl);
-    Array3D<double> r3(d);
-    jacobi3d_rows_par(pool_, r3, b3, 1.0 / 6.0, lvl);
-    EXPECT_TRUE(interiors_equal(r1, r3)) << "par untiled lvl=" << int(lvl);
-  }
-}
-
-TEST_P(SimdEquivalence, RedBlackRowsMatchAllSerialSchedules) {
-  const auto [n1, n2, n3, ti, tj, p1, p2] = GetParam();
-  const IterTile t{ti, tj};
-  for (SimdLevel lvl : levels_under_test()) {
-    Array3D<double> ref = make_grid(n1, n2, n3, 0.3, p1, p2);
-    Array3D<double> a1 = ref, a2 = ref, a3 = ref, a4 = ref, a5 = ref;
-    rt::kernels::redblack_naive(ref, 0.4, 0.1);
-    redblack_rows(a1, 0.4, 0.1, lvl);
-    EXPECT_TRUE(interiors_equal(ref, a1)) << "rows lvl=" << int(lvl);
-    redblack_tiled_rows(a2, 0.4, 0.1, t, lvl);
-    EXPECT_TRUE(interiors_equal(ref, a2)) << "tiled rows lvl=" << int(lvl);
-    redblack_tiled_rows_par(pool_, a3, 0.4, 0.1, t, lvl);
-    EXPECT_TRUE(interiors_equal(ref, a3)) << "par tiled lvl=" << int(lvl);
-    redblack_rows_par(pool_, a4, 0.4, 0.1, lvl);
-    EXPECT_TRUE(interiors_equal(ref, a4)) << "par rows lvl=" << int(lvl);
-    // Transitively: the serial fused tiled schedule agrees too.
-    rt::kernels::redblack_tiled(a5, 0.4, 0.1, t);
-    EXPECT_TRUE(interiors_equal(ref, a5)) << "fused tiled lvl=" << int(lvl);
-  }
-}
-
-TEST_P(SimdEquivalence, ResidRowsMatchAccessor) {
-  const auto [n1, n2, n3, ti, tj, p1, p2] = GetParam();
-  const IterTile t{ti, tj};
-  const auto a = rt::kernels::nas_mg_a();
-  for (SimdLevel lvl : levels_under_test()) {
-    Array3D<double> u = make_grid(n1, n2, n3, 0.1, p1, p2);
-    Array3D<double> v = make_grid(n1, n2, n3, 0.7, p1, p2);
-    const Dims3 d = u.dims();
-    Array3D<double> r1(d), r2(d), r3(d), r4(d), r5(d), r6(d);
-    rt::kernels::resid(r1, v, u, a);
-    resid_rows(r2, v, u, a, lvl);
-    EXPECT_TRUE(interiors_equal(r1, r2)) << "rows lvl=" << int(lvl);
-    rt::kernels::resid_tiled(r3, v, u, a, t);
-    resid_tiled_rows(r4, v, u, a, t, lvl);
-    EXPECT_TRUE(interiors_equal(r3, r4)) << "tiled rows lvl=" << int(lvl);
-    resid_tiled_rows_par(pool_, r5, v, u, a, t, lvl);
-    EXPECT_TRUE(interiors_equal(r3, r5)) << "par tiled lvl=" << int(lvl);
-    resid_rows_par(pool_, r6, v, u, a, lvl);
-    EXPECT_TRUE(interiors_equal(r1, r6)) << "par rows lvl=" << int(lvl);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, SimdEquivalence,
-    ::testing::Values(
-        // Cubic, tile divides / does not divide the interior.
-        Shape{8, 8, 8, 3, 3, 0, 0}, Shape{16, 16, 16, 7, 5, 0, 0},
-        // Minimum stencil-admitting grid: one interior point per row.
-        Shape{3, 3, 3, 1, 1, 0, 0}, Shape{3, 5, 4, 2, 2, 0, 0},
-        // Non-cubic, ragged edge tiles.
-        Shape{9, 7, 11, 2, 5, 0, 0}, Shape{23, 41, 11, 7, 3, 0, 0},
-        Shape{40, 12, 30, 13, 22, 0, 0}, Shape{41, 6, 9, 41, 1, 0, 0},
-        // Tile exceeding the interior entirely.
-        Shape{12, 30, 5, 100, 100, 0, 0},
-        // Padded: odd leading dim (rows never share alignment phase),
-        // vector-aligned leading dim, and pad in both dimensions.
-        Shape{12, 18, 8, 5, 4, 17, 23}, Shape{12, 18, 8, 5, 4, 16, 18},
-        Shape{30, 10, 7, 9, 9, 40, 12},
-        // Interior wider than one vector with a scalar remainder.
-        Shape{21, 9, 6, 6, 4, 0, 0}, Shape{64, 10, 13, 22, 13, 0, 0}));
-
-TEST(SimdKernels, MultiStepJacobiStaysBitIdentical) {
-  // Divergence anywhere (e.g. an AVX2 remainder element computed in a
-  // different order) compounds over time steps; four steps catch it.
-  ThreadPool pool(4);
-  for (SimdLevel lvl : levels_under_test()) {
-    Array3D<double> b1 = make_grid(20, 14, 12, 0.9), b2 = b1, b3 = b1;
-    Array3D<double> a1(20, 14, 12), a2(20, 14, 12), a3(20, 14, 12);
-    for (int t = 0; t < 4; ++t) {
-      rt::kernels::jacobi3d_tiled(a1, b1, 1.0 / 6.0, IterTile{5, 3});
-      rt::kernels::copy_interior(b1, a1);
-      jacobi3d_tiled_rows(a2, b2, 1.0 / 6.0, IterTile{5, 3}, lvl);
-      copy_interior_rows(b2, a2, lvl);
-      jacobi3d_tiled_rows_par(pool, a3, b3, 1.0 / 6.0, IterTile{5, 3}, lvl);
-      copy_interior_rows_par(pool, b3, a3, lvl);
-    }
-    EXPECT_TRUE(interiors_equal(a1, a2)) << "serial lvl=" << int(lvl);
-    EXPECT_TRUE(interiors_equal(a1, a3)) << "par lvl=" << int(lvl);
-  }
-}
-
 TEST(SimdKernels, SweepSubBoxesComposeToFullKernel) {
   // Splitting the interior into arbitrary sub-boxes and sweeping each
-  // must equal one full sweep: this is the property the rt::par
-  // composition rests on.
+  // must equal one full sweep: this is the property the executor's work
+  // items rest on.
   for (SimdLevel lvl : levels_under_test()) {
     Array3D<double> b = make_grid(14, 11, 9, 0.4);
     Array3D<double> a1(14, 11, 9), a2(14, 11, 9);
@@ -201,21 +63,8 @@ TEST(SimdKernels, SweepSubBoxesComposeToFullKernel) {
     jacobi_sweep(a2, b, 1.0 / 6.0, 6, 13, 1, 4, 1, 8, lvl);
     jacobi_sweep(a2, b, 1.0 / 6.0, 6, 13, 4, 10, 1, 5, lvl);
     jacobi_sweep(a2, b, 1.0 / 6.0, 6, 13, 4, 10, 5, 8, lvl);
+    jacobi_sweep(a2, b, 1.0 / 6.0, 6, 6, 1, 10, 1, 8, lvl);  // empty box
     EXPECT_TRUE(interiors_equal(a1, a2)) << "lvl=" << int(lvl);
-  }
-}
-
-TEST(SimdKernels, DegenerateTileOrEmptyBoxIsSafe) {
-  for (SimdLevel lvl : levels_under_test()) {
-    Array3D<double> b = make_grid(4, 4, 4, 0.1);
-    Array3D<double> a(4, 4, 4), ref(4, 4, 4);
-    rt::kernels::jacobi3d(ref, b, 1.0 / 6.0);
-    jacobi3d_tiled_rows(a, b, 1.0 / 6.0, IterTile{1, 1}, lvl);
-    EXPECT_TRUE(interiors_equal(ref, a));
-    // Non-positive tile extents and empty boxes decline to iterate.
-    jacobi3d_tiled_rows(a, b, 1.0 / 6.0, IterTile{0, 5}, lvl);
-    jacobi_sweep(a, b, 1.0 / 6.0, 2, 2, 1, 3, 1, 3, lvl);
-    EXPECT_TRUE(interiors_equal(ref, a));
   }
 }
 
@@ -241,6 +90,16 @@ TEST(SimdPolicy, ResolveRespectsHostSupport) {
       avx2_supported() ? SimdLevel::kAvx2 : SimdLevel::kRows;
   EXPECT_EQ(resolve(SimdMode::kAuto), expect_best);
   EXPECT_EQ(resolve(SimdMode::kAvx2), expect_best);
+}
+
+TEST(SimdPolicy, ExecLevelRunsAccessorKernelsOnlySingleThreaded) {
+  EXPECT_EQ(exec_level(SimdMode::kOff, 1), SimdLevel::kScalar);
+  EXPECT_EQ(exec_level(SimdMode::kOff, 2), SimdLevel::kRows);
+  EXPECT_EQ(exec_level(SimdMode::kOff, 8), SimdLevel::kRows);
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(exec_level(SimdMode::kAuto, threads), resolve(SimdMode::kAuto));
+    EXPECT_EQ(exec_level(SimdMode::kAvx2, threads), resolve(SimdMode::kAvx2));
+  }
 }
 
 TEST(SimdPolicy, AlignLeadingRoundsUpToVectorWidth) {

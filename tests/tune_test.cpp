@@ -33,6 +33,7 @@
 #include "rt/tune/candidates.hpp"
 #include "rt/tune/plan_store.hpp"
 #include "rt/tune/tune.hpp"
+#include "tmpdir.hpp"
 
 namespace fs = std::filesystem;
 using rt::core::StencilSpec;
@@ -736,11 +737,8 @@ TEST(PlanStoreTest, CorruptInputsAreTypedNeverFatal) {
 }
 
 TEST(PlanStoreTest, SaveLoadRoundTripAndMissingFileIsInvalidArgument) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "rt_tune_store_test" / "nested";
-  const std::string path = (dir / "plans.json").string();
-  std::error_code ec;
-  fs::remove_all(fs::path(::testing::TempDir()) / "rt_tune_store_test", ec);
+  const rt::test::TmpDir tmp("rt_tune_store_test");
+  const std::string path = (tmp.path() / "nested" / "plans.json").string();
 
   // Missing file: kInvalidArgument (nothing persisted ≠ corrupted state).
   EXPECT_EQ(load_store(path, kFp).status(), Status::kInvalidArgument);
@@ -754,7 +752,6 @@ TEST(PlanStoreTest, SaveLoadRoundTripAndMissingFileIsInvalidArgument) {
 
   EXPECT_EQ(save_store(sample_store(), "/proc/definitely/not/writable.json"),
             Status::kInvalidArgument);
-  fs::remove_all(fs::path(::testing::TempDir()) / "rt_tune_store_test", ec);
 }
 
 // ---------------------------------------------------------------------------
@@ -765,19 +762,10 @@ namespace {
 
 /// Fresh scratch dir for one crash-safety test; removed on destruction.
 struct StoreScratch {
-  fs::path dir;
-  std::string path;
-  explicit StoreScratch(const char* name) {
-    dir = fs::path(::testing::TempDir()) / name;
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    fs::create_directories(dir, ec);
-    path = (dir / "plans.json").string();
-  }
-  ~StoreScratch() {
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-  }
+  rt::test::TmpDir tmp;
+  fs::path dir = tmp.path();
+  std::string path = (dir / "plans.json").string();
+  explicit StoreScratch(const char* name) : tmp(name) {}
 };
 
 /// A sample store whose single distinguishing mark is @p origin — the
