@@ -17,7 +17,7 @@
 //              not degrade to the untiled loop
 //
 // Before any measurement, every backend's plan is executed serially and
-// its interior checksummed (FNV-1a over the raw double bits) against the
+// its logical region checksummed (rt::simd::checksum) against the
 // untiled serial reference: a planner backend may only change *when* a
 // point is updated within a sweep, never the arithmetic, so all checksums
 // must match bit-for-bit.  Any violation of the three checks above exits 1.
@@ -42,6 +42,7 @@
 #include "rt/kernels/oblivious.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
+#include "rt/simd/exec.hpp"
 
 namespace {
 
@@ -67,30 +68,10 @@ Array3D<double> make_grid(const Dims3& d, double seed) {
   return a;
 }
 
-/// FNV-1a over the raw bit patterns of the logical interior, in canonical
-/// (k, j, i) order — padding never participates, so differently padded
-/// plans of the same computation hash identically iff bit-identical.
-std::uint64_t interior_fnv(const Array3D<double>& a) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (long k = 0; k < a.n3(); ++k) {
-    for (long j = 0; j < a.n2(); ++j) {
-      for (long i = 0; i < a.n1(); ++i) {
-        const double v = a(i, j, k);
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        for (int b = 0; b < 64; b += 8) {
-          h ^= (bits >> b) & 0xffULL;
-          h *= 1099511628211ULL;
-        }
-      }
-    }
-  }
-  return h;
-}
-
 /// One serial sweep of @p kid under @p plan, honouring the plan's loop
-/// schedule (flat / tiled / recursive), returning the interior checksum.
+/// schedule (flat / tiled / recursive), returning the checksum of the
+/// result's logical region (padding never participates, so differently
+/// padded plans of the same computation hash equal iff bit-identical).
 std::uint64_t checksum_under_plan(KernelId kid, long n, long kd,
                                   const TilingPlan& plan) {
   const Dims3 d = Dims3::padded(n, n, kd, plan.dip, plan.djp);
@@ -107,7 +88,7 @@ std::uint64_t checksum_under_plan(KernelId kid, long n, long kd,
       } else {
         rt::kernels::jacobi3d(a, b, w);
       }
-      return interior_fnv(a);
+      return rt::simd::checksum(rt::simd::Exec{}, a);
     }
     case KernelId::kResid: {
       Array3D<double> v = make_grid(d, 0.7), u = make_grid(d, 0.1), r(d);
@@ -119,7 +100,7 @@ std::uint64_t checksum_under_plan(KernelId kid, long n, long kd,
       } else {
         rt::kernels::resid(r, v, u, a);
       }
-      return interior_fnv(r);
+      return rt::simd::checksum(rt::simd::Exec{}, r);
     }
     case KernelId::kPsinv: {
       Array3D<double> r = make_grid(d, 0.7), u = make_grid(d, 0.1);
@@ -131,7 +112,7 @@ std::uint64_t checksum_under_plan(KernelId kid, long n, long kd,
       } else {
         rt::multigrid::psinv(u, r, c);
       }
-      return interior_fnv(u);
+      return rt::simd::checksum(rt::simd::Exec{}, u);
     }
     default:
       return 0;
@@ -173,7 +154,7 @@ int main(int argc, char** argv) {
   {
     const long vn = 96, vk = 30;
     std::cout << "bit-identity: each backend plan vs the untiled serial "
-                 "reference (N=" << vn << ", FNV-1a over interior bits)\n";
+                 "reference (N=" << vn << ", rt::simd::checksum)\n";
     for (const auto& kn : kernels) {
       const rt::core::StencilSpec& spec = rt::kernels::kernel_info(kn.id).spec;
       TilingPlan ref;  // untiled, unpadded, flat

@@ -27,16 +27,19 @@
 //    "plan": {"transform": "GcdPad", "backend": "model",
 //             "schedule": "tiled", ...},
 //    "plan_status": "ok", "simd": "avx2", "threads": 2,
-//    "checksum": "9f86d081...", "iters": 2, "residual": 0.0,
+//    "checksum": "a41c07e95d3b2f68", "iters": 2, "residual": 0.0,
 //    "batch_size": 3, "shared": false,
 //    "queue_ms": 0.1, "solve_ms": 2.4, "total_ms": 2.7,
 //    "timing": {"parse_ms": 0.01, "queue_ms": 0.1, "plan_ms": 0.002,
 //               "arena_ms": 0.003, "group_ms": 0.8, "init_ms": 0.2,
 //               "sweep_ms": 0.4, "checksum_ms": 0.2}}
 // `status` is a stable rt::guard token ("ok", "invalid_argument",
-// "overloaded", "timeout", ...); `checksum` is the FNV-1a hash of the
-// result grid's logical region, the bit-identity witness the tests and the
-// e2e benchmark compare against the batch-binary solve paths.  `simd` and
+// "overloaded", "timeout", ...); `checksum` is checksum_region of the
+// result grid (a word-wise 4-lane hash of its logical region, see below),
+// the bit-identity witness the tests and the e2e benchmark compare against
+// the batch-binary solve paths.  Checksum values are comparable only
+// between servers of the same version: the hash replaced a byte-wise
+// FNV-1a once, which changed every served value.  `simd` and
 // `threads` are the row-kernel level and solver threads that ran;
 // `timing` splits the request's time into stages (group_ms is this
 // member's own dedup group; init/sweep/checksum are inside it).
@@ -45,7 +48,6 @@
 // one write, so a response goes out as soon as it is written instead of
 // waiting for the peer's delayed ACK of the previous segment.
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -53,6 +55,7 @@
 #include "rt/core/plan.hpp"
 #include "rt/guard/status.hpp"
 #include "rt/obs/metrics_writer.hpp"
+#include "rt/par/thread_pool.hpp"
 
 namespace rt::serve {
 
@@ -143,15 +146,16 @@ rt::guard::Status write_frame(int fd, const std::string& payload,
 /// each connect).  kOk, or kIoError with the setsockopt errno text.
 rt::guard::Status set_nodelay(int fd, std::string* detail = nullptr);
 
-/// FNV-1a 64-bit over raw bytes.
-std::uint64_t fnv1a64(const void* data, std::size_t bytes,
-                      std::uint64_t h = 14695981039346656037ull);
-
-/// Bit-exact witness of a solve result: FNV-1a over the byte patterns of
-/// every element of the *logical* region (padding excluded — two plans
-/// with different pads must hash equal when the answers are equal), in
-/// storage order (i fastest).
-std::uint64_t checksum_region(const rt::array::Array3D<double>& a);
+/// Bit-exact witness of a solve result: rt::simd::checksum, a hash of the
+/// 64-bit patterns of every element of the *logical* region (padding
+/// excluded — two plans with different pads must hash equal when the
+/// answers are equal).  Each K plane hashes its rows in four independent
+/// lanes (element i into lane i mod 4, step lane = rotl((lane ^ w) * M, r));
+/// the planes combine in plane order.  Changing any single element changes
+/// the value, and the value is the same inline and for every @p pool width
+/// (nullptr = hash inline on the calling thread).
+std::uint64_t checksum_region(const rt::array::Array3D<double>& a,
+                              rt::par::ThreadPool* pool = nullptr);
 
 /// 16-hex-digit form used on the wire (JSON integers are signed 64-bit;
 /// a hash is not).

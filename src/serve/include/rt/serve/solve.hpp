@@ -68,7 +68,7 @@ rt::array::Dims3 batch_dims(const BatchKey& key,
 struct SolveOutcome {
   rt::guard::Status status = rt::guard::Status::kOk;
   std::string detail;
-  std::uint64_t checksum = 0;  ///< FNV-1a of the result's logical region
+  std::uint64_t checksum = 0;  ///< checksum_region of the result grid
   int iters = 0;               ///< sweeps / V-cycles executed
   double residual = 0;         ///< final residual (apps; 0 for kernels)
   /// Where run_solve's time went.  Kernel paths: init_grid of every array,
@@ -82,10 +82,12 @@ struct SolveOutcome {
 /// Execute one solve.  Kernel paths run on @p arrays — at least
 /// num_arrays_for(kernel) buffers shaped batch_dims(), contents stale
 /// (this function initializes every logical element before reading).  Apps
-/// ignore @p arrays.  @p pool (optional) runs the executor's work items and
-/// the init in parallel — results stay bit-identical to serial, every grid
-/// point is computed independently with the same FP order.  @p app_threads
-/// sizes the MGRID/SOR solvers' internal pools.
+/// ignore @p arrays.  @p pool (optional) runs the executor's work items,
+/// the init and the checksum's per-plane partials (every path) in parallel
+/// — results stay bit-identical to serial, every grid point is computed
+/// independently with the same FP order, and the checksum combines its
+/// partials in plane order.  @p app_threads sizes the MGRID/SOR solvers'
+/// internal pools.
 ///
 /// Deadline safety: reads/writes only its arguments; checks the rt::guard
 /// hang-injection point each sweep so tests can wedge a solve under a

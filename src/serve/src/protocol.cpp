@@ -13,6 +13,7 @@
 #include <limits>
 
 #include "rt/guard/fault_injector.hpp"
+#include "rt/simd/exec.hpp"
 
 namespace rt::serve {
 
@@ -383,26 +384,9 @@ rt::guard::Status set_nodelay(int fd, std::string* detail) {
   return rt::guard::Status::kOk;
 }
 
-std::uint64_t fnv1a64(const void* data, std::size_t bytes, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t checksum_region(const rt::array::Array3D<double>& a) {
-  const rt::array::Dims3& d = a.dims();
-  std::uint64_t h = 14695981039346656037ull;
-  for (long k = 0; k < d.n3; ++k) {
-    for (long j = 0; j < d.n2; ++j) {
-      // One contiguous logical column (i fastest) per hash call.
-      h = fnv1a64(&a(0, j, k), static_cast<std::size_t>(d.n1) * sizeof(double),
-                  h);
-    }
-  }
-  return h;
+std::uint64_t checksum_region(const rt::array::Array3D<double>& a,
+                              rt::par::ThreadPool* pool) {
+  return rt::simd::checksum(rt::simd::Exec{pool}, a);
 }
 
 std::string checksum_hex(std::uint64_t h) {

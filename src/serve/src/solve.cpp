@@ -94,13 +94,13 @@ SolveOutcome solve_kernels(const SolveParams& p, const TilingPlan& plan,
   }
   out.iters = p.tsteps;
   out.sweep_ms = lap_ms(t);
-  out.checksum = checksum_region(arrays[0]);
+  out.checksum = checksum_region(arrays[0], pool);
   out.checksum_ms = lap_ms(t);
   return out;
 }
 
 SolveOutcome solve_mgrid(const SolveParams& p, const TilingPlan& plan,
-                         int app_threads) {
+                         rt::par::ThreadPool* pool, int app_threads) {
   SolveOutcome out;
   // n = 2^lt + 2 (the NAS-MG shape the V-cycle hierarchy needs).
   const long side = p.n - 2;
@@ -142,13 +142,13 @@ SolveOutcome solve_mgrid(const SolveParams& p, const TilingPlan& plan,
   out.iters = iters;
   out.residual = rnorm;
   out.sweep_ms = lap_ms(t);
-  out.checksum = checksum_region(solver.u());
+  out.checksum = checksum_region(solver.u(), pool);
   out.checksum_ms = lap_ms(t);
   return out;
 }
 
 SolveOutcome solve_sor(const SolveParams& p, const TilingPlan& plan,
-                       int app_threads) {
+                       rt::par::ThreadPool* pool, int app_threads) {
   SolveOutcome out;
   if (p.k != 0 && p.k != p.n) {
     out.status = Status::kInvalidArgument;
@@ -170,7 +170,7 @@ SolveOutcome solve_sor(const SolveParams& p, const TilingPlan& plan,
   out.iters = solver.solve(p.tol, p.tsteps);
   out.residual = solver.residual_linf();
   out.sweep_ms = lap_ms(t);
-  out.checksum = checksum_region(solver.u());
+  out.checksum = checksum_region(solver.u(), pool);
   out.checksum_ms = lap_ms(t);
   return out;
 }
@@ -240,9 +240,9 @@ SolveOutcome run_solve(const SolveParams& p, const TilingPlan& plan,
   try {
     switch (p.kernel) {
       case ServeKernel::kMgrid:
-        return solve_mgrid(p, plan, app_threads);
+        return solve_mgrid(p, plan, pool, app_threads);
       case ServeKernel::kSor:
-        return solve_sor(p, plan, app_threads);
+        return solve_sor(p, plan, pool, app_threads);
       default: {
         SolveOutcome out;
         if (arrays == nullptr) {

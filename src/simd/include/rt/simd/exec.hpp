@@ -17,11 +17,19 @@
 // recursive Jacobi): its work items are the leaves of rt::kernels::co_over,
 // and each leaf runs the same row sweep as a flat tile.
 //
+// Reductions go through one primitive, reduce_planes: one partial per K
+// plane (on the pool or inline), combined serially in plane order, so a
+// reduced value never depends on the pool width.  The grid checksum is
+// built on it.
+//
 // Thread-safety: the row sweeps address raw Array3D memory; traced
 // (simulated) runs keep the serial accessor kernels, which also keeps
 // simulated miss counts deterministic.
 
+#include <cstdint>
 #include <functional>
+#include <type_traits>
+#include <vector>
 
 #include "rt/array/array3d.hpp"
 #include "rt/core/plan.hpp"
@@ -56,6 +64,50 @@ using BlockFn = std::function<void(long, long, long, long, long, long)>;
 /// nothing.
 void for_each_block(const Exec& ex, const TilingPlan& plan, long n1, long n2,
                     long n3, const BlockFn& body);
+
+namespace detail {
+/// item(i) for every i in [0, count): on ex.pool, or inline in index order
+/// when the pool is null.  A barrier, like for_each_block.
+void run_items(const Exec& ex, long count,
+               const std::function<void(long)>& item);
+}  // namespace detail
+
+/// Plane-ordered reduction over K planes 0 .. n3-1:
+///   combine(... combine(combine(init, partial(0)), partial(1)) ...,
+///           partial(n3 - 1))
+/// partial(k) runs exactly once per plane, on ex.pool (planes in any order,
+/// on any thread) or inline in plane order; combine runs serially on the
+/// calling thread in plane order.  The value is therefore the same for
+/// every pool width, whether or not combine is commutative or associative.
+/// n3 <= 0 returns init.  Allocates one partial per plane.
+template <class T, class Partial, class Combine>
+T reduce_planes(const Exec& ex, long n3, T init, const Partial& partial,
+                const Combine& combine) {
+  if (n3 <= 0) return init;
+  using P = std::invoke_result_t<const Partial&, long>;
+  std::vector<P> parts(static_cast<std::size_t>(n3));
+  detail::run_items(ex, n3, [&](long k) {
+    parts[static_cast<std::size_t>(k)] = partial(k);
+  });
+  for (const P& p : parts) init = combine(init, p);
+  return init;
+}
+
+/// Bit-exact witness of a grid's contents: a word-wise hash of every
+/// element of the *logical* region (padding excluded, so differently
+/// padded grids with equal contents hash equal).
+///   * Each K plane hashes its elements' 64-bit patterns row by row (j
+///     ascending); element i of a row feeds lane i mod 4 of four
+///     independent lanes, each stepped as lane = rotl((lane ^ w) * M, 29)
+///     with M odd.  The four lanes then fold into the plane's partial with
+///     the same step, lane 0 first.
+///   * Planes combine with that step too, in plane order, through
+///     reduce_planes — the value is the same for every pool width.
+/// Every step is a bijection of the running state for a fixed input word
+/// and injective in the word, so changing any single element always
+/// changes the hash; the rotate carries high-bit differences down, so two
+/// sign flips in one lane do not cancel.
+std::uint64_t checksum(const Exec& ex, const Array3D<double>& a);
 
 // --- One call per operator, each bit-identical to its accessor kernel ---
 

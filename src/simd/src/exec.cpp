@@ -1,15 +1,15 @@
 #include "rt/simd/exec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "rt/kernels/oblivious.hpp"
 
 namespace rt::simd {
 
-namespace {
+namespace detail {
 
-/// item(i) for every i in [0, count): on the pool, or inline in index order.
 void run_items(const Exec& ex, long count,
                const std::function<void(long)>& item) {
   if (ex.pool != nullptr) {
@@ -17,6 +17,46 @@ void run_items(const Exec& ex, long count,
     return;
   }
   for (long i = 0; i < count; ++i) item(i);
+}
+
+}  // namespace detail
+
+namespace {
+
+using detail::run_items;
+
+constexpr std::uint64_t kHashMul = 0x9e3779b97f4a7c15ull;  // odd
+constexpr int kHashRot = 29;
+constexpr std::uint64_t kHashInit = 0x243f6a8885a308d3ull;
+
+/// One hash step: a bijection of @p h for a fixed @p w, injective in @p w
+/// for a fixed @p h (odd multiplier, then a rotate).
+std::uint64_t hash_step(std::uint64_t h, std::uint64_t w) {
+  return std::rotl((h ^ w) * kHashMul, kHashRot);
+}
+
+std::uint64_t word(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Partial of K plane @p k: four lanes over each row's words (element i
+/// into lane i mod 4), folded lane 0 first.
+std::uint64_t plane_hash(const Array3D<double>& a, long k) {
+  std::uint64_t l0 = 0x13198a2e03707344ull, l1 = 0xa4093822299f31d0ull,
+                l2 = 0x082efa98ec4e6c89ull, l3 = 0x452821e638d01377ull;
+  const long n1 = a.n1();
+  for (long j = 0; j < a.n2(); ++j) {
+    const double* row = &a(0, j, k);
+    long i = 0;
+    for (; i + 4 <= n1; i += 4) {
+      l0 = hash_step(l0, word(row[i]));
+      l1 = hash_step(l1, word(row[i + 1]));
+      l2 = hash_step(l2, word(row[i + 2]));
+      l3 = hash_step(l3, word(row[i + 3]));
+    }
+    if (i < n1) l0 = hash_step(l0, word(row[i]));
+    if (i + 1 < n1) l1 = hash_step(l1, word(row[i + 1]));
+    if (i + 2 < n1) l2 = hash_step(l2, word(row[i + 2]));
+  }
+  return hash_step(hash_step(hash_step(l0, l1), l2), l3);
 }
 
 }  // namespace
@@ -52,6 +92,12 @@ void for_each_block(const Exec& ex, const TilingPlan& plan, long n1, long n2,
       body(1, n1 - 1, 1, n2 - 1, kk + 1, kk + 2);
     });
   }
+}
+
+std::uint64_t checksum(const Exec& ex, const Array3D<double>& a) {
+  return reduce_planes(
+      ex, a.n3(), kHashInit, [&](long k) { return plane_hash(a, k); },
+      hash_step);
 }
 
 void jacobi(const Exec& ex, const TilingPlan& plan, Array3D<double>& a,

@@ -12,14 +12,17 @@
 //
 // Also pinned: the block driver's work items (a null pool runs the serial
 // tile order; a recursive plan runs exactly the co_over leaves, not the
-// flat grid), degenerate tiles and empty interiors, and the red-black
-// colour barrier under many threads.
+// flat grid), degenerate tiles and empty interiors, the red-black colour
+// barrier under many threads, and reduce_planes: a plane-ordered value for
+// every pool width, each partial run exactly once.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <tuple>
@@ -481,6 +484,78 @@ TEST(ExecDriver, DegenerateTilesAndEmptyInteriorsAreSafe) {
       copy_interior(ex, a, src);
       EXPECT_TRUE(logical_equal(a, Array3D<double>(2, 7, 6, 5.0)));
     }
+  }
+}
+
+// --- Plane-ordered reduction ---
+
+/// h = h * 31 + p: neither commutative nor associative across planes, so
+/// any reordering of the combine would change the value.
+std::uint64_t poly_combine(std::uint64_t h, std::uint64_t p) {
+  return h * 31 + p;
+}
+
+std::uint64_t plane_value(long k) {
+  return static_cast<std::uint64_t>(k) * 0x9e3779b97f4a7c15ull + 7;
+}
+
+TEST(ExecReducePlanes, CombinesInPlaneOrderForEveryPoolWidth) {
+  for (const long n3 : {1L, 2L, 5L, 64L}) {
+    std::uint64_t want = 3;
+    for (long k = 0; k < n3; ++k) want = poly_combine(want, plane_value(k));
+    EXPECT_EQ(reduce_planes(Exec{}, n3, std::uint64_t{3}, plane_value,
+                            poly_combine),
+              want)
+        << "inline n3=" << n3;
+    for (const int w : {1, 2, 4}) {
+      ThreadPool pool(w);
+      for (int rep = 0; rep < 10; ++rep) {
+        ASSERT_EQ(reduce_planes(Exec{&pool}, n3, std::uint64_t{3},
+                                plane_value, poly_combine),
+                  want)
+            << w << " threads n3=" << n3 << " rep " << rep;
+      }
+    }
+  }
+}
+
+TEST(ExecReducePlanes, RunsEachPartialExactlyOnce) {
+  const long n3 = 37;
+  for (const int w : {0, 1, 2, 4}) {
+    ThreadPool pool(w > 0 ? w : 1);
+    const Exec ex{w > 0 ? &pool : nullptr};
+    std::vector<std::atomic<int>> calls(n3);
+    const long planes = reduce_planes(
+        ex, n3, 0L,
+        [&](long k) {
+          calls[static_cast<std::size_t>(k)].fetch_add(1);
+          return 1L;
+        },
+        [](long acc, long p) { return acc + p; });
+    EXPECT_EQ(planes, n3) << w << " threads";
+    for (long k = 0; k < n3; ++k) {
+      EXPECT_EQ(calls[static_cast<std::size_t>(k)].load(), 1)
+          << w << " threads, plane " << k;
+    }
+  }
+}
+
+TEST(ExecReducePlanes, ZeroAndOnePlaneAreSafe) {
+  ThreadPool pool(2);
+  for (const Exec& ex : {Exec{}, Exec{&pool}}) {
+    int calls = 0;
+    const auto counted = [&](long k) {
+      ++calls;
+      return plane_value(k);
+    };
+    EXPECT_EQ(reduce_planes(ex, 0, std::uint64_t{11}, counted, poly_combine),
+              11u);
+    EXPECT_EQ(reduce_planes(ex, -3, std::uint64_t{11}, counted, poly_combine),
+              11u);
+    EXPECT_EQ(calls, 0);
+    EXPECT_EQ(reduce_planes(ex, 1, std::uint64_t{11}, counted, poly_combine),
+              poly_combine(11, plane_value(0)));
+    EXPECT_EQ(calls, 1);
   }
 }
 

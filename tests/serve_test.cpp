@@ -3,10 +3,13 @@
 // direct kernel/solver computation, batching semantics, admission-queue
 // overload rejection, per-request deadlines with watchdog abandonment,
 // arena recycling, rt::tune plan-store pinning, graceful drain, and the
-// latency accounting (TCP_NODELAY, per-stage timing, stage histograms).
+// latency accounting (TCP_NODELAY, per-stage timing, stage histograms),
+// and the properties of checksum_region itself (pool-width invariance,
+// padding exclusion, sensitivity to every single-bit and paired sign-bit
+// change).
 //
-// Every test runs a real Server on an ephemeral loopback port and talks
-// to it over actual sockets — the same path production clients take.
+// Every server test runs a real Server on an ephemeral loopback port and
+// talks to it over actual sockets — the same path production clients take.
 // The TSan gate builds and runs this whole binary, which is what makes
 // the server's locking story a tested claim rather than a comment.
 
@@ -18,7 +21,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -273,6 +279,139 @@ TEST_F(ServeFixture, SolverThreadsProduceBitIdenticalResults) {
   }
   s1.stop();
   s4.stop();
+}
+
+// --- checksum_region properties ---
+
+/// Logical shapes for the checksum properties: n1 below, at and off the
+/// lane count, non-cubic, single-plane and single-element grids.
+const std::vector<Dims3>& checksum_shapes() {
+  static const std::vector<Dims3> shapes = {
+      Dims3::unpadded(1, 1, 1),  Dims3::unpadded(3, 2, 2),
+      Dims3::unpadded(4, 4, 4),  Dims3::unpadded(7, 5, 3),
+      Dims3::unpadded(13, 4, 9), Dims3::unpadded(9, 11, 1),
+      Dims3::unpadded(6, 1, 17), Dims3::unpadded(20, 20, 20)};
+  return shapes;
+}
+
+/// A grid of shape @p d padded to p1 x p2 (0 = unpadded) holding a smooth
+/// field over its logical region and @p pad_fill in the padding.
+Array3D<double> checksum_grid(const Dims3& d, long p1 = 0, long p2 = 0,
+                              double pad_fill = 0.0) {
+  Array3D<double> a(p1 > 0 ? Dims3::padded(d.n1, d.n2, d.n3, p1, p2) : d,
+                    pad_fill);
+  for (long k = 0; k < d.n3; ++k) {
+    for (long j = 0; j < d.n2; ++j) {
+      for (long i = 0; i < d.n1; ++i) {
+        a(i, j, k) = std::sin(0.1 * i + 0.2 * j + 0.3 * k + 0.05);
+      }
+    }
+  }
+  return a;
+}
+
+void flip_bit(Array3D<double>& a, long i, long j, long k, int bit) {
+  a(i, j, k) = std::bit_cast<double>(std::bit_cast<std::uint64_t>(a(i, j, k)) ^
+                                     (std::uint64_t{1} << bit));
+}
+
+std::string shape_name(const Dims3& d) {
+  return std::to_string(d.n1) + "x" + std::to_string(d.n2) + "x" +
+         std::to_string(d.n3);
+}
+
+TEST(Checksum, SameValueInlineAndForEveryPoolWidth) {
+  rt::par::ThreadPool p1(1), p2(2), p4(4);
+  for (const Dims3& d : checksum_shapes()) {
+    const Array3D<double> a = checksum_grid(d);
+    const std::uint64_t want = checksum_region(a);
+    for (rt::par::ThreadPool* pool : {&p1, &p2, &p4}) {
+      for (int rep = 0; rep < 5; ++rep) {
+        ASSERT_EQ(checksum_region(a, pool), want)
+            << shape_name(d) << " on " << pool->num_threads() << " threads";
+      }
+    }
+  }
+}
+
+TEST(Checksum, PaddingIsExcluded) {
+  for (const Dims3& d : checksum_shapes()) {
+    const std::uint64_t want = checksum_region(checksum_grid(d));
+    // Odd and vector-aligned pads, padding filled with different junk.
+    EXPECT_EQ(checksum_region(checksum_grid(d, d.n1 + 1, d.n2 + 3, -7.5)), want)
+        << shape_name(d);
+    EXPECT_EQ(checksum_region(checksum_grid(d, d.n1 + 8, d.n2, 1e300)), want)
+        << shape_name(d);
+  }
+}
+
+TEST(Checksum, EverySingleBitFlipChangesTheValue) {
+  rt::par::ThreadPool pool(2);
+  for (const Dims3& d : checksum_shapes()) {
+    Array3D<double> a = checksum_grid(d);
+    const std::uint64_t base = checksum_region(a);
+    // Every element of the small grids; a strided sample of the large one.
+    const long step = d.n1 * d.n2 * d.n3 > 1000 ? 7 : 1;
+    for (long e = 0; e < d.n1 * d.n2 * d.n3; e += step) {
+      const long i = e % d.n1, j = (e / d.n1) % d.n2, k = e / (d.n1 * d.n2);
+      for (const int bit : {0, 52, 63}) {
+        flip_bit(a, i, j, k, bit);
+        ASSERT_NE(checksum_region(a), base)
+            << shape_name(d) << " (" << i << "," << j << "," << k << ") bit "
+            << bit;
+        ASSERT_NE(checksum_region(a, &pool), base);
+        flip_bit(a, i, j, k, bit);
+      }
+    }
+    EXPECT_EQ(checksum_region(a), base);
+  }
+}
+
+TEST(Checksum, TwoSignFlipsInOneLaneDoNotCancel) {
+  // Without the rotate, (h ^ w) * M leaves a sign-bit difference in bit 63
+  // alone, and the next sign flip in the same lane cancels it.  Pairs in
+  // one lane: the next word of the lane (i + 4), the same column one row
+  // up, and the far end of the plane.
+  for (const Dims3& d : checksum_shapes()) {
+    Array3D<double> a = checksum_grid(d);
+    const std::uint64_t base = checksum_region(a);
+    for (long k = 0; k < d.n3; ++k) {
+      for (long i = 0; i < d.n1; ++i) {
+        std::vector<std::array<long, 2>> partners;  // (i, j) with j0 = 0
+        if (i + 4 < d.n1) partners.push_back({i + 4, 0});
+        if (d.n2 > 1) partners.push_back({i, 1});
+        if (d.n2 > 2) partners.push_back({i, d.n2 - 1});
+        for (const auto& [i2, j2] : partners) {
+          flip_bit(a, i, 0, k, 63);
+          flip_bit(a, i2, j2, k, 63);
+          ASSERT_NE(checksum_region(a), base)
+              << shape_name(d) << " plane " << k << ": (" << i << ",0) and ("
+              << i2 << "," << j2 << ")";
+          flip_bit(a, i, 0, k, 63);
+          flip_bit(a, i2, j2, k, 63);
+        }
+      }
+    }
+    EXPECT_EQ(checksum_region(a), base);
+  }
+}
+
+TEST(Checksum, ShapeAndPlaneOrderMatter) {
+  // The same 24 values laid out in different shapes, and the same planes
+  // in a different order, hash differently.
+  const Array3D<double> a = checksum_grid(Dims3::unpadded(4, 3, 2));
+  Array3D<double> b(6, 2, 2), swapped(4, 3, 2);
+  for (long k = 0; k < 2; ++k) {
+    for (long j = 0; j < 3; ++j) {
+      for (long i = 0; i < 4; ++i) {
+        const long e = i + 4 * j;
+        b(e % 6, e / 6, k) = a(i, j, k);
+        swapped(i, j, 1 - k) = a(i, j, k);
+      }
+    }
+  }
+  EXPECT_NE(checksum_region(a), checksum_region(b));
+  EXPECT_NE(checksum_region(a), checksum_region(swapped));
 }
 
 TEST_F(ServeFixture, BatchedResultsBitIdenticalToSingleRequest) {
