@@ -23,10 +23,10 @@ cmake -B "${BUILD_DIR}" -S . "${GEN_FLAG[@]}" \
   -DRT_SANITIZE=address,undefined \
   -DRT_BUILD_BENCH=ON -DRT_BUILD_EXAMPLES=OFF
 cmake --build "${BUILD_DIR}" -j \
-  --target guard_test guard_fault_injection_test array_test core_plan_test \
-           core_backend_test cachesim_lattice_test plan_cache_test \
-           exec_test mg_fastpath_test obs_test temporal_test tune_test \
-           serve_test resil_test bench_chaos_soak
+  --target guard_test guard_fault_injection_test array_test kernels_test \
+           core_plan_test core_backend_test cachesim_lattice_test \
+           plan_cache_test exec_test mg_fastpath_test obs_test temporal_test \
+           tune_test serve_test resil_test bench_chaos_soak
 
 # halt_on_error turns the first finding into a hard failure.  Abandonment
 # tests deliberately detach a wedged worker, but always wait for it to
@@ -38,6 +38,9 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/guard_test"
 "${BUILD_DIR}/tests/guard_fault_injection_test"
 "${BUILD_DIR}/tests/array_test"
+# Grid init: init_grid_shell's shell indexing on one-point, two-wide and
+# padded grids, next to the kernels it feeds.
+"${BUILD_DIR}/tests/kernels_test"
 "${BUILD_DIR}/tests/core_plan_test"
 # Backend driver negative paths (overflow gate, fallback restore, unknown
 # backend) plus the lattice occupancy math cross-checked against the cache
@@ -62,7 +65,7 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # clients) and the invariants checked.
 "${BUILD_DIR}/bench/bench_chaos_soak"
 echo "ASan+UBSan clean: guard_test + guard_fault_injection_test +" \
-     "array_test + core_plan_test + core_backend_test" \
+     "array_test + kernels_test + core_plan_test + core_backend_test" \
      "+ cachesim_lattice_test + plan_cache_test + exec_test" \
      "+ mg_fastpath_test + obs_test" \
      "+ temporal_test + tune_test + serve_test + resil_test" \

@@ -16,7 +16,9 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 
 mkdir -p results
 {
+  # Only the bench binaries: build/bench also holds CMake's own files.
   for b in build/bench/*; do
+    [[ -f $b && -x $b ]] || continue
     echo "===== $(basename "$b") ====="
     "$b" ${FULL_FLAG}
     echo

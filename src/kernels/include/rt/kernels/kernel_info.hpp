@@ -48,4 +48,12 @@ const std::vector<KernelId>& all_kernels();
 void init_grid(rt::array::Array3D<double>& a, double scale,
                rt::par::ThreadPool* pool = nullptr);
 
+/// init_grid restricted to the boundary shell: the logical points with
+/// some index at 0 or at its extent - 1, written with init_grid's exact
+/// bits.  The interior and the padding are left untouched, so a buffer
+/// whose interior a sweep overwrites before reading costs one shell pass
+/// instead of a full one.
+void init_grid_shell(rt::array::Array3D<double>& a, double scale,
+                     rt::par::ThreadPool* pool = nullptr);
+
 }  // namespace rt::kernels

@@ -37,22 +37,51 @@ const std::vector<KernelId>& all_kernels() {
   return kAll;
 }
 
+namespace {
+
+/// The one per-point expression init_grid and init_grid_shell write.
+inline double grid_value(double scale, long i, long j, long k) {
+  return scale * (0.001 * static_cast<double>(i) +
+                  0.002 * static_cast<double>(j) +
+                  0.003 * static_cast<double>(k));
+}
+
+/// plane(k) for every K plane of @p a, on @p pool when given.
+template <class Plane>
+void for_each_plane(const rt::array::Array3D<double>& a,
+                    rt::par::ThreadPool* pool, const Plane& plane) {
+  if (pool != nullptr) {
+    pool->parallel_for(a.n3(), plane);
+  } else {
+    for (long k = 0; k < a.n3(); ++k) plane(k);
+  }
+}
+
+}  // namespace
+
 void init_grid(rt::array::Array3D<double>& a, double scale,
                rt::par::ThreadPool* pool) {
-  const auto init_plane = [&a, scale](long k) {
+  for_each_plane(a, pool, [&a, scale](long k) {
     for (long j = 0; j < a.n2(); ++j) {
-      for (long i = 0; i < a.n1(); ++i) {
-        a(i, j, k) = scale * (0.001 * static_cast<double>(i) +
-                              0.002 * static_cast<double>(j) +
-                              0.003 * static_cast<double>(k));
+      for (long i = 0; i < a.n1(); ++i) a(i, j, k) = grid_value(scale, i, j, k);
+    }
+  });
+}
+
+void init_grid_shell(rt::array::Array3D<double>& a, double scale,
+                     rt::par::ThreadPool* pool) {
+  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
+  for_each_plane(a, pool, [&a, scale, n1, n2, n3](long k) {
+    const bool face = k == 0 || k == n3 - 1;
+    for (long j = 0; j < n2; ++j) {
+      if (face || j == 0 || j == n2 - 1) {
+        for (long i = 0; i < n1; ++i) a(i, j, k) = grid_value(scale, i, j, k);
+      } else if (n1 > 0) {
+        a(0, j, k) = grid_value(scale, 0, j, k);
+        a(n1 - 1, j, k) = grid_value(scale, n1 - 1, j, k);
       }
     }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(a.n3(), init_plane);
-  } else {
-    for (long k = 0; k < a.n3(); ++k) init_plane(k);
-  }
+  });
 }
 
 }  // namespace rt::kernels

@@ -14,13 +14,18 @@
 //    kernels;
 //  * `parallel_for` is a barrier: it returns only after every index has
 //    completed, which is what gives parallel sweeps their inter-sweep
-//    ordering guarantees (e.g. red before black);
+//    ordering guarantees (e.g. red before black).  It waits for work, not
+//    for workers: indices are claimed from one word packing the job's
+//    generation with its next index, and a completion count tells the
+//    caller when every claimed index has finished.  The caller waits only
+//    for indices a worker has claimed and not yet finished; a worker that
+//    wakes after the caller has run every index finds the claim word
+//    exhausted (or tagged with a later generation, which it never claims
+//    from) and goes back to sleep;
 //  * concurrent entry is safe: a multi-tenant caller (rt::serve request
 //    threads sharing one pool) may call `parallel_for` from many threads at
 //    once.  Jobs are serialized on an internal job mutex — one job runs at
-//    a time, the rest queue on the lock — instead of racing on the shared
-//    body_/count_/generation_ dispatch state (the historical behaviour was
-//    a documented-but-unchecked data race).  Entry from *inside* a running
+//    a time, the rest queue on the lock.  Entry from *inside* a running
 //    body on the same pool (reentrancy) cannot wait for the pool — that
 //    would deadlock the barrier — so it degrades to the sequential
 //    index-order loop on the calling thread, which is always correct.
@@ -51,15 +56,26 @@ class ThreadPool {
   /// the pool; the calling thread participates.  Blocks until all indices
   /// complete (full barrier).  Safe to call concurrently from multiple
   /// threads: concurrent jobs are serialized (one at a time) on an internal
-  /// mutex.  Calling it from inside a body running on the same pool runs
-  /// the nested loop sequentially on the calling thread instead (a nested
-  /// job cannot wait for the pool it is executing on).
+  /// mutex.  A count above kMaxCount throws std::length_error before any
+  /// index runs, at every pool width.  Calling it from inside a body
+  /// running on the same pool runs the nested loop sequentially on the
+  /// calling thread instead (a nested job cannot wait for the pool it is
+  /// executing on).
   void parallel_for(long count, const std::function<void(long)>& body);
+
+  /// Largest count parallel_for accepts: the claim word holds the next
+  /// index in its low 32 bits.
+  static constexpr long kMaxCount = 0xffffffffL;
 
   /// std::thread::hardware_concurrency() clamped to >= 1.
   static int default_threads();
 
  private:
+  /// Claim and run indices while the claim word carries generation @p gen
+  /// and an index below @p count; returns how many this thread ran.
+  long run_claimed(std::uint64_t gen, long count,
+                   const std::function<void(long)>& body);
+
   void worker_loop();
 
   std::vector<std::thread> workers_;
@@ -70,14 +86,18 @@ class ThreadPool {
   std::mutex m_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
-  // Current job; body_/count_/running_/generation_ are guarded by m_,
-  // next_ is the lock-free index dispenser.
+  // The current job, guarded by m_: body_, count_ and generation_.
   const std::function<void(long)>* body_ = nullptr;
   long count_ = 0;
-  std::atomic<long> next_{0};
   std::uint64_t generation_ = 0;
-  int running_ = 0;
   bool stop_ = false;
+  /// Indices of the current job that have completed.  Workers add to it
+  /// under m_; it is reset when the next job is published.
+  std::atomic<long> done_{0};
+  /// The claim word: the current job's generation (high 32 bits) and its
+  /// next unclaimed index (low 32 bits).  A claim is a compare-exchange
+  /// that succeeds only while both still allow it.
+  std::atomic<std::uint64_t> claim_{0};
 };
 
 }  // namespace rt::par

@@ -4,12 +4,16 @@
 //
 // Bit-identity contract (the acceptance bar for serving at all): a served
 // JACOBI/REDBLACK/RESID result is bit-identical to the batch-binary path —
-// the same rt::kernels::init_grid as rt::bench's runner, the same step
-// structure (jacobi(+copy_interior) / redblack / resid through the
-// executor, rt/simd/exec.hpp, tiled when the plan says so), checksummed
-// over the logical region only so the plan's padding cannot leak into the
-// witness.  MGRID/SOR go through MgSolver/SorSolver.  Every path runs the
-// best row kernels the host supports (SimdMode::kAuto).
+// rt::bench's runner init (rt::kernels::init_grid, array i at scale
+// 1 / (1 + i)) followed by tsteps steps of jacobi + copy_interior /
+// redblack / resid — checksummed over the logical region only so the
+// plan's padding cannot leak into the witness.  The served steps run
+// through the executor (rt/simd/exec.hpp, tiled when the plan says so) and
+// move fewer bytes than that reference: JACOBI ping-pongs between its two
+// arrays, one sweep per step and no copy-back, and every path initialises
+// only the values some step reads (see run_solve).  MGRID/SOR go through
+// MgSolver/SorSolver.  Every path runs the best row kernels the host
+// supports (SimdMode::kAuto).
 //
 // Batching model: requests with equal BatchKey (kernel, n, k, transform)
 // share one plan lookup and one padded allocation set; requests with fully
@@ -71,9 +75,10 @@ struct SolveOutcome {
   std::uint64_t checksum = 0;  ///< checksum_region of the result grid
   int iters = 0;               ///< sweeps / V-cycles executed
   double residual = 0;         ///< final residual (apps; 0 for kernels)
-  /// Where run_solve's time went.  Kernel paths: init_grid of every array,
-  /// the step loop, checksum_region.  Apps: solver construct + setup, the
-  /// iterations (with the residual norm), checksum_region.
+  /// Where run_solve's time went.  Kernel paths: the grid writes that are
+  /// not steps (init, and JACOBI's final shell), the step loop,
+  /// checksum_region.  Apps: solver construct + setup, the iterations
+  /// (with the residual norm), checksum_region.
   double init_ms = 0;
   double sweep_ms = 0;
   double checksum_ms = 0;
@@ -81,12 +86,25 @@ struct SolveOutcome {
 
 /// Execute one solve.  Kernel paths run on @p arrays — at least
 /// num_arrays_for(kernel) buffers shaped batch_dims(), contents stale
-/// (this function initializes every logical element before reading).  Apps
-/// ignore @p arrays.  @p pool (optional) runs the executor's work items,
-/// the init and the checksum's per-plane partials (every path) in parallel
-/// — results stay bit-identical to serial, every grid point is computed
-/// independently with the same FP order, and the checksum combines its
-/// partials in plane order.  @p app_threads sizes the MGRID/SOR solvers'
+/// (NaN is fine): every logical element is written before it is read, and
+/// only those a step reads are initialised.
+///   * tsteps <= 0, or REDBLACK: arrays[0] only, then the steps in place.
+///   * JACOBI: the start state (array 1's init) goes in arrays[tsteps % 2]
+///     and step s writes arrays[(tsteps - 1 - s) % 2]'s interior from the
+///     other buffer, so the last step lands in arrays[0]; the other buffer
+///     gets only its boundary shell, and only when tsteps >= 2 (a step
+///     reads it).  After the last step arrays[0]'s shell is rewritten at
+///     its own scale.  16 B per point per step instead of 32.
+///   * RESID: the output arrays[0] gets only its shell (every step
+///     overwrites its interior); v and u are initialised in full.
+/// The result, arrays[0], is bit-identical to the reference for every
+/// transform, pool width and tsteps parity; the other buffers are left in
+/// an unspecified state.  Apps ignore @p arrays.
+/// @p pool (optional) runs the executor's work items, the init and the
+/// checksum's per-plane partials (every path) in parallel — results stay
+/// bit-identical to serial, every grid point is computed independently
+/// with the same FP order, and the checksum combines its partials in plane
+/// order.  @p app_threads sizes the MGRID/SOR solvers'
 /// internal pools.
 ///
 /// Deadline safety: reads/writes only its arguments; checks the rt::guard

@@ -1,11 +1,16 @@
 // Kernel correctness: tiled variants must compute bitwise-identical results
 // to the original loop nests for many problem/tile shapes, the fused
-// red-black ordering must match the naive two-pass ordering, and access
-// counts must match the registry.
+// red-black ordering must match the naive two-pass ordering, access
+// counts must match the registry, and the shell-only grid init must write
+// init_grid's bits on the shell and nothing anywhere else.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "rt/array/array3d.hpp"
 #include "rt/cachesim/hierarchy.hpp"
@@ -15,6 +20,7 @@
 #include "rt/kernels/kernel_info.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
+#include "rt/par/thread_pool.hpp"
 
 namespace rt::kernels {
 namespace {
@@ -216,6 +222,48 @@ TEST(KernelInfo, AccessCountsMatchTrace) {
     resid(tr, tv, tu, nas_mg_a());
     EXPECT_EQ(h.stats().l1.accesses,
               kernel_info(KernelId::kResid).accesses_per_point * pts);
+  }
+}
+
+TEST(InitGrid, ShellWritesInitGridBitsOnTheShellAndNothingElse) {
+  // A sentinel fills interior and padding; init_grid_shell must overwrite
+  // exactly the logical points with some index at 0 or extent - 1, with
+  // init_grid's bits, on every pool width.
+  const double sentinel = -7.25;
+  const std::vector<Dims3> shapes = {
+      Dims3::unpadded(1, 1, 1),         Dims3::unpadded(2, 5, 3),
+      Dims3::unpadded(3, 3, 3),         Dims3::padded(7, 5, 4, 9, 6),
+      Dims3::padded(13, 4, 9, 16, 5),   Dims3::unpadded(6, 1, 17),
+      Dims3::padded(12, 12, 12, 13, 14)};
+  rt::par::ThreadPool p1(1), p2(2), p4(4);
+  for (rt::par::ThreadPool* pool :
+       std::vector<rt::par::ThreadPool*>{nullptr, &p1, &p2, &p4}) {
+    for (const Dims3& d : shapes) {
+      for (const double scale : {1.0, 0.5, 1.0 / 3.0}) {
+        Array3D<double> full(d, sentinel), shell(d, sentinel);
+        init_grid(full, scale);
+        init_grid_shell(shell, scale, pool);
+        long shell_points = 0;
+        for (long e = 0; e < d.alloc_elems(); ++e) {
+          const long k = e / d.plane_stride();
+          const long j = (e % d.plane_stride()) / d.p1;
+          const long i = e % d.p1;
+          const bool logical = i < d.n1 && j < d.n2;
+          const bool on_shell = logical && (i == 0 || i == d.n1 - 1 || j == 0 ||
+                                            j == d.n2 - 1 || k == 0 ||
+                                            k == d.n3 - 1);
+          const double want = on_shell ? full.data()[e] : sentinel;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(shell.data()[e]),
+                    std::bit_cast<std::uint64_t>(want))
+              << d.n1 << "x" << d.n2 << "x" << d.n3 << " scale " << scale
+              << " at (" << i << "," << j << "," << k << ")";
+          shell_points += on_shell ? 1 : 0;
+        }
+        const long interior = std::max(0L, d.n1 - 2) * std::max(0L, d.n2 - 2) *
+                              std::max(0L, d.n3 - 2);
+        EXPECT_EQ(shell_points, d.n1 * d.n2 * d.n3 - interior);
+      }
+    }
   }
 }
 

@@ -1,9 +1,15 @@
 // ThreadPool unit tests: exact index coverage under contention, reuse
-// across many jobs, the sequential 1-thread fast path, and edge counts.
+// across many jobs (including a long run of tiny back-to-back jobs, where
+// a worker waking late must never run an index of a job other than the
+// one it was handed), the sequential 1-thread fast path, and edge counts
+// down to zero and up past the claim field's range.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -58,6 +64,57 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
     pool.parallel_for(17, [&](long) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 200 * 17);
+}
+
+TEST(ThreadPool, TinyBackToBackJobsRunOnlyTheCurrentJobExactlyOnce) {
+  // The caller usually finishes a 2-3 item job before every worker has
+  // woken, and returns without waiting for them.  A worker that wakes
+  // late must find its job exhausted: each body checks that the job it
+  // captured is the one running, and every index of every job must run
+  // exactly once.
+  ThreadPool pool(4);
+  constexpr long kJobs = 100000;
+  std::atomic<long> current{-1};
+  std::array<std::atomic<int>, 3> hits{};
+  std::atomic<long> wrong_job{0};
+  long miscounted = 0;
+  for (long job = 0; job < kJobs; ++job) {
+    const long count = 2 + job % 2;
+    for (std::atomic<int>& h : hits) h.store(0, std::memory_order_relaxed);
+    current.store(job, std::memory_order_relaxed);
+    pool.parallel_for(count, [&, job](long i) {
+      if (current.load(std::memory_order_relaxed) != job) {
+        wrong_job.fetch_add(1, std::memory_order_relaxed);
+      }
+      hits[static_cast<std::size_t>(i)].fetch_add(1,
+                                                  std::memory_order_relaxed);
+    });
+    for (long i = 0; i < 3; ++i) {
+      const int want = i < count ? 1 : 0;
+      if (hits[static_cast<std::size_t>(i)].load() != want) ++miscounted;
+    }
+  }
+  EXPECT_EQ(wrong_job.load(), 0) << "a body ran outside its own job";
+  EXPECT_EQ(miscounted, 0) << "an index ran other than exactly once";
+}
+
+TEST(ThreadPool, CountsAboveTheClaimFieldThrowBeforeRunningAnyIndex) {
+  // The claim word keeps the next index in 32 bits, so larger counts are
+  // refused up front, the same way at every width (the inline paths
+  // included), and the pool stays usable.
+  EXPECT_EQ(ThreadPool::kMaxCount, (1L << 32) - 1);
+  for (const int width : {1, 2, 4}) {
+    ThreadPool pool(width);
+    std::atomic<long> calls{0};
+    const auto body = [&](long) { calls.fetch_add(1); };
+    EXPECT_THROW(pool.parallel_for(ThreadPool::kMaxCount + 1, body),
+                 std::length_error);
+    EXPECT_THROW(pool.parallel_for(std::numeric_limits<long>::max(), body),
+                 std::length_error);
+    EXPECT_EQ(calls.load(), 0) << "width " << width;
+    pool.parallel_for(5, body);
+    EXPECT_EQ(calls.load(), 5) << "width " << width;
+  }
 }
 
 TEST(ThreadPool, SingleThreadRunsSequentiallyInOrder) {

@@ -27,6 +27,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -46,6 +47,7 @@
 #include "rt/serve/client.hpp"
 #include "rt/serve/protocol.hpp"
 #include "rt/serve/server.hpp"
+#include "rt/serve/solve.hpp"
 #include "rt/simd/simd.hpp"
 #include "rt/tune/plan_store.hpp"
 #include "tmpdir.hpp"
@@ -83,11 +85,13 @@ std::string field(const JsonValue& doc, const std::string& key) {
   return v ? v->as_string() : std::string();
 }
 
-/// Direct (no server) reference checksum for a kernel request — the
-/// batch-binary computation: plan, padded arrays, runner init, tsteps
-/// steps, checksum of the result grid's logical region.
-std::string reference_kernel_checksum(ServeKernel kernel, long n, int tsteps,
-                                      rt::core::Transform tr) {
+/// Direct (no server) reference checksum for a kernel request on an n x n
+/// x k grid — the batch-binary computation: plan, padded arrays, runner
+/// init of every array, tsteps serial steps (JACOBI as sweep + copy-back),
+/// checksum of the result grid's logical region.
+std::uint64_t reference_kernel_value(ServeKernel kernel, long n, long k,
+                                     int tsteps, rt::core::Transform tr,
+                                     long cs = kCs) {
   const rt::kernels::KernelId id = kernel == ServeKernel::kJacobi
                                        ? rt::kernels::KernelId::kJacobi
                                    : kernel == ServeKernel::kRedBlack
@@ -95,8 +99,8 @@ std::string reference_kernel_checksum(ServeKernel kernel, long n, int tsteps,
                                        : rt::kernels::KernelId::kResid;
   const rt::core::StencilSpec& spec = rt::kernels::kernel_info(id).spec;
   const rt::core::PlanReport rep =
-      rt::core::plan_for_checked(tr, kCs, n, n, spec, n);
-  const Dims3 dims = Dims3::padded(n, n, n, rep.plan.dip, rep.plan.djp);
+      rt::core::plan_for_checked(tr, cs, n, n, spec, k);
+  const Dims3 dims = Dims3::padded(n, n, k, rep.plan.dip, rep.plan.djp);
   std::vector<Array3D<double>> arrays;
   for (int i = 0; i < rt::kernels::kernel_info(id).num_arrays; ++i) {
     arrays.emplace_back(dims);
@@ -131,7 +135,12 @@ std::string reference_kernel_checksum(ServeKernel kernel, long n, int tsteps,
         break;
     }
   }
-  return checksum_hex(checksum_region(arrays[0]));
+  return checksum_region(arrays[0]);
+}
+
+std::string reference_kernel_checksum(ServeKernel kernel, long n, int tsteps,
+                                      rt::core::Transform tr) {
+  return checksum_hex(reference_kernel_value(kernel, n, n, tsteps, tr));
 }
 
 class ServeFixture : public ::testing::Test {
@@ -279,6 +288,114 @@ TEST_F(ServeFixture, SolverThreadsProduceBitIdenticalResults) {
   }
   s1.stop();
   s4.stop();
+}
+
+// --- run_solve on stale buffers: only what a step reads is initialised ---
+
+/// Small planning cache for the run_solve matrix, so the tile transforms
+/// produce real tiles on its small grids.
+constexpr long kSmallCs = 64;
+
+struct SolveShape {
+  long n, k;
+};
+
+const std::vector<SolveShape>& solve_shapes() {
+  static const std::vector<SolveShape> shapes = {{12, 12}, {13, 7}};
+  return shapes;
+}
+
+const std::vector<ServeKernel>& kernel_paths() {
+  static const std::vector<ServeKernel> kernels = {
+      ServeKernel::kJacobi, ServeKernel::kRedBlack, ServeKernel::kResid};
+  return kernels;
+}
+
+SolveParams kernel_params(ServeKernel kernel, SolveShape s, int tsteps,
+                          rt::core::Transform tr) {
+  SolveParams p;
+  p.kernel = kernel;
+  p.n = s.n;
+  p.k = s.k;
+  p.tsteps = tsteps;
+  p.transform = tr;
+  return p;
+}
+
+/// NaN in every element, padding included: any value a solve reads before
+/// writing poisons the checksum.
+std::vector<Array3D<double>> nan_arrays(ServeKernel kernel, const Dims3& d) {
+  std::vector<Array3D<double>> arrays;
+  for (int i = 0; i < num_arrays_for(kernel); ++i) {
+    arrays.emplace_back(d, std::numeric_limits<double>::quiet_NaN());
+  }
+  return arrays;
+}
+
+TEST(RunSolve, NaNFilledBuffersGiveTheSerialReferenceBits) {
+  rt::par::ThreadPool p1(1), p2(2), p4(4);
+  const std::vector<rt::par::ThreadPool*> pools = {nullptr, &p1, &p2, &p4};
+  bool saw_tiled = false;
+  for (const ServeKernel kernel : kernel_paths()) {
+    for (const SolveShape& shape : solve_shapes()) {
+      for (const rt::core::Transform tr :
+           {rt::core::Transform::kOrig, rt::core::Transform::kTile,
+            rt::core::Transform::kGcdPad, rt::core::Transform::kPad}) {
+        const BatchKey key = batch_key_of(kernel_params(kernel, shape, 1, tr));
+        const rt::core::PlanReport rep =
+            plan_for_batch(key, kSmallCs, nullptr);
+        saw_tiled = saw_tiled || rep.plan.tiled;
+        // tsteps < 0 runs no steps, like 0 (the wire format refuses it,
+        // direct callers may not).
+        for (int tsteps = -1; tsteps <= 5; ++tsteps) {
+          const std::uint64_t want = reference_kernel_value(
+              kernel, shape.n, shape.k, tsteps, tr, kSmallCs);
+          for (rt::par::ThreadPool* pool : pools) {
+            std::vector<Array3D<double>> arrays =
+                nan_arrays(kernel, batch_dims(key, rep.plan));
+            const SolveOutcome out =
+                run_solve(kernel_params(kernel, shape, tsteps, tr), rep.plan,
+                          &arrays, pool);
+            ASSERT_EQ(out.status, Status::kOk) << out.detail;
+            EXPECT_EQ(out.iters, tsteps);
+            EXPECT_EQ(out.checksum, want)
+                << serve_kernel_name(kernel) << " " << shape.n << "x"
+                << shape.n << "x" << shape.k << " "
+                << rt::core::transform_name(tr) << " tsteps=" << tsteps
+                << " pool=" << (pool ? pool->num_threads() : 0);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_tiled) << "the matrix must cover tiled plans";
+}
+
+TEST(RunSolve, BackToBackSolvesOfMixedParityReuseOneArraySet) {
+  // What arena reuse does: each solve starts from the previous solve's
+  // leftovers, with the start state in the other JACOBI buffer whenever
+  // the parity of tsteps changes.
+  rt::par::ThreadPool pool(2);
+  const rt::core::Transform tr = rt::core::Transform::kGcdPad;
+  for (const ServeKernel kernel : kernel_paths()) {
+    for (const SolveShape& shape : solve_shapes()) {
+      const BatchKey key = batch_key_of(kernel_params(kernel, shape, 1, tr));
+      const rt::core::PlanReport rep = plan_for_batch(key, kSmallCs, nullptr);
+      std::vector<Array3D<double>> arrays =
+          nan_arrays(kernel, batch_dims(key, rep.plan));
+      for (const int tsteps : {3, 2, 5, 0, 1, 4, 1, 1, 2, 0, 3}) {
+        const SolveOutcome out =
+            run_solve(kernel_params(kernel, shape, tsteps, tr), rep.plan,
+                      &arrays, &pool);
+        ASSERT_EQ(out.status, Status::kOk) << out.detail;
+        EXPECT_EQ(out.checksum,
+                  reference_kernel_value(kernel, shape.n, shape.k, tsteps, tr,
+                                         kSmallCs))
+            << serve_kernel_name(kernel) << " " << shape.n << "x" << shape.n
+            << "x" << shape.k << " tsteps=" << tsteps;
+      }
+    }
+  }
 }
 
 // --- checksum_region properties ---
