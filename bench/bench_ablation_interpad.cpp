@@ -17,6 +17,7 @@
 #include "rt/core/interpad.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/resid.hpp"
+#include "rt/simd/exec.hpp"
 
 using rt::array::Array3D;
 using rt::array::Dims3;
@@ -49,7 +50,12 @@ SimOut run_resid_interpad(long n, long kd, const rt::core::InterPadPlan& ip) {
                                   static_cast<std::uint64_t>(ip.base_offsets[2]) * 8);
   rt::cachesim::CacheHierarchy h = rt::cachesim::CacheHierarchy::ultrasparc2();
   rt::cachesim::TracedArray3D<double> tr(r, br, h), tv(v, bv, h), tu(u, bu, h);
-  rt::kernels::resid_tiled(tr, tv, tu, rt::kernels::nas_mg_a(), ip.intra.tile);
+  rt::simd::for_each_block({}, {.tiled = true, .tile = ip.intra.tile}, n, n,
+                           kd, [&](auto... box) {
+                             rt::kernels::resid(tr, tv, tu,
+                                                rt::kernels::nas_mg_a(),
+                                                box...);
+                           });
   auto st = h.stats();
   st.flops = 31 * static_cast<std::uint64_t>(n - 2) * (n - 2) * (kd - 2);
   return SimOut{100.0 * st.l1.miss_rate(),

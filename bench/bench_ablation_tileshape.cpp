@@ -16,6 +16,7 @@
 #include "rt/core/cost.hpp"
 #include "rt/core/euc3d.hpp"
 #include "rt/kernels/jacobi3d.hpp"
+#include "rt/simd/exec.hpp"
 
 int main(int argc, char** argv) {
   (void)argc;
@@ -57,7 +58,11 @@ int main(int argc, char** argv) {
     rt::cachesim::CacheHierarchy h = rt::cachesim::CacheHierarchy::ultrasparc2();
     rt::cachesim::TracedArray3D<double> ta(a, 0, h),
         tb(b, static_cast<std::uint64_t>(dims.alloc_elems()) * 8, h);
-    rt::kernels::jacobi3d_tiled(ta, tb, 1.0 / 6.0, t);
+    rt::simd::for_each_block({}, {.tiled = true, .tile = t}, n, n, kd,
+                             [&](auto... box) {
+                               rt::kernels::jacobi3d(ta, tb, 1.0 / 6.0,
+                                                     box...);
+                             });
     const auto st = h.stats();
     const bool cf = rt::core::is_conflict_free(
         2048, dip, djp, t.ti + spec.trim_i, t.tj + spec.trim_j, spec.atd);

@@ -39,7 +39,6 @@
 #include "rt/core/plan.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
-#include "rt/kernels/oblivious.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
 #include "rt/simd/exec.hpp"
@@ -69,50 +68,36 @@ Array3D<double> make_grid(const Dims3& d, double seed) {
 }
 
 /// One serial sweep of @p kid under @p plan, honouring the plan's loop
-/// schedule (flat / tiled / recursive), returning the checksum of the
-/// result's logical region (padding never participates, so differently
-/// padded plans of the same computation hash equal iff bit-identical).
+/// schedule (flat / tiled / recursive) through the block driver, returning
+/// the checksum of the result's logical region (padding never
+/// participates, so differently padded plans of the same computation hash
+/// equal iff bit-identical).
 std::uint64_t checksum_under_plan(KernelId kid, long n, long kd,
                                   const TilingPlan& plan) {
   const Dims3 d = Dims3::padded(n, n, kd, plan.dip, plan.djp);
-  const rt::core::IterTile tile = plan.tile;
-  const bool rec = plan.schedule == LoopSchedule::kRecursive;
+  const rt::simd::Exec serial{};
+  const auto blocks = [&](const rt::simd::BlockFn& body) {
+    rt::simd::for_each_block(serial, plan, n, n, kd, body);
+  };
   switch (kid) {
     case KernelId::kJacobi: {
       Array3D<double> b = make_grid(d, 0.5), a(d);
-      const double w = 1.0 / 6.0;
-      if (rec) {
-        rt::kernels::jacobi3d_oblivious(a, b, w, tile);
-      } else if (plan.tiled) {
-        rt::kernels::jacobi3d_tiled(a, b, w, tile);
-      } else {
-        rt::kernels::jacobi3d(a, b, w);
-      }
-      return rt::simd::checksum(rt::simd::Exec{}, a);
+      blocks([&](auto... box) {
+        rt::kernels::jacobi3d(a, b, 1.0 / 6.0, box...);
+      });
+      return rt::simd::checksum(serial, a);
     }
     case KernelId::kResid: {
       Array3D<double> v = make_grid(d, 0.7), u = make_grid(d, 0.1), r(d);
       const auto a = rt::kernels::nas_mg_a();
-      if (rec) {
-        rt::kernels::resid_oblivious(r, v, u, a, tile);
-      } else if (plan.tiled) {
-        rt::kernels::resid_tiled(r, v, u, a, tile);
-      } else {
-        rt::kernels::resid(r, v, u, a);
-      }
-      return rt::simd::checksum(rt::simd::Exec{}, r);
+      blocks([&](auto... box) { rt::kernels::resid(r, v, u, a, box...); });
+      return rt::simd::checksum(serial, r);
     }
     case KernelId::kPsinv: {
       Array3D<double> r = make_grid(d, 0.7), u = make_grid(d, 0.1);
       const auto c = rt::multigrid::nas_mg_c();
-      if (rec) {
-        rt::multigrid::psinv_oblivious(u, r, c, tile);
-      } else if (plan.tiled) {
-        rt::multigrid::psinv_tiled(u, r, c, tile);
-      } else {
-        rt::multigrid::psinv(u, r, c);
-      }
-      return rt::simd::checksum(rt::simd::Exec{}, u);
+      blocks([&](auto... box) { rt::multigrid::psinv(u, r, c, box...); });
+      return rt::simd::checksum(serial, u);
     }
     default:
       return 0;

@@ -51,6 +51,7 @@
 #include "rt/serve/protocol.hpp"
 #include "rt/serve/server.hpp"
 #include "rt/serve/solve.hpp"
+#include "rt/simd/exec.hpp"
 #include "rt/tune/plan_store.hpp"
 
 using rt::guard::FaultInjector;
@@ -118,11 +119,9 @@ std::string reference_checksum(long n, int tsteps) {
     }
   }
   for (int t = 0; t < tsteps; ++t) {
-    if (rep.plan.tiled) {
-      rt::kernels::jacobi3d_tiled(a, b, 1.0 / 6.0, rep.plan.tile);
-    } else {
-      rt::kernels::jacobi3d(a, b, 1.0 / 6.0);
-    }
+    rt::simd::for_each_block({}, rep.plan, n, n, n, [&](auto... box) {
+      rt::kernels::jacobi3d(a, b, 1.0 / 6.0, box...);
+    });
     rt::kernels::copy_interior(b, a);
   }
   return rt::serve::checksum_hex(rt::serve::checksum_region(a));

@@ -19,6 +19,7 @@
 #include "rt/core/plan.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
+#include "rt/simd/exec.hpp"
 
 using rt::array::Array3D;
 using rt::array::Dims3;
@@ -83,11 +84,9 @@ int main(int argc, char** argv) {
           space.place("b", static_cast<std::uint64_t>(dims.alloc_elems()));
       ClassAcc ca(a, ba, cc), cb(b, bb, cc);
       for (int t = 0; t < bo.steps; ++t) {
-        if (plan.tiled) {
-          rt::kernels::jacobi3d_tiled(ca, cb, 1.0 / 6.0, plan.tile);
-        } else {
-          rt::kernels::jacobi3d(ca, cb, 1.0 / 6.0);
-        }
+        rt::simd::for_each_block({}, plan, n, n, kd, [&](auto... box) {
+          rt::kernels::jacobi3d(ca, cb, 1.0 / 6.0, box...);
+        });
         rt::kernels::copy_interior(cb, ca);
       }
       const auto& m = cc.classes();

@@ -91,11 +91,11 @@ int main(int argc, char** argv) {
     const Out ji = traced_run(
         n, kd, gcd.dip, gcd.djp, tsteps, [&](auto& a, auto& b) {
           for (int t = 0; t < tsteps; ++t) {
-            if (t % 2 == 0) {
-              rt::kernels::jacobi3d_tiled(a, b, 1.0 / 6.0, gcd.tile);
-            } else {
-              rt::kernels::jacobi3d_tiled(b, a, 1.0 / 6.0, gcd.tile);
-            }
+            auto& dst = t % 2 == 0 ? a : b;
+            auto& src = t % 2 == 0 ? b : a;
+            rt::simd::for_each_block({}, gcd, n, n, kd, [&](auto... box) {
+              rt::kernels::jacobi3d(dst, src, 1.0 / 6.0, box...);
+            });
           }
         });
     const Out ts = traced_run(n, kd, n, n, tsteps, [&](auto& a, auto& b) {

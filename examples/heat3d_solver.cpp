@@ -17,6 +17,7 @@
 #include "rt/array/array3d.hpp"
 #include "rt/core/plan.hpp"
 #include "rt/kernels/jacobi3d.hpp"
+#include "rt/simd/exec.hpp"
 
 int main(int argc, char** argv) {
   const long n = argc > 1 ? std::atol(argv[1]) : 200;
@@ -45,7 +46,9 @@ int main(int argc, char** argv) {
   double prev_probe = 0.0;
   for (int s = 0; s < steps; ++s) {
     // Jacobi relaxation toward the steady-state temperature field.
-    rt::kernels::jacobi3d_tiled(t_new, t_old, 1.0 / 6.0, plan.tile);
+    rt::simd::for_each_block({}, plan, n, n, kd, [&](auto... box) {
+      rt::kernels::jacobi3d(t_new, t_old, 1.0 / 6.0, box...);
+    });
     rt::kernels::copy_interior(t_old, t_new);
     if ((s + 1) % 10 == 0) {
       // Probe a point near the hot face — heat reaches it quickly, so the

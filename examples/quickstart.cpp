@@ -3,7 +3,7 @@
 // This walks the full public API in ~60 lines:
 //   1. describe the stencil (halo extents + array tile depth),
 //   2. ask the planner for a tile + padding targeting your L1,
-//   3. allocate padded arrays and run the tiled kernel,
+//   3. allocate padded arrays and run the kernel on the plan's tiles,
 //   4. verify against the untiled kernel and compare simulated miss rates.
 
 #include <iostream>
@@ -12,6 +12,7 @@
 #include "rt/bench/runner.hpp"
 #include "rt/core/plan.hpp"
 #include "rt/kernels/jacobi3d.hpp"
+#include "rt/simd/exec.hpp"
 
 int main() {
   using namespace rt;
@@ -29,14 +30,16 @@ int main() {
             << "), padded dims " << plan.dip << "x" << plan.djp << "x" << kd
             << " (logical " << n << "x" << n << "x" << kd << ")\n";
 
-  // 3. Allocate padded arrays and run the tiled kernel.
+  // 3. Allocate padded arrays and run the kernel on the plan's tiles.
   const array::Dims3 dims = array::Dims3::padded(n, n, kd, plan.dip, plan.djp);
   array::Array3D<double> a(dims), b(dims), a_ref(dims);
   for (long k = 0; k < kd; ++k)
     for (long j = 0; j < n; ++j)
       for (long i = 0; i < n; ++i) b(i, j, k) = 0.001 * (i + j + k);
 
-  kernels::jacobi3d_tiled(a, b, 1.0 / 6.0, plan.tile);
+  simd::for_each_block({}, plan, n, n, kd, [&](auto... box) {
+    kernels::jacobi3d(a, b, 1.0 / 6.0, box...);
+  });
 
   // 4. Verify against the untiled kernel...
   kernels::jacobi3d(a_ref, b, 1.0 / 6.0);

@@ -16,13 +16,14 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 
 mkdir -p results
 {
-  # Only the bench binaries: build/bench also holds CMake's own files.
-  for b in build/bench/*; do
-    [[ -f $b && -x $b ]] || continue
+  # Only the benches bench/CMakeLists.txt defines (CMake lists their paths
+  # in build/bench/bench_targets.txt); a stale binary in build/bench whose
+  # source is gone never runs.
+  while read -r b; do
     echo "===== $(basename "$b") ====="
     "$b" ${FULL_FLAG}
     echo
-  done
+  done < build/bench/bench_targets.txt
 } 2>&1 | tee bench_output.txt
 cp bench_output.txt results/bench_all.txt
 

@@ -20,7 +20,6 @@
 #include "rt/cachesim/traced_array.hpp"
 #include "rt/kernels/jacobi2d.hpp"
 #include "rt/kernels/jacobi3d.hpp"
-#include "rt/kernels/oblivious.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
@@ -61,59 +60,48 @@ double now_seconds() {
 }
 
 /// One time step of @p id through the accessor kernels, on native arrays
-/// (the serial reference) or traced ones (simulation).  Plans with
-/// LoopSchedule::kRecursive (the oblivious backend) run the cache-oblivious
-/// recursive forms with plan.tile as the base case; tiled flat plans run
-/// the paper's strip-mined nests.
+/// (the serial reference) or traced ones (simulation): each stencil's one
+/// accessor nest runs on the work items of the plan's schedule, inline in
+/// index order (rt::simd::for_each_block with a null pool).  The JACOBI
+/// copy-back recurses with a recursive plan and runs untiled otherwise;
+/// tiled flat REDBLACK plans run the paper's fused Fig. 12 nest.
 template <class A>
 void accessor_step(KernelId id, const TilingPlan& plan, std::vector<A>& x) {
   const bool rec = plan.schedule == rt::core::LoopSchedule::kRecursive;
-  const rt::core::IterTile t = plan.tile;
+  const auto blocks = [&](const TilingPlan& p, const rt::simd::BlockFn& body) {
+    rt::simd::for_each_block(rt::simd::Exec{}, p, x[0].n1(), x[0].n2(),
+                             x[0].n3(), body);
+  };
   switch (id) {
     case KernelId::kJacobi:
-      if (rec) {
-        rt::kernels::jacobi3d_oblivious(x[0], x[1], kJacobiC, t);
-        rt::kernels::copy_interior_oblivious(x[1], x[0], t);
-        return;
-      }
-      if (plan.tiled) {
-        rt::kernels::jacobi3d_tiled(x[0], x[1], kJacobiC, t);
-      } else {
-        rt::kernels::jacobi3d(x[0], x[1], kJacobiC);
-      }
-      rt::kernels::copy_interior(x[1], x[0]);
+      blocks(plan, [&](auto... box) {
+        rt::kernels::jacobi3d(x[0], x[1], kJacobiC, box...);
+      });
+      blocks(rec ? plan : TilingPlan{}, [&](auto... box) {
+        rt::kernels::copy_interior(x[1], x[0], box...);
+      });
       return;
     case KernelId::kRedBlack:
-      if (rec) {
-        rt::kernels::redblack_oblivious(x[0], kRbC1, kRbC2, t);
-      } else if (plan.tiled) {
-        rt::kernels::redblack_tiled(x[0], kRbC1, kRbC2, t);
-      } else {
-        rt::kernels::redblack_naive(x[0], kRbC1, kRbC2);
+      if (plan.tiled && !rec) {
+        rt::kernels::redblack_tiled(x[0], kRbC1, kRbC2, plan.tile);
+        return;
+      }
+      for (long parity = 0; parity < 2; ++parity) {
+        blocks(plan, [&](auto... box) {
+          rt::kernels::redblack_colour(x[0], kRbC1, kRbC2, parity, box...);
+        });
       }
       return;
-    case KernelId::kResid: {
-      const auto a = rt::kernels::nas_mg_a();
-      if (rec) {
-        rt::kernels::resid_oblivious(x[0], x[1], x[2], a, t);
-      } else if (plan.tiled) {
-        rt::kernels::resid_tiled(x[0], x[1], x[2], a, t);
-      } else {
-        rt::kernels::resid(x[0], x[1], x[2], a);
-      }
+    case KernelId::kResid:
+      blocks(plan, [&](auto... box) {
+        rt::kernels::resid(x[0], x[1], x[2], rt::kernels::nas_mg_a(), box...);
+      });
       return;
-    }
-    case KernelId::kPsinv: {
-      const auto c = rt::multigrid::nas_mg_c();
-      if (rec) {
-        rt::multigrid::psinv_oblivious(x[0], x[1], c, t);
-      } else if (plan.tiled) {
-        rt::multigrid::psinv_tiled(x[0], x[1], c, t);
-      } else {
-        rt::multigrid::psinv(x[0], x[1], c);
-      }
+    case KernelId::kPsinv:
+      blocks(plan, [&](auto... box) {
+        rt::multigrid::psinv(x[0], x[1], rt::multigrid::nas_mg_c(), box...);
+      });
       return;
-    }
   }
 }
 

@@ -1,7 +1,11 @@
 #pragma once
-// 3D Jacobi iteration (paper Figs. 3 and 6): 6-point stencil, original and
-// JI-tiled forms, plus the copy-back loop that makes it a "realistic"
-// stencil code (Fig. 5, middle).
+// 3D Jacobi iteration (paper Fig. 3): 6-point stencil, plus the copy-back
+// loop that makes it a "realistic" stencil code (Fig. 5, middle).
+//
+// Each nest covers one half-open (i, j, k) box; called on the whole
+// interior it is the serial reference.  Schedules — the JI tiles of
+// Fig. 6, the recursive leaves — are not separate nests: the block driver
+// rt::simd::for_each_block hands the nest one box per work item.
 //
 // Kernels are templates over an accessor type providing
 //   long n1()/n2()/n3();  T load(i,j,k);  void store(i,j,k,v);
@@ -10,21 +14,16 @@
 // All indices are 0-based; the interior is 1..n-2 in every dimension
 // (Fortran's 2..N-1).
 
-#include <algorithm>
-
-#include "rt/core/cost.hpp"
-
 namespace rt::kernels {
 
-using rt::core::IterTile;
-
-/// A(i,j,k) = c * sum of B's six face neighbours.
+/// A(i,j,k) = c * sum of B's six face neighbours over the half-open box
+/// [i0, i1) x [j0, j1) x [k0, k1), K outermost.
 template <class Dst, class Src>
-void jacobi3d(Dst& a, Src& b, double c) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  for (long k = 1; k < n3 - 1; ++k) {
-    for (long j = 1; j < n2 - 1; ++j) {
-      for (long i = 1; i < n1 - 1; ++i) {
+void jacobi3d(Dst& a, Src& b, double c, long i0, long i1, long j0, long j1,
+              long k0, long k1) {
+  for (long k = k0; k < k1; ++k) {
+    for (long j = j0; j < j1; ++j) {
+      for (long i = i0; i < i1; ++i) {
         a.store(i, j, k,
                 c * (b.load(i - 1, j, k) + b.load(i + 1, j, k) +
                      b.load(i, j - 1, k) + b.load(i, j + 1, k) +
@@ -34,42 +33,30 @@ void jacobi3d(Dst& a, Src& b, double c) {
   }
 }
 
-/// Tiled 3D Jacobi (paper Fig. 6): J and I strip-mined by (t.tj, t.ti) with
-/// the tile-controlling loops outermost; K stays untiled so the array tile
-/// (TI+2)x(TJ+2)x3 carries all group reuse.
+/// The whole interior (paper Fig. 3): the serial reference.
 template <class Dst, class Src>
-void jacobi3d_tiled(Dst& a, Src& b, double c, IterTile t) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  for (long jj = 1; jj < n2 - 1; jj += t.tj) {
-    const long jhi = std::min(jj + t.tj, n2 - 1);
-    for (long ii = 1; ii < n1 - 1; ii += t.ti) {
-      const long ihi = std::min(ii + t.ti, n1 - 1);
-      for (long k = 1; k < n3 - 1; ++k) {
-        for (long j = jj; j < jhi; ++j) {
-          for (long i = ii; i < ihi; ++i) {
-            a.store(i, j, k,
-                    c * (b.load(i - 1, j, k) + b.load(i + 1, j, k) +
-                         b.load(i, j - 1, k) + b.load(i, j + 1, k) +
-                         b.load(i, j, k - 1) + b.load(i, j, k + 1)));
-          }
-        }
+void jacobi3d(Dst& a, Src& b, double c) {
+  jacobi3d(a, b, c, 1, a.n1() - 1, 1, a.n2() - 1, 1, a.n3() - 1);
+}
+
+/// Interior copy-back dst = src over the box (the second nest of the
+/// realistic stencil pattern, Fig. 5 middle).
+template <class Dst, class Src>
+void copy_interior(Dst& dst, Src& src, long i0, long i1, long j0, long j1,
+                   long k0, long k1) {
+  for (long k = k0; k < k1; ++k) {
+    for (long j = j0; j < j1; ++j) {
+      for (long i = i0; i < i1; ++i) {
+        dst.store(i, j, k, src.load(i, j, k));
       }
     }
   }
 }
 
-/// Interior copy-back b = a (the second nest of the realistic stencil
-/// pattern, Fig. 5 middle).
+/// The whole interior.
 template <class Dst, class Src>
 void copy_interior(Dst& dst, Src& src) {
-  const long n1 = dst.n1(), n2 = dst.n2(), n3 = dst.n3();
-  for (long k = 1; k < n3 - 1; ++k) {
-    for (long j = 1; j < n2 - 1; ++j) {
-      for (long i = 1; i < n1 - 1; ++i) {
-        dst.store(i, j, k, src.load(i, j, k));
-      }
-    }
-  }
+  copy_interior(dst, src, 1, dst.n1() - 1, 1, dst.n2() - 1, 1, dst.n3() - 1);
 }
 
 }  // namespace rt::kernels

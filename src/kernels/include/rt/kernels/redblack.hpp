@@ -1,8 +1,10 @@
 #pragma once
-// Red-black SOR in 3D (paper Fig. 12): naive two-pass version, the fused
-// version that updates black points in plane K as soon as red points in
-// plane K+1 are done, and the tiled fused version with the skewed J/I
-// windows from the paper.
+// Red-black SOR in 3D (paper Fig. 12): one colour over a half-open box
+// (two of them over the interior are the naive two-pass version; the
+// block driver rt::simd::for_each_block runs it on tiles or recursive
+// leaves), the fused version that updates black points in plane K as soon
+// as red points in plane K+1 are done, and the tiled fused version with
+// the skewed J/I windows from the paper.
 //
 // Colors: "red" = (i+j+k) even, "black" = odd (0-based; label choice only
 // affects naming, not behaviour).  All three variants compute bitwise
@@ -33,19 +35,29 @@ inline void rb_update(Acc& a, long i, long j, long k, double c1, double c2) {
                     a.load(i, j, k - 1) + a.load(i, j, k + 1)));
 }
 
-/// Naive version: full sweep over red points, then full sweep over black.
+/// One colour (@p parity) over the half-open box [i0, i1) x [j0, j1) x
+/// [k0, k1), K outermost.  Same-colour points never neighbour each other,
+/// so the order of boxes within one colour cannot change a single update.
 template <class Acc>
-void redblack_naive(Acc& a, double c1, double c2) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  for (long parity = 0; parity < 2; ++parity) {
-    for (long k = 1; k < n3 - 1; ++k) {
-      for (long j = 1; j < n2 - 1; ++j) {
-        for (long i = detail::first_with_parity(1, j, k, parity); i < n1 - 1;
-             i += 2) {
-          rb_update(a, i, j, k, c1, c2);
-        }
+void redblack_colour(Acc& a, double c1, double c2, long parity, long i0,
+                     long i1, long j0, long j1, long k0, long k1) {
+  for (long k = k0; k < k1; ++k) {
+    for (long j = j0; j < j1; ++j) {
+      for (long i = detail::first_with_parity(i0, j, k, parity); i < i1;
+           i += 2) {
+        rb_update(a, i, j, k, c1, c2);
       }
     }
+  }
+}
+
+/// Naive version: full sweep over red points, then full sweep over black
+/// (the serial reference).
+template <class Acc>
+void redblack_naive(Acc& a, double c1, double c2) {
+  for (long parity = 0; parity < 2; ++parity) {
+    redblack_colour(a, c1, c2, parity, 1, a.n1() - 1, 1, a.n2() - 1, 1,
+                    a.n3() - 1);
   }
 }
 
@@ -100,7 +112,7 @@ void redblack_tiled(Acc& a, double c1, double c2, IterTile t) {
 }
 
 // --- Variants with a per-point constant term (SOR with a right-hand
-// side: u <- c1 u + c2 sum(neighbours) + rhs).  Same schedules as above;
+// side: u <- c1 u + c2 sum(neighbours) + rhs).  Same nests as above;
 // rhs == 0 reduces exactly to the plain kernels. ---
 
 template <class Acc, class Rhs>
@@ -115,17 +127,24 @@ inline void rb_update_rhs(Acc& a, Rhs& r, long i, long j, long k, double c1,
 }
 
 template <class Acc, class Rhs>
-void redblack_naive_rhs(Acc& a, Rhs& r, double c1, double c2) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  for (long parity = 0; parity < 2; ++parity) {
-    for (long k = 1; k < n3 - 1; ++k) {
-      for (long j = 1; j < n2 - 1; ++j) {
-        for (long i = detail::first_with_parity(1, j, k, parity); i < n1 - 1;
-             i += 2) {
-          rb_update_rhs(a, r, i, j, k, c1, c2);
-        }
+void redblack_colour_rhs(Acc& a, Rhs& r, double c1, double c2, long parity,
+                         long i0, long i1, long j0, long j1, long k0,
+                         long k1) {
+  for (long k = k0; k < k1; ++k) {
+    for (long j = j0; j < j1; ++j) {
+      for (long i = detail::first_with_parity(i0, j, k, parity); i < i1;
+           i += 2) {
+        rb_update_rhs(a, r, i, j, k, c1, c2);
       }
     }
+  }
+}
+
+template <class Acc, class Rhs>
+void redblack_naive_rhs(Acc& a, Rhs& r, double c1, double c2) {
+  for (long parity = 0; parity < 2; ++parity) {
+    redblack_colour_rhs(a, r, c1, c2, parity, 1, a.n1() - 1, 1, a.n2() - 1,
+                        1, a.n3() - 1);
   }
 }
 

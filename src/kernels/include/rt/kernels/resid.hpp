@@ -2,16 +2,12 @@
 // RESID (paper Fig. 13): the residual computation from the SPEC/NAS MGRID
 // multigrid benchmark — a full 27-point stencil, r = v - A u, with
 // coefficients grouped by neighbour class (centre / face / edge / corner).
-// Original and tiled (T2 x T1 on the inner two loops) forms.
+// One nest over a half-open box; the tiled form of Fig. 13 (right) is that
+// nest run on the JI tiles of rt::simd::for_each_block.
 
-#include <algorithm>
 #include <array>
 
-#include "rt/core/cost.hpp"
-
 namespace rt::kernels {
-
-using rt::core::IterTile;
 
 /// Stencil coefficients: a[0] centre, a[1] faces, a[2] edges, a[3] corners.
 using ResidCoeffs = std::array<double, 4>;
@@ -45,37 +41,25 @@ inline void resid_point(R& r, V& v, U& u, const ResidCoeffs& a, long i1,
               a[2] * s2 - a[3] * s3);
 }
 
-/// r = v - A u over the interior (paper Fig. 13, left).
+/// r = v - A u over the half-open box [i1lo, i1hi) x [i2lo, i2hi) x
+/// [i3lo, i3hi), I3 outermost.
 template <class R, class V, class U>
-void resid(R& r, V& v, U& u, const ResidCoeffs& a) {
-  const long n1 = r.n1(), n2 = r.n2(), n3 = r.n3();
-  for (long i3 = 1; i3 < n3 - 1; ++i3) {
-    for (long i2 = 1; i2 < n2 - 1; ++i2) {
-      for (long i1 = 1; i1 < n1 - 1; ++i1) {
+void resid(R& r, V& v, U& u, const ResidCoeffs& a, long i1lo, long i1hi,
+           long i2lo, long i2hi, long i3lo, long i3hi) {
+  for (long i3 = i3lo; i3 < i3hi; ++i3) {
+    for (long i2 = i2lo; i2 < i2hi; ++i2) {
+      for (long i1 = i1lo; i1 < i1hi; ++i1) {
         resid_point(r, v, u, a, i1, i2, i3);
       }
     }
   }
 }
 
-/// Tiled RESID (paper Fig. 13, right): I2/I1 strip-mined by (t.tj, t.ti),
-/// tile loops outermost, I3 untiled.
+/// r = v - A u over the whole interior (paper Fig. 13, left): the serial
+/// reference.
 template <class R, class V, class U>
-void resid_tiled(R& r, V& v, U& u, const ResidCoeffs& a, IterTile t) {
-  const long n1 = r.n1(), n2 = r.n2(), n3 = r.n3();
-  for (long ii2 = 1; ii2 < n2 - 1; ii2 += t.tj) {
-    const long i2hi = std::min(ii2 + t.tj, n2 - 1);
-    for (long ii1 = 1; ii1 < n1 - 1; ii1 += t.ti) {
-      const long i1hi = std::min(ii1 + t.ti, n1 - 1);
-      for (long i3 = 1; i3 < n3 - 1; ++i3) {
-        for (long i2 = ii2; i2 < i2hi; ++i2) {
-          for (long i1 = ii1; i1 < i1hi; ++i1) {
-            resid_point(r, v, u, a, i1, i2, i3);
-          }
-        }
-      }
-    }
-  }
+void resid(R& r, V& v, U& u, const ResidCoeffs& a) {
+  resid(r, v, u, a, 1, r.n1() - 1, 1, r.n2() - 1, 1, r.n3() - 1);
 }
 
 }  // namespace rt::kernels

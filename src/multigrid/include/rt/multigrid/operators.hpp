@@ -10,11 +10,9 @@
 // here are the remaining operators: psinv (smoother), rprj3 (restriction),
 // interp (prolongation), comm3, zero3 and norms.
 
+#include <algorithm>
 #include <array>
 #include <cmath>
-
-#include "rt/core/cost.hpp"
-#include "rt/kernels/oblivious.hpp"
 
 namespace rt::multigrid {
 
@@ -26,13 +24,15 @@ inline SmootherCoeffs nas_mg_c() {
   return SmootherCoeffs{-3.0 / 8.0, 1.0 / 32.0, -1.0 / 64.0, 0.0};
 }
 
-/// u += S r : 27-point smoother application (NAS MG psinv).
+/// u += S r : 27-point smoother application (NAS MG psinv) over the
+/// half-open box [i1lo, i1hi) x [i2lo, i2hi) x [i3lo, i3hi), I3 outermost.
+/// A pure gather from r, so the order of boxes cannot change an update.
 template <class U, class R>
-void psinv(U& u, R& r, const SmootherCoeffs& c) {
-  const long n1 = u.n1(), n2 = u.n2(), n3 = u.n3();
-  for (long i3 = 1; i3 < n3 - 1; ++i3) {
-    for (long i2 = 1; i2 < n2 - 1; ++i2) {
-      for (long i1 = 1; i1 < n1 - 1; ++i1) {
+void psinv(U& u, R& r, const SmootherCoeffs& c, long i1lo, long i1hi,
+           long i2lo, long i2hi, long i3lo, long i3hi) {
+  for (long i3 = i3lo; i3 < i3hi; ++i3) {
+    for (long i2 = i2lo; i2 < i2hi; ++i2) {
+      for (long i1 = i1lo; i1 < i1hi; ++i1) {
         const double s1 = r.load(i1 - 1, i2, i3) + r.load(i1 + 1, i2, i3) +
                           r.load(i1, i2 - 1, i3) + r.load(i1, i2 + 1, i3) +
                           r.load(i1, i2, i3 - 1) + r.load(i1, i2, i3 + 1);
@@ -56,84 +56,10 @@ void psinv(U& u, R& r, const SmootherCoeffs& c) {
   }
 }
 
-/// Tiled psinv: same I2/I1 strip-mining as tiled RESID.
+/// psinv over the whole interior: the serial reference.
 template <class U, class R>
-void psinv_tiled(U& u, R& r, const SmootherCoeffs& c, rt::core::IterTile t) {
-  const long n1 = u.n1(), n2 = u.n2(), n3 = u.n3();
-  for (long ii2 = 1; ii2 < n2 - 1; ii2 += t.tj) {
-    const long i2hi = std::min(ii2 + t.tj, n2 - 1);
-    for (long ii1 = 1; ii1 < n1 - 1; ii1 += t.ti) {
-      const long i1hi = std::min(ii1 + t.ti, n1 - 1);
-      for (long i3 = 1; i3 < n3 - 1; ++i3) {
-        for (long i2 = ii2; i2 < i2hi; ++i2) {
-          for (long i1 = ii1; i1 < i1hi; ++i1) {
-            const double s1 = r.load(i1 - 1, i2, i3) + r.load(i1 + 1, i2, i3) +
-                              r.load(i1, i2 - 1, i3) + r.load(i1, i2 + 1, i3) +
-                              r.load(i1, i2, i3 - 1) + r.load(i1, i2, i3 + 1);
-            const double s2 =
-                r.load(i1 - 1, i2 - 1, i3) + r.load(i1 + 1, i2 - 1, i3) +
-                r.load(i1 - 1, i2 + 1, i3) + r.load(i1 + 1, i2 + 1, i3) +
-                r.load(i1, i2 - 1, i3 - 1) + r.load(i1, i2 + 1, i3 - 1) +
-                r.load(i1, i2 - 1, i3 + 1) + r.load(i1, i2 + 1, i3 + 1) +
-                r.load(i1 - 1, i2, i3 - 1) + r.load(i1 - 1, i2, i3 + 1) +
-                r.load(i1 + 1, i2, i3 - 1) + r.load(i1 + 1, i2, i3 + 1);
-            const double s3 = r.load(i1 - 1, i2 - 1, i3 - 1) +
-                              r.load(i1 + 1, i2 - 1, i3 - 1) +
-                              r.load(i1 - 1, i2 + 1, i3 - 1) +
-                              r.load(i1 + 1, i2 + 1, i3 - 1) +
-                              r.load(i1 - 1, i2 - 1, i3 + 1) +
-                              r.load(i1 + 1, i2 - 1, i3 + 1) +
-                              r.load(i1 - 1, i2 + 1, i3 + 1) +
-                              r.load(i1 + 1, i2 + 1, i3 + 1);
-            u.store(i1, i2, i3,
-                    u.load(i1, i2, i3) + c[0] * r.load(i1, i2, i3) +
-                        c[1] * s1 + c[2] * s2 + c[3] * s3);
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Cache-oblivious psinv: recursive (I2, I1) decomposition down to
-/// @p base (rt::kernels::co_over), I3 untiled inside each block.  Pure
-/// gather from r, so block order cannot change a single update.
-template <class U, class R>
-void psinv_oblivious(U& u, R& r, const SmootherCoeffs& c,
-                     rt::core::IterTile base) {
-  const long n1 = u.n1(), n2 = u.n2(), n3 = u.n3();
-  rt::kernels::co_over(
-      1, n1 - 1, 1, n2 - 1, base.ti, base.tj,
-      [&](long i1lo, long i1hi, long i2lo, long i2hi) {
-        for (long i3 = 1; i3 < n3 - 1; ++i3) {
-          for (long i2 = i2lo; i2 < i2hi; ++i2) {
-            for (long i1 = i1lo; i1 < i1hi; ++i1) {
-              const double s1 =
-                  r.load(i1 - 1, i2, i3) + r.load(i1 + 1, i2, i3) +
-                  r.load(i1, i2 - 1, i3) + r.load(i1, i2 + 1, i3) +
-                  r.load(i1, i2, i3 - 1) + r.load(i1, i2, i3 + 1);
-              const double s2 =
-                  r.load(i1 - 1, i2 - 1, i3) + r.load(i1 + 1, i2 - 1, i3) +
-                  r.load(i1 - 1, i2 + 1, i3) + r.load(i1 + 1, i2 + 1, i3) +
-                  r.load(i1, i2 - 1, i3 - 1) + r.load(i1, i2 + 1, i3 - 1) +
-                  r.load(i1, i2 - 1, i3 + 1) + r.load(i1, i2 + 1, i3 + 1) +
-                  r.load(i1 - 1, i2, i3 - 1) + r.load(i1 - 1, i2, i3 + 1) +
-                  r.load(i1 + 1, i2, i3 - 1) + r.load(i1 + 1, i2, i3 + 1);
-              const double s3 = r.load(i1 - 1, i2 - 1, i3 - 1) +
-                                r.load(i1 + 1, i2 - 1, i3 - 1) +
-                                r.load(i1 - 1, i2 + 1, i3 - 1) +
-                                r.load(i1 + 1, i2 + 1, i3 - 1) +
-                                r.load(i1 - 1, i2 - 1, i3 + 1) +
-                                r.load(i1 + 1, i2 - 1, i3 + 1) +
-                                r.load(i1 - 1, i2 + 1, i3 + 1) +
-                                r.load(i1 + 1, i2 + 1, i3 + 1);
-              u.store(i1, i2, i3,
-                      u.load(i1, i2, i3) + c[0] * r.load(i1, i2, i3) +
-                          c[1] * s1 + c[2] * s2 + c[3] * s3);
-            }
-          }
-        }
-      });
+void psinv(U& u, R& r, const SmootherCoeffs& c) {
+  psinv(u, r, c, 1, u.n1() - 1, 1, u.n2() - 1, 1, u.n3() - 1);
 }
 
 /// Full-weighting restriction: fine residual r -> coarse residual s.

@@ -51,8 +51,9 @@ MgSolver::MgSolver(const MgOptions& opts, rt::cachesim::CacheHierarchy* hier)
     throw std::invalid_argument("MgSolver: need 1 <= lb < lt, lt >= 2");
   }
   // Host fast path only: trace-driven runs keep the serial accessor
-  // operators (TracedArray3D is not thread-safe, and the row kernels
-  // bypass the accessors entirely).
+  // operators, inline on the block driver for RESID/PSINV (TracedArray3D
+  // is not thread-safe, and the row kernels bypass the accessors
+  // entirely).
   if (hier_ == nullptr) {
     if (opts.threads != 1) {
       pool_ = std::make_unique<rt::par::ThreadPool>(opts.threads);
@@ -155,22 +156,22 @@ void MgSolver::zero3_grid(Grid& g) {
 
 void MgSolver::resid_level(int l, Grid& r, Grid& v, Grid& u, bool allow_tile) {
   const bool tile = allow_tile && l == opts_.lt && opts_.resid_plan.tiled;
+  const rt::core::TilingPlan plan =
+      tile ? opts_.resid_plan : rt::core::TilingPlan{};
   const auto a = rt::kernels::nas_mg_a();
-  const rt::core::IterTile t = opts_.resid_plan.tile;
   {
     rt::obs::ScopedTimer timer(phases_.resid);
     if (fast_path()) {
-      rt::simd::resid(exec(), tile ? opts_.resid_plan : rt::core::TilingPlan{},
-                      r, v, u, a);
+      rt::simd::resid(exec(), plan, r, v, u, a);
     } else {
       run_op(
           hier_,
           [&](auto&& ra, auto&& va, auto&& ua) {
-            if (tile) {
-              rt::kernels::resid_tiled(ra, va, ua, a, t);
-            } else {
-              rt::kernels::resid(ra, va, ua, a);
-            }
+            rt::simd::for_each_block({}, plan, r.n1(), r.n2(), r.n3(),
+                                     [&](auto... box) {
+                                       rt::kernels::resid(ra, va, ua, a,
+                                                          box...);
+                                     });
           },
           GB{&r, base_of(r)}, GB{&v, base_of(v)}, GB{&u, base_of(u)});
     }
@@ -181,22 +182,20 @@ void MgSolver::resid_level(int l, Grid& r, Grid& v, Grid& u, bool allow_tile) {
 
 void MgSolver::psinv_level(int l, Grid& u, Grid& r) {
   const bool tile = opts_.tile_psinv && l == opts_.lt && opts_.resid_plan.tiled;
+  const rt::core::TilingPlan plan =
+      tile ? opts_.resid_plan : rt::core::TilingPlan{};
   const auto c = nas_mg_c();
-  const rt::core::IterTile t = opts_.resid_plan.tile;
   {
     rt::obs::ScopedTimer timer(phases_.psinv);
     if (fast_path()) {
-      rt::simd::psinv(exec(), tile ? opts_.resid_plan : rt::core::TilingPlan{},
-                      u, r, c);
+      rt::simd::psinv(exec(), plan, u, r, c);
     } else {
       run_op(
           hier_,
           [&](auto&& ua, auto&& ra) {
-            if (tile) {
-              psinv_tiled(ua, ra, c, t);
-            } else {
-              psinv(ua, ra, c);
-            }
+            rt::simd::for_each_block(
+                {}, plan, u.n1(), u.n2(), u.n3(),
+                [&](auto... box) { psinv(ua, ra, c, box...); });
           },
           GB{&u, base_of(u)}, GB{&r, base_of(r)});
     }

@@ -115,12 +115,20 @@ void SorSolver::setup(std::uint64_t seed, int charges) {
 void SorSolver::sweep() {
   const double c1 = 1.0 - opts_.omega;
   const double c2 = opts_.omega / 6.0;
-  // The accessor path: the serial reference, natively or traced.
+  // The accessor path: the serial reference, natively or traced.  Tiled
+  // plans run the paper's fused Fig. 12 nest; untiled ones one colour at a
+  // time on the block driver, inline.
   const auto accessor_sweep = [&](auto&& u, auto&& r) {
     if (opts_.plan.tiled) {
       rt::kernels::redblack_tiled_rhs(u, r, c1, c2, opts_.plan.tile);
-    } else {
-      rt::kernels::redblack_naive_rhs(u, r, c1, c2);
+      return;
+    }
+    for (long parity = 0; parity < 2; ++parity) {
+      rt::simd::for_each_block({}, opts_.plan, u_.n1(), u_.n2(), u_.n3(),
+                               [&](auto... box) {
+                                 rt::kernels::redblack_colour_rhs(
+                                     u, r, c1, c2, parity, box...);
+                               });
     }
   };
   {

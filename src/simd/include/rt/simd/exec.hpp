@@ -1,9 +1,9 @@
 #pragma once
-// The one executor behind every host fast path (bench runner, MgSolver,
-// SorSolver, rt::serve, the host benches): a block driver that turns a
-// plan's loop schedule into the work items of one sweep, and one call per
-// operator that runs the operator's row sweep (rt/simd/row_kernels.hpp) on
-// each item.
+// The one executor behind every sweep, host and simulated (bench runner,
+// MgSolver, SorSolver, rt::serve, the host benches): a block driver that
+// turns a plan's loop schedule into the work items of one sweep, and one
+// call per operator that runs the operator's row sweep
+// (rt/simd/row_kernels.hpp) on each item.
 //
 // Work items follow the paper's decomposition — JI tiles with K untiled —
 // so every item writes a disjoint (i, j) column range (or, untiled, a
@@ -14,21 +14,24 @@
 // colour, and the driver's end-of-sweep barrier is the colour barrier.
 //
 // The recursive schedule is a driver too (cf. PCOT and the inncabs
-// recursive Jacobi): its work items are the leaves of rt::kernels::co_over,
-// and each leaf runs the same row sweep as a flat tile.
+// recursive Jacobi): its work items are the leaves of co_over, and each
+// leaf runs the same row sweep as a flat tile.
+//
+// Traced (simulated) and --simd=off runs use the same driver with a null
+// pool and an accessor nest as the body (rt/kernels/*.hpp: each stencil's
+// one nest over a box).  A null pool runs the items inline, in index
+// order, so the traced address stream — and every simulated count — is
+// deterministic.
 //
 // Reductions go through one primitive, reduce_planes: one partial per K
 // plane (on the pool or inline), combined serially in plane order, so a
 // reduced value never depends on the pool width.  The grid checksum is
 // built on it.
-//
-// Thread-safety: the row sweeps address raw Array3D memory; traced
-// (simulated) runs keep the serial accessor kernels, which also keeps
-// simulated miss counts deterministic.
 
 #include <cstdint>
 #include <functional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "rt/array/array3d.hpp"
@@ -53,10 +56,40 @@ struct Exec {
 /// the interior.
 using BlockFn = std::function<void(long, long, long, long, long, long)>;
 
+/// Recursive (cache-oblivious) decomposition of the half-open region
+/// [ilo, ihi) x [jlo, jhi): bisect whichever dimension overshoots its base
+/// extent by the larger factor, stop when both fit, and hand the block to
+/// @p body as body(ilo, ihi, jlo, jhi).  No cache parameter is consulted:
+/// every level of the recursion fits *some* cache level.  Depth is
+/// O(log(N / base)).
+template <class Body>
+void co_over(long ilo, long ihi, long jlo, long jhi, long base_ti,
+             long base_tj, Body&& body) {
+  const long ni = ihi - ilo;
+  const long nj = jhi - jlo;
+  if (ni <= 0 || nj <= 0) return;
+  if (base_ti < 1) base_ti = 1;
+  if (base_tj < 1) base_tj = 1;
+  if (ni <= base_ti && nj <= base_tj) {
+    body(ilo, ihi, jlo, jhi);
+    return;
+  }
+  // ni/base_ti >= nj/base_tj, cross-multiplied to stay in integers.
+  if (ni * base_tj >= nj * base_ti) {
+    const long mid = ilo + ni / 2;
+    co_over(ilo, mid, jlo, jhi, base_ti, base_tj, body);
+    co_over(mid, ihi, jlo, jhi, base_ti, base_tj, std::forward<Body>(body));
+  } else {
+    const long mid = jlo + nj / 2;
+    co_over(ilo, ihi, jlo, mid, base_ti, base_tj, body);
+    co_over(ilo, ihi, mid, jhi, base_ti, base_tj, std::forward<Body>(body));
+  }
+}
+
 /// Run @p body over the work items of one sweep of the interior of an
 /// n1 x n2 x n3 grid:
-///   * LoopSchedule::kRecursive plans: the leaves of rt::kernels::co_over
-///     down to plan.tile, each with full K;
+///   * LoopSchedule::kRecursive plans: the leaves of co_over down to
+///     plan.tile, each with full K;
 ///   * other tiled plans: the JI tile grid, jj-outer / ii-inner, full K
 ///     (a tile with a non-positive extent runs as untiled);
 ///   * untiled plans: one K plane per item.

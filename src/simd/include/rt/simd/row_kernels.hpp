@@ -14,9 +14,7 @@
 //
 // Two ISA instantiations of every sweep are compiled (baseline, and a
 // target("avx2") clone on x86); SimdLevel picks one at run time, so no
-// global -mavx2 build flag is needed.  Building with -DRT_SIMD_AVX2=ON
-// additionally swaps the Jacobi/copy AVX2 sweeps for hand-written
-// intrinsics (same left-associated add chain, still bit-identical).
+// global -mavx2 build flag is needed.
 //
 // Aliasing contract: destination and source arrays must be distinct
 // allocations (the accessor kernels are only ever used that way too);

@@ -20,7 +20,7 @@
 //   --simd=avx2  -> kAvx2, falling back to kRows off-x86 / pre-AVX2
 // kRows is portable C++ (restrict rows + `#pragma omp simd` hint, baseline
 // ISA); kAvx2 compiles the same loops in a target("avx2") clone picked at
-// run time, plus hand-written intrinsics when built with -DRT_SIMD_AVX2=ON.
+// run time.
 
 #include <string>
 

@@ -4,8 +4,6 @@
 #include <bit>
 #include <vector>
 
-#include "rt/kernels/oblivious.hpp"
-
 namespace rt::simd {
 
 namespace detail {
@@ -70,10 +68,10 @@ void for_each_block(const Exec& ex, const TilingPlan& plan, long n1, long n2,
       long ilo, ihi, jlo, jhi;
     };
     std::vector<Leaf> leaves;
-    rt::kernels::co_over(1, n1 - 1, 1, n2 - 1, t.ti, t.tj,
-                         [&](long ilo, long ihi, long jlo, long jhi) {
-                           leaves.push_back({ilo, ihi, jlo, jhi});
-                         });
+    co_over(1, n1 - 1, 1, n2 - 1, t.ti, t.tj,
+            [&](long ilo, long ihi, long jlo, long jhi) {
+              leaves.push_back({ilo, ihi, jlo, jhi});
+            });
     run_items(ex, static_cast<long>(leaves.size()), [&](long idx) {
       const Leaf& l = leaves[static_cast<std::size_t>(idx)];
       body(l.ilo, l.ihi, l.jlo, l.jhi, 1, n3 - 1);

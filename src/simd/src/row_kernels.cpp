@@ -8,10 +8,6 @@
 #define RT_SIMD_X86 0
 #endif
 
-#if RT_SIMD_X86 && defined(RT_SIMD_AVX2)
-#include <immintrin.h>
-#endif
-
 namespace rt::simd {
 namespace {
 
@@ -35,40 +31,6 @@ namespace {
 #include "row_sweeps.inl"
 #undef RT_SIMD_FN
 #undef RT_SIMD_ATTR
-
-#ifdef RT_SIMD_AVX2
-// Hand-written intrinsics for the Jacobi row (the optional RT_SIMD_AVX2
-// path): explicit left-associated add chain, exactly the accessor order
-// c * (b[i-1] + b[i+1] + bjm + bjp + bkm + bkp), mul and add kept separate
-// (no FMA) so each lane reproduces the scalar bit pattern.
-__attribute__((target("avx2"))) void jacobi_sweep_intrin(
-    double* RT_SIMD_RESTRICT a, const double* RT_SIMD_RESTRICT b, long s1,
-    long s2, double c, long ilo, long ihi, long jlo, long jhi, long klo,
-    long khi) {
-  const __m256d vc = _mm256_set1_pd(c);
-  for (long k = klo; k < khi; ++k) {
-    for (long j = jlo; j < jhi; ++j) {
-      const long off = s1 * j + s2 * k;
-      double* RT_SIMD_RESTRICT ar = a + off;
-      const double* RT_SIMD_RESTRICT bc = b + off;
-      long i = ilo;
-      for (; i + 4 <= ihi; i += 4) {
-        __m256d s = _mm256_add_pd(_mm256_loadu_pd(bc + i - 1),
-                                  _mm256_loadu_pd(bc + i + 1));
-        s = _mm256_add_pd(s, _mm256_loadu_pd(bc + i - s1));
-        s = _mm256_add_pd(s, _mm256_loadu_pd(bc + i + s1));
-        s = _mm256_add_pd(s, _mm256_loadu_pd(bc + i - s2));
-        s = _mm256_add_pd(s, _mm256_loadu_pd(bc + i + s2));
-        _mm256_storeu_pd(ar + i, _mm256_mul_pd(vc, s));
-      }
-      for (; i < ihi; ++i) {
-        ar[i] = c * (bc[i - 1] + bc[i + 1] + bc[i - s1] + bc[i + s1] +
-                     bc[i - s2] + bc[i + s2]);
-      }
-    }
-  }
-}
-#endif  // RT_SIMD_AVX2
 #endif  // RT_SIMD_X86
 
 /// True when the AVX2 stamp should run: requested *and* executable here.
@@ -90,13 +52,8 @@ void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,
   const long s1 = a.dims().column_stride(), s2 = a.dims().plane_stride();
 #if RT_SIMD_X86
   if (run_avx2(lvl)) {
-#ifdef RT_SIMD_AVX2
-    jacobi_sweep_intrin(a.data(), b.data(), s1, s2, c, ilo, ihi, jlo, jhi,
-                        klo, khi);
-#else
     jacobi_sweep_avx2(a.data(), b.data(), s1, s2, c, ilo, ihi, jlo, jhi, klo,
                       khi);
-#endif
     return;
   }
 #endif

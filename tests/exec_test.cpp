@@ -2,8 +2,8 @@
 // every host fast path runs through.  Every operator, under every loop
 // schedule (untiled K planes, the flat JI tile grid, the recursive co_over
 // leaves), inline and on 2- and 4-thread pools, at every SimdLevel, must be
-// bitwise equal to the serial accessor kernel of the same schedule — run
-// on unpadded grids, while the executor runs on the shape's padded ones.
+// bitwise equal to the untiled serial accessor oracle — run on unpadded
+// grids, while the executor runs on the shape's padded ones.
 // Shapes cover n = 3, cubic, padded (odd and vector-aligned leading
 // dimensions) and ragged non-cubic grids, with tiles that do not divide,
 // or exceed, the interior; each operator runs several steps so any
@@ -30,7 +30,6 @@
 
 #include "rt/array/array3d.hpp"
 #include "rt/kernels/jacobi3d.hpp"
-#include "rt/kernels/oblivious.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
@@ -180,58 +179,39 @@ TilingPlan plan_of(Sched s, IterTile t) {
 
 constexpr int kSteps = 3;
 
-/// The serial accessor kernels of @p op under @p s, kSteps times.
+/// The serial reference of @p op, kSteps times: the untiled accessor
+/// oracle (every schedule computes the same bits), except that red-black
+/// under a flat tiled schedule runs the paper's fused tiled nest — bitwise
+/// equal to the naive sweep, so the executor's colour passes are checked
+/// against both.
 void run_reference(Op op, Sched s, IterTile t, Grids& x) {
-  const auto a = rt::kernels::nas_mg_a();
+  const bool fused = s == Sched::kFlat;
   for (int step = 0; step < kSteps; ++step) {
     switch (op) {
       case Op::kJacobi:
-        if (s == Sched::kRecursive) {
-          rt::kernels::jacobi3d_oblivious(x[0], x[1], 1.0 / 6.0, t);
-          rt::kernels::copy_interior_oblivious(x[1], x[0], t);
-          break;
-        }
-        if (s == Sched::kFlat) {
-          rt::kernels::jacobi3d_tiled(x[0], x[1], 1.0 / 6.0, t);
-        } else {
-          rt::kernels::jacobi3d(x[0], x[1], 1.0 / 6.0);
-        }
+        rt::kernels::jacobi3d(x[0], x[1], 1.0 / 6.0);
         rt::kernels::copy_interior(x[1], x[0]);
         break;
       case Op::kRedBlack:
-        if (s == Sched::kRecursive) {
-          rt::kernels::redblack_oblivious(x[0], 0.4, 0.1, t);
-        } else if (s == Sched::kFlat) {
-          rt::kernels::redblack_tiled(x[0], 0.4, 0.1, t);  // fused
+        if (fused) {
+          rt::kernels::redblack_tiled(x[0], 0.4, 0.1, t);
         } else {
           rt::kernels::redblack_naive(x[0], 0.4, 0.1);
         }
         break;
       case Op::kRedBlackRhs:
-        if (s == Sched::kFlat) {
-          rt::kernels::redblack_tiled_rhs(x[0], x[1], 0.4, 0.1, t);  // fused
+        if (fused) {
+          rt::kernels::redblack_tiled_rhs(x[0], x[1], 0.4, 0.1, t);
         } else {
           rt::kernels::redblack_naive_rhs(x[0], x[1], 0.4, 0.1);
         }
         break;
       case Op::kResid:
-        if (s == Sched::kRecursive) {
-          rt::kernels::resid_oblivious(x[0], x[1], x[2], a, t);
-        } else if (s == Sched::kFlat) {
-          rt::kernels::resid_tiled(x[0], x[1], x[2], a, t);
-        } else {
-          rt::kernels::resid(x[0], x[1], x[2], a);
-        }
+        rt::kernels::resid(x[0], x[1], x[2], rt::kernels::nas_mg_a());
         break;
       case Op::kPsinvNas:
       case Op::kPsinvDense:
-        if (s == Sched::kRecursive) {
-          rt::multigrid::psinv_oblivious(x[0], x[1], psinv_coeffs(op), t);
-        } else if (s == Sched::kFlat) {
-          rt::multigrid::psinv_tiled(x[0], x[1], psinv_coeffs(op), t);
-        } else {
-          rt::multigrid::psinv(x[0], x[1], psinv_coeffs(op));
-        }
+        rt::multigrid::psinv(x[0], x[1], psinv_coeffs(op));
         break;
     }
   }
@@ -436,10 +416,10 @@ TEST(ExecDriver, RecursivePlanRunsTheCoOverLeaves) {
   const long n1 = 40, n2 = 23, n3 = 6;
   const IterTile base{6, 4};
   std::vector<Box> leaves;
-  rt::kernels::co_over(1, n1 - 1, 1, n2 - 1, base.ti, base.tj,
-                       [&](long i0, long i1, long j0, long j1) {
-                         leaves.push_back({i0, i1, j0, j1, 1, n3 - 1});
-                       });
+  co_over(1, n1 - 1, 1, n2 - 1, base.ti, base.tj,
+          [&](long i0, long i1, long j0, long j1) {
+            leaves.push_back({i0, i1, j0, j1, 1, n3 - 1});
+          });
   const TilingPlan rec = plan_of(Sched::kRecursive, base);
   EXPECT_EQ(blocks_of(Exec{}, rec, n1, n2, n3), leaves);
   ThreadPool pool(4);

@@ -1,5 +1,6 @@
-// Kernel correctness: tiled variants must compute bitwise-identical results
-// to the original loop nests for many problem/tile shapes, the fused
+// Kernel correctness: each accessor nest run on the block driver's flat
+// tiles and recursive leaves must compute bitwise-identical results to the
+// whole-interior nest for many problem/tile shapes, the fused
 // red-black ordering must match the naive two-pass ordering, access
 // counts must match the registry, and the shell-only grid init must write
 // init_grid's bits on the shell and nothing anywhere else.
@@ -21,6 +22,7 @@
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/par/thread_pool.hpp"
+#include "rt/simd/exec.hpp"
 
 namespace rt::kernels {
 namespace {
@@ -28,6 +30,7 @@ namespace {
 using rt::array::Array3D;
 using rt::array::Dims3;
 using rt::core::IterTile;
+using rt::core::LoopSchedule;
 
 Array3D<double> make_grid(long n1, long n2, long n3, double seed,
                           long p1 = 0, long p2 = 0) {
@@ -59,26 +62,50 @@ struct Shape {
   long n, k, ti, tj;
 };
 
+/// Run @p nest on the work items of a plan with tile @p t and schedule
+/// @p s over an n x n x kd grid, inline in index order.
+template <class Nest>
+void on_blocks(IterTile t, LoopSchedule s, long n, long kd, Nest&& nest) {
+  rt::core::TilingPlan plan;
+  plan.tiled = true;
+  plan.tile = t;
+  plan.schedule = s;
+  rt::simd::for_each_block({}, plan, n, n, kd, nest);
+}
+
+// The block schedules a tile runs under: the flat JI tile grid (paper
+// Fig. 6) and the recursive leaves down to the same base tile.
+constexpr LoopSchedule kSchedules[] = {LoopSchedule::kTiled,
+                                       LoopSchedule::kRecursive};
+
 class TiledEquivalence : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(TiledEquivalence, Jacobi3dTiledMatchesOrig) {
   const auto [n, kd, ti, tj] = GetParam();
   Array3D<double> b = make_grid(n, n, kd, 0.5);
-  Array3D<double> a1(n, n, kd), a2(n, n, kd);
+  Array3D<double> a1(n, n, kd);
   jacobi3d(a1, b, 1.0 / 6.0);
-  jacobi3d_tiled(a2, b, 1.0 / 6.0, IterTile{ti, tj});
-  EXPECT_TRUE(interiors_equal(a1, a2));
+  for (const LoopSchedule s : kSchedules) {
+    Array3D<double> a2(n, n, kd);
+    on_blocks(IterTile{ti, tj}, s, n, kd,
+              [&](auto... box) { jacobi3d(a2, b, 1.0 / 6.0, box...); });
+    EXPECT_TRUE(interiors_equal(a1, a2)) << static_cast<int>(s);
+  }
 }
 
 TEST_P(TiledEquivalence, ResidTiledMatchesOrig) {
   const auto [n, kd, ti, tj] = GetParam();
   Array3D<double> u = make_grid(n, n, kd, 0.1);
   Array3D<double> v = make_grid(n, n, kd, 0.7);
-  Array3D<double> r1(n, n, kd), r2(n, n, kd);
+  Array3D<double> r1(n, n, kd);
   const ResidCoeffs a = nas_mg_a();
   resid(r1, v, u, a);
-  resid_tiled(r2, v, u, a, IterTile{ti, tj});
-  EXPECT_TRUE(interiors_equal(r1, r2));
+  for (const LoopSchedule s : kSchedules) {
+    Array3D<double> r2(n, n, kd);
+    on_blocks(IterTile{ti, tj}, s, n, kd,
+              [&](auto... box) { resid(r2, v, u, a, box...); });
+    EXPECT_TRUE(interiors_equal(r1, r2)) << static_cast<int>(s);
+  }
 }
 
 TEST_P(TiledEquivalence, RedBlackFusedMatchesNaive) {
@@ -99,6 +126,16 @@ TEST_P(TiledEquivalence, RedBlackTiledMatchesNaive) {
   redblack_naive(a1, 0.4, 0.1);
   redblack_tiled(a2, 0.4, 0.1, IterTile{ti, tj});
   EXPECT_TRUE(interiors_equal(a1, a2));
+  // One colour per driver call on the tiles / recursive leaves.
+  for (const LoopSchedule s : kSchedules) {
+    Array3D<double> a3 = make_grid(n, n, kd, 0.3);
+    for (long parity = 0; parity < 2; ++parity) {
+      on_blocks(IterTile{ti, tj}, s, n, kd, [&](auto... box) {
+        redblack_colour(a3, 0.4, 0.1, parity, box...);
+      });
+    }
+    EXPECT_TRUE(interiors_equal(a1, a3)) << static_cast<int>(s);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -129,7 +166,8 @@ TEST(TiledEquivalence, PaddedArraysComputeSameValues) {
   Array3D<double> a1(12, 12, 8);
   Array3D<double> a2(Dims3::padded(12, 12, 8, 17, 19));
   jacobi3d(a1, b1, 1.0 / 6.0);
-  jacobi3d_tiled(a2, b2, 1.0 / 6.0, IterTile{5, 4});
+  on_blocks(IterTile{5, 4}, LoopSchedule::kTiled, 12, 8,
+            [&](auto... box) { jacobi3d(a2, b2, 1.0 / 6.0, box...); });
   EXPECT_TRUE(interiors_equal(a1, a2));
 }
 

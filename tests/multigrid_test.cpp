@@ -8,6 +8,7 @@
 #include "rt/core/plan.hpp"
 #include "rt/multigrid/mg_solver.hpp"
 #include "rt/multigrid/operators.hpp"
+#include "rt/simd/exec.hpp"
 
 namespace rt::multigrid {
 namespace {
@@ -78,12 +79,22 @@ TEST(Psinv, ConstantResidualBalancedCoeffs) {
 
 TEST(Psinv, TiledMatchesOrig) {
   Array3D<double> r = rand_grid(12, 4);
-  Array3D<double> u1 = rand_grid(12, 5), u2 = u1;
+  Array3D<double> u1 = rand_grid(12, 5);
   psinv(u1, r, nas_mg_c());
-  psinv_tiled(u2, r, nas_mg_c(), rt::core::IterTile{4, 3});
-  for (long k = 1; k < 11; ++k)
-    for (long j = 1; j < 11; ++j)
-      for (long i = 1; i < 11; ++i) EXPECT_EQ(u1(i, j, k), u2(i, j, k));
+  for (const auto s :
+       {rt::core::LoopSchedule::kTiled, rt::core::LoopSchedule::kRecursive}) {
+    rt::core::TilingPlan plan;
+    plan.tiled = true;
+    plan.tile = rt::core::IterTile{4, 3};
+    plan.schedule = s;
+    Array3D<double> u2 = rand_grid(12, 5);
+    rt::simd::for_each_block({}, plan, 12, 12, 12, [&](auto... box) {
+      psinv(u2, r, nas_mg_c(), box...);
+    });
+    for (long k = 1; k < 11; ++k)
+      for (long j = 1; j < 11; ++j)
+        for (long i = 1; i < 11; ++i) EXPECT_EQ(u1(i, j, k), u2(i, j, k));
+  }
 }
 
 TEST(Rprj3, ConstantFieldRestrictsToSameConstant) {

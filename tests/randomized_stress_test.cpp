@@ -1,5 +1,7 @@
 // Randomized stress: many (dims, tile, kernel) combinations drawn from a
-// seeded PRNG — tiled execution must always match the reference bitwise
+// seeded PRNG — tiled execution (the block driver's flat tiles or recursive
+// leaves, and the fused red-black nest) must always match the reference
+// bitwise
 // and planner outputs must always verify, whatever the shape.
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/kernels/timeskew.hpp"
+#include "rt/simd/exec.hpp"
 
 namespace rt {
 namespace {
@@ -34,6 +37,20 @@ struct Rng {
                                                hi - lo + 1));
   }
 };
+
+/// Run @p nest on the work items of a tiled plan over @p t, with a schedule
+/// drawn from @p rng (flat JI tiles or recursive leaves), inline in index
+/// order.
+template <class Nest>
+void run_blocks(IterTile t, Rng& rng, long n1, long n2, long n3,
+                Nest&& nest) {
+  core::TilingPlan plan;
+  plan.tiled = true;
+  plan.tile = t;
+  plan.schedule = rng.in(0, 1) == 0 ? core::LoopSchedule::kTiled
+                                    : core::LoopSchedule::kRecursive;
+  simd::for_each_block({}, plan, n1, n2, n3, nest);
+}
 
 Array3D<double> rand_grid(Rng& rng, const Dims3& d) {
   Array3D<double> a(d);
@@ -64,7 +81,9 @@ TEST_P(RandomStress, JacobiTiledPaddedEquals) {
     Array3D<double> b = rand_grid(rng, d);
     Array3D<double> x(d), y(d);
     kernels::jacobi3d(x, b, 1.0 / 6.0);
-    kernels::jacobi3d_tiled(y, b, 1.0 / 6.0, t);
+    run_blocks(t, rng, n1, n2, n3, [&](auto... box) {
+      kernels::jacobi3d(y, b, 1.0 / 6.0, box...);
+    });
     ASSERT_TRUE(interiors_equal(x, y))
         << "dims " << n1 << "x" << n2 << "x" << n3 << " tile (" << t.ti
         << "," << t.tj << ")";
@@ -97,7 +116,9 @@ TEST_P(RandomStress, ResidTiledEquals) {
     Array3D<double> v = rand_grid(rng, d), u = rand_grid(rng, d);
     Array3D<double> r1(d), r2(d);
     kernels::resid(r1, v, u, kernels::nas_mg_a());
-    kernels::resid_tiled(r2, v, u, kernels::nas_mg_a(), t);
+    run_blocks(t, rng, n1, n2, n3, [&](auto... box) {
+      kernels::resid(r2, v, u, kernels::nas_mg_a(), box...);
+    });
     ASSERT_TRUE(interiors_equal(r1, r2));
   }
 }

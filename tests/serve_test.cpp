@@ -87,8 +87,9 @@ std::string field(const JsonValue& doc, const std::string& key) {
 
 /// Direct (no server) reference checksum for a kernel request on an n x n
 /// x k grid — the batch-binary computation: plan, padded arrays, runner
-/// init of every array, tsteps serial steps (JACOBI as sweep + copy-back),
-/// checksum of the result grid's logical region.
+/// init of every array, tsteps steps of the untiled serial oracle (JACOBI
+/// as sweep + copy-back; every schedule computes the same bits), checksum
+/// of the result grid's logical region.
 std::uint64_t reference_kernel_value(ServeKernel kernel, long n, long k,
                                      int tsteps, rt::core::Transform tr,
                                      long cs = kCs) {
@@ -109,29 +110,15 @@ std::uint64_t reference_kernel_value(ServeKernel kernel, long n, long k,
   for (int t = 0; t < tsteps; ++t) {
     switch (kernel) {
       case ServeKernel::kJacobi:
-        if (rep.plan.tiled) {
-          rt::kernels::jacobi3d_tiled(arrays[0], arrays[1], 1.0 / 6.0,
-                                      rep.plan.tile);
-        } else {
-          rt::kernels::jacobi3d(arrays[0], arrays[1], 1.0 / 6.0);
-        }
+        rt::kernels::jacobi3d(arrays[0], arrays[1], 1.0 / 6.0);
         rt::kernels::copy_interior(arrays[1], arrays[0]);
         break;
       case ServeKernel::kRedBlack:
-        if (rep.plan.tiled) {
-          rt::kernels::redblack_tiled(arrays[0], 0.4, 0.1, rep.plan.tile);
-        } else {
-          rt::kernels::redblack_naive(arrays[0], 0.4, 0.1);
-        }
+        rt::kernels::redblack_naive(arrays[0], 0.4, 0.1);
         break;
       default:
-        if (rep.plan.tiled) {
-          rt::kernels::resid_tiled(arrays[0], arrays[1], arrays[2],
-                                   rt::kernels::nas_mg_a(), rep.plan.tile);
-        } else {
-          rt::kernels::resid(arrays[0], arrays[1], arrays[2],
-                             rt::kernels::nas_mg_a());
-        }
+        rt::kernels::resid(arrays[0], arrays[1], arrays[2],
+                           rt::kernels::nas_mg_a());
         break;
     }
   }

@@ -8,6 +8,7 @@
 #include "rt/core/plan.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/multigrid/sor_solver.hpp"
+#include "rt/simd/exec.hpp"
 
 namespace rt::multigrid {
 namespace {
@@ -35,11 +36,25 @@ TEST(RedBlackRhs, TiledMatchesNaive) {
         a1(i, j, k) = a2(i, j, k) = std::cos(0.2 * i + 0.4 * j + 0.6 * k);
         r(i, j, k) = 0.01 * (i - j + k);
       }
+  Array3D<double> a3 = a2;
   rt::kernels::redblack_naive_rhs(a1, r, 0.3, 0.11);
   rt::kernels::redblack_tiled_rhs(a2, r, 0.3, 0.11, rt::core::IterTile{4, 3});
+  // One colour at a time on the recursive leaves of the same base tile.
+  rt::core::TilingPlan rec;
+  rec.tiled = true;
+  rec.tile = rt::core::IterTile{4, 3};
+  rec.schedule = rt::core::LoopSchedule::kRecursive;
+  for (long parity = 0; parity < 2; ++parity) {
+    rt::simd::for_each_block({}, rec, 14, 13, 9, [&](auto... box) {
+      rt::kernels::redblack_colour_rhs(a3, r, 0.3, 0.11, parity, box...);
+    });
+  }
   for (long k = 0; k < 9; ++k)
     for (long j = 0; j < 13; ++j)
-      for (long i = 0; i < 14; ++i) ASSERT_EQ(a1(i, j, k), a2(i, j, k));
+      for (long i = 0; i < 14; ++i) {
+        ASSERT_EQ(a1(i, j, k), a2(i, j, k));
+        ASSERT_EQ(a1(i, j, k), a3(i, j, k));
+      }
 }
 
 TEST(SorSolver, ConvergesOnPoisson) {
