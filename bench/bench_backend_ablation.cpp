@@ -40,7 +40,7 @@
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
 #include "rt/kernels/resid.hpp"
-#include "rt/multigrid/operators.hpp"
+#include "rt/kernels/psinv.hpp"
 #include "rt/simd/exec.hpp"
 
 namespace {
@@ -95,8 +95,8 @@ std::uint64_t checksum_under_plan(KernelId kid, long n, long kd,
     }
     case KernelId::kPsinv: {
       Array3D<double> r = make_grid(d, 0.7), u = make_grid(d, 0.1);
-      const auto c = rt::multigrid::nas_mg_c();
-      blocks([&](auto... box) { rt::multigrid::psinv(u, r, c, box...); });
+      const auto c = rt::kernels::nas_mg_c();
+      blocks([&](auto... box) { rt::kernels::psinv(u, r, c, box...); });
       return rt::simd::checksum(serial, u);
     }
     default:

@@ -9,7 +9,8 @@
 //   KERNEL/<n>/<transform>/<simd>/<threads>/<temporal>
 // so downstream tooling (scripts/bench_to_json.sh) can split the name on
 // '/' (the sixth component is "off" for the plain per-sweep rows, "skew"
-// or "diamond" for the rt::temporal wavefront rows).  Extra flags,
+// or "diamond" for the temporal wavefront rows).  Every row times
+// rt::simd::run_steps.  Extra flags,
 // stripped before google-benchmark sees the rest:
 //   --simd=off|auto|avx2   run only that SIMD mode (default: off AND auto)
 //   --threads=T            additionally run at T threads (default: 1 only)
@@ -32,7 +33,6 @@
 #include "rt/par/thread_pool.hpp"
 #include "rt/simd/exec.hpp"
 #include "rt/simd/simd.hpp"
-#include "rt/temporal/wavefront.hpp"
 
 namespace {
 
@@ -51,7 +51,11 @@ struct Cfg {
   Transform tr;
   SimdMode simd;
   int threads;
+  rt::core::TemporalMode temporal = rt::core::TemporalMode::kOff;
 };
+
+/// Time steps per iteration of a temporal (skew / diamond) row.
+constexpr int kTemporalSteps = 4;
 
 void init(Array3D<double>& a) {
   for (long k = 0; k < a.n3(); ++k)
@@ -60,14 +64,38 @@ void init(Array3D<double>& a) {
         a(i, j, k) = 0.001 * static_cast<double>(i + 2 * j + 3 * k);
 }
 
+/// One iteration = one run_steps call: one step, or kTemporalSteps
+/// ping-pong sweeps under the skew or diamond schedule (planned via the
+/// process-wide PlanCache).  Degraded temporal plans or a pool short of
+/// threads skip the benchmark with an error instead of reporting a
+/// misleading number.
 void BM_Kernel(benchmark::State& state, Cfg cfg) {
   const rt::kernels::KernelInfo& info = rt::kernels::kernel_info(cfg.id);
   const rt::core::TilingPlan plan =
       rt::core::plan_for(cfg.tr, 2048, cfg.n, cfg.n, info.spec);
   const Dims3 d = Dims3::padded(cfg.n, cfg.n, kDim, plan.dip, plan.djp);
   const SimdLevel lvl = rt::simd::exec_level(cfg.simd, cfg.threads);
+  int steps = 1;
+  rt::core::TemporalPlan tp;
+  if (cfg.temporal != rt::core::TemporalMode::kOff) {
+    steps = kTemporalSteps;
+    const auto rep = rt::core::PlanCache::instance().temporal(
+        cfg.temporal, rt::bench::outer_cache_elems(), cfg.n, cfg.n, kDim,
+        steps, 0, cfg.threads);
+    if (!rep.ok()) {
+      state.SkipWithError(("degraded plan: " + rep.detail).c_str());
+      return;
+    }
+    tp = rep.plan;
+  }
   std::unique_ptr<rt::par::ThreadPool> pool;
-  if (cfg.threads > 1) pool = std::make_unique<rt::par::ThreadPool>(cfg.threads);
+  if (cfg.threads > 1) {
+    pool = std::make_unique<rt::par::ThreadPool>(cfg.threads);
+    if (pool->num_threads() < cfg.threads) {
+      state.SkipWithError("thread spawn degraded");
+      return;
+    }
+  }
 
   std::vector<Array3D<double>> arr;
   for (int i = 0; i < info.num_arrays; ++i) {
@@ -76,65 +104,12 @@ void BM_Kernel(benchmark::State& state, Cfg cfg) {
   }
   const rt::simd::Exec ex{pool.get(), lvl};
   for (auto _ : state) {
-    rt::bench::host_step(cfg.id, plan, ex, arr);
+    rt::simd::run_steps(ex, cfg.id, plan, arr, steps, tp);
     benchmark::ClobberMemory();
   }
   const double flops_per_iter =
       static_cast<double>(info.flops_per_point) *
-      static_cast<double>((cfg.n - 2) * (cfg.n - 2) * (kDim - 2));
-  state.counters["MFlops"] = benchmark::Counter(
-      flops_per_iter * static_cast<double>(state.iterations()) / 1e6,
-      benchmark::Counter::kIsRate);
-  state.SetLabel(rt::simd::simd_level_name(lvl));
-}
-
-struct TemporalCfg {
-  long n;
-  rt::core::TemporalMode mode;
-  SimdMode simd;
-  int threads;
-};
-
-constexpr int kTemporalSteps = 4;
-
-/// Temporal-blocking JACOBI rows: one iteration = kTemporalSteps ping-pong
-/// sweeps through the rt::temporal wavefront schedules (plan via the
-/// process-wide PlanCache).  Degraded plans or thread-spawn fallbacks skip
-/// the benchmark with an error instead of reporting a misleading number.
-void BM_TemporalJacobi(benchmark::State& state, TemporalCfg cfg) {
-  const SimdLevel lvl = rt::simd::exec_level(cfg.simd, cfg.threads);
-  const auto rep = rt::core::PlanCache::instance().temporal(
-      cfg.mode, rt::bench::outer_cache_elems(), cfg.n, cfg.n, kDim,
-      kTemporalSteps, 0, cfg.threads);
-  if (!rep.ok()) {
-    state.SkipWithError(("degraded plan: " + rep.detail).c_str());
-    return;
-  }
-  std::unique_ptr<rt::par::ThreadPool> pool;
-  if (cfg.threads > 1) {
-    pool = std::make_unique<rt::par::ThreadPool>(cfg.threads);
-  }
-  const Dims3 d = Dims3::unpadded(cfg.n, cfg.n, kDim);
-  Array3D<double> a(d), b(d);
-  init(b);
-  for (auto _ : state) {
-    rt::temporal::TemporalRun run;
-    if (cfg.mode == rt::core::TemporalMode::kSkew) {
-      run = rt::temporal::jacobi3d_skew_rows(pool.get(), a, b, 1.0 / 6.0,
-                                             rep.plan, lvl);
-    } else {
-      run = rt::temporal::jacobi3d_diamond_rows(a, b, 1.0 / 6.0, rep.plan,
-                                                lvl);
-    }
-    if (run.threads < rep.plan.threads) {
-      state.SkipWithError("thread spawn degraded");
-      return;
-    }
-    benchmark::ClobberMemory();
-  }
-  const double flops_per_iter =
-      6.0 * static_cast<double>((cfg.n - 2) * (cfg.n - 2) * (kDim - 2)) *
-      kTemporalSteps;
+      static_cast<double>((cfg.n - 2) * (cfg.n - 2) * (kDim - 2)) * steps;
   state.counters["MFlops"] = benchmark::Counter(
       flops_per_iter * static_cast<double>(state.iterations()) / 1e6,
       benchmark::Counter::kIsRate);
@@ -219,8 +194,9 @@ int main(int argc, char** argv) {
               std::string(rt::core::transform_name(Transform::kOrig)) + "/" +
               rt::simd::simd_mode_name(m) + "/" + std::to_string(t) + "/" +
               rt::core::temporal_mode_name(tm);
-          benchmark::RegisterBenchmark(name.c_str(), BM_TemporalJacobi,
-                                       TemporalCfg{n, tm, m, t})
+          benchmark::RegisterBenchmark(
+              name.c_str(), BM_Kernel,
+              Cfg{KernelId::kJacobi, n, Transform::kOrig, m, t, tm})
               ->Unit(benchmark::kMillisecond);
         }
       }

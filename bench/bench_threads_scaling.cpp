@@ -30,10 +30,9 @@
 #include "rt/core/plan.hpp"
 #include "rt/core/plan_cache.hpp"
 #include "rt/core/temporal.hpp"
+#include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
-#include "rt/kernels/timeskew.hpp"
 #include "rt/simd/exec.hpp"
-#include "rt/temporal/wavefront.hpp"
 
 namespace {
 
@@ -76,9 +75,9 @@ bool interiors_equal(const Array3D<double>& a, const Array3D<double>& b) {
   return true;
 }
 
-/// One step of each kernel at the benched size through the serial
-/// accessor kernels and through the executor on a @p threads pool, at kRows
-/// and at the host's auto level; returns false (and reports) on any bitwise
+/// Two run_steps steps of each kernel at the benched size at kScalar on no
+/// pool (the serial accessor nests) and on a @p threads pool at kRows and
+/// at the host's auto level; returns false (and reports) on any bitwise
 /// difference.
 bool verify_bit_identical(long n, long kd, int threads) {
   const auto plan = rt::core::plan_for(Transform::kGcdPad, 2048, n, n,
@@ -96,12 +95,12 @@ bool verify_bit_identical(long n, long kd, int threads) {
   for (const KernelId id : {KernelId::kJacobi, KernelId::kRedBlack,
                             KernelId::kResid, KernelId::kPsinv}) {
     std::vector<Array3D<double>> want = grids(id);
-    rt::bench::host_step(id, plan, {nullptr, rt::simd::SimdLevel::kScalar},
-                         want);
+    rt::simd::run_steps({nullptr, rt::simd::SimdLevel::kScalar}, id, plan,
+                        want, 2);
     for (const auto lvl : {rt::simd::SimdLevel::kRows,
                            rt::simd::resolve(rt::simd::SimdMode::kAuto)}) {
       std::vector<Array3D<double>> got = grids(id);
-      rt::bench::host_step(id, plan, {&pool, lvl}, got);
+      rt::simd::run_steps({&pool, lvl}, id, plan, got, 2);
       for (std::size_t i = 0; i < want.size(); ++i) {
         if (!interiors_equal(want[i], got[i])) {
           std::cerr << "VERIFY FAILED: executor "
@@ -199,11 +198,12 @@ int main(int argc, char** argv) {
                  "or a planner fallback)\n";
   }
 
-  // --- Temporal-blocking thread scaling (rt::temporal wavefronts) ---
-  // Same thread sweep over the skew and diamond schedules, each verified
-  // bitwise against the serial ping-pong reference at every width.
-  // Degraded configurations (infeasible plan, failed thread spawn) are
-  // routed into the skipped count like the serial-fallback rows above.
+  // --- Temporal-blocking thread scaling (skew and diamond wavefronts) ---
+  // Same thread sweep over the skew and diamond schedules through
+  // run_steps, each verified bitwise against the serial ping-pong
+  // reference at every width.  Degraded configurations (infeasible plan,
+  // a pool that spawned fewer threads) are routed into the skipped count
+  // like the serial-fallback rows above.
   if (!bo.temporal_given || bo.temporal != rt::core::TemporalMode::kOff) {
     const long kd = ro.k_dim;
     const int tsteps = bo.steps > 2 ? bo.steps : 4;
@@ -224,6 +224,8 @@ int main(int argc, char** argv) {
     const double t0 = secs();
     rt::kernels::jacobi3d_pingpong(ra, rb, 1.0 / 6.0, tsteps);
     const double ref_mflops = flops / (secs() - t0) / 1e6;
+    // run_steps starts from g[start]: it ends as rb, the other as ra.
+    const std::size_t start = static_cast<std::size_t>(tsteps % 2);
 
     std::vector<std::vector<std::string>> trows;
     trows.push_back({"pingpong", "serial", "1", "1",
@@ -236,28 +238,29 @@ int main(int argc, char** argv) {
       for (int t : threads) {
         const auto rep =
             cache.temporal(mode, cs, n, n, kd, tsteps, bo.bk, t);
-        if (!rep.ok()) {
+        rt::par::ThreadPool pool(t);
+        rt::bench::RunResult r;
+        r.threads = pool.num_threads();
+        r.threads_requested = t;
+        r.simd_requested = simd_mode;
+        r.simd = rt::simd::exec_level(simd_mode, t);
+        r.plan_status = rep.status;
+        if (r.degraded()) {
           ++tskipped;
           continue;
         }
-        Array3D<double> a(d), b = make_grid(d, 0.5);
-        const auto lvl = rt::simd::exec_level(simd_mode, t);
-        rt::temporal::TemporalRun run;
+        std::vector<Array3D<double>> g;
+        g.reserve(2);
+        g.emplace_back(d);
+        g.emplace_back(d);
+        g[start] = make_grid(d, 0.5);
         const double t1 = secs();
-        if (mode == rt::core::TemporalMode::kSkew) {
-          rt::par::ThreadPool pool(t);
-          run = rt::temporal::jacobi3d_skew_rows(t > 1 ? &pool : nullptr, a,
-                                                 b, 1.0 / 6.0, rep.plan, lvl);
-        } else {
-          run = rt::temporal::jacobi3d_diamond_rows(a, b, 1.0 / 6.0,
-                                                    rep.plan, lvl);
-        }
+        rt::simd::run_steps({t > 1 ? &pool : nullptr, r.simd},
+                            KernelId::kJacobi, rt::core::TilingPlan{}, g,
+                            tsteps, rep.plan);
         const double dt = secs() - t1;
-        if (run.threads < rep.plan.threads) {
-          ++tskipped;  // thread spawn degraded: recorded, not reported
-          continue;
-        }
-        if (!interiors_equal(a, ra) || !interiors_equal(b, rb)) {
+        if (!interiors_equal(g[1 - start], ra) ||
+            !interiors_equal(g[start], rb)) {
           std::cerr << "VERIFY FAILED: temporal "
                     << rt::core::temporal_mode_name(mode)
                     << " differs from serial ping-pong at " << t
@@ -268,8 +271,8 @@ int main(int argc, char** argv) {
         trows.push_back({rt::core::temporal_mode_name(mode),
                          std::to_string(rep.plan.bk) + "/" +
                              std::to_string(rep.plan.tb),
-                         std::to_string(run.threads),
-                         std::to_string(run.team),
+                         std::to_string(r.threads),
+                         std::to_string(rep.plan.team),
                          rt::bench::fmt(flops / dt / 1e6, 1),
                          "bitwise identical"});
       }

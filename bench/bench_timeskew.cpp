@@ -23,10 +23,9 @@
 #include "rt/core/plan_cache.hpp"
 #include "rt/core/temporal.hpp"
 #include "rt/kernels/jacobi3d.hpp"
-#include "rt/kernels/timeskew.hpp"
+#include "rt/kernels/kernel_info.hpp"
 #include "rt/par/thread_pool.hpp"
 #include "rt/simd/exec.hpp"
-#include "rt/temporal/wavefront.hpp"
 
 using rt::array::Array3D;
 using rt::array::Dims3;
@@ -98,13 +97,21 @@ int main(int argc, char** argv) {
             });
           }
         });
-    const Out ts = traced_run(n, kd, n, n, tsteps, [&](auto& a, auto& b) {
-      rt::kernels::jacobi3d_timeskew(a, b, 1.0 / 6.0, tsteps, bk);
-    });
-    const Out both = traced_run(
-        n, kd, gcd.dip, gcd.djp, tsteps, [&](auto& a, auto& b) {
-          rt::kernels::jacobi3d_timeskew(a, b, 1.0 / 6.0, tsteps, bk);
-        });
+    // The skew schedule's (step, plane) items, inline in schedule order.
+    const rt::core::TemporalPlan skew{
+        .mode = rt::core::TemporalMode::kSkew, .tsteps = tsteps, .bk = bk};
+    const auto skewed = [&](auto& a, auto& b) {
+      rt::simd::for_each_step_block(
+          {}, skew, n, n, kd, [&](int t, auto... box) {
+            if (t % 2 == 0) {
+              rt::kernels::jacobi3d(a, b, 1.0 / 6.0, box...);
+            } else {
+              rt::kernels::jacobi3d(b, a, 1.0 / 6.0, box...);
+            }
+          });
+    };
+    const Out ts = traced_run(n, kd, n, n, tsteps, skewed);
+    const Out both = traced_run(n, kd, gcd.dip, gcd.djp, tsteps, skewed);
 
     const auto add = [&](const char* name, const Out& o) {
       rows.push_back({std::to_string(n), name, rt::bench::fmt(o.l1, 1),
@@ -128,11 +135,11 @@ int main(int argc, char** argv) {
   // --- Host axis: temporal blocking as a first-class path ---
   // At the largest size the ping-pong pair no longer fits any cache level,
   // so the spatial paths stream both arrays from memory once per sweep.
-  // The rt::temporal schedules keep a plane window resident across all
-  // tsteps sweeps instead; every variant is planned through PlanCache
-  // (degraded plans recorded, never silently clamped), verified bitwise
-  // against the serial ping-pong reference, and emitted as a standard
-  // JSON record plus a "temporal" block.
+  // The temporal schedules keep a plane window resident across all tsteps
+  // sweeps instead; every variant runs through rt::simd::run_steps, is
+  // planned through PlanCache (degraded plans recorded, never silently
+  // clamped), verified bitwise against the serial ping-pong reference, and
+  // emitted as a standard JSON record plus a "temporal" block.
   {
     const long n = sizes.back();
     const int threads = bo.threads > 0 ? bo.threads : 1;
@@ -141,6 +148,7 @@ int main(int argc, char** argv) {
     const long cs = rt::bench::outer_cache_elems();
     const Dims3 dims = Dims3::unpadded(n, n, kd);
     rt::par::ThreadPool pool(threads);
+    const rt::simd::Exec ex{threads > 1 ? &pool : nullptr, lvl};
     rt::obs::MetricsWriter writer;
     auto& cache = rt::core::PlanCache::instance();
     // --tune: pin stored temporal winners so the cache.temporal() queries
@@ -169,18 +177,19 @@ int main(int argc, char** argv) {
 
     std::vector<std::vector<std::string>> hrows;
     int skipped = 0;
-    // One variant: time fn over tsteps steps, verify bitwise against the
-    // reference, and emit the table row + JSON record.  A degraded plan
-    // (or a diamond that could not spawn its threads) becomes a recorded
-    // skipped row — metrics zero, status carrying the reason — exactly
-    // like bench_threads_scaling, instead of a misleading serial number.
+    // One variant: tsteps steps of run_steps under @p trep's schedule
+    // (spatial when null), timed, verified bitwise against the reference,
+    // and emitted as a table row + JSON record.  A degraded plan, or a pool
+    // that spawned fewer threads than asked, becomes a recorded skipped row
+    // (RunResult::degraded(): metrics zero, status carrying the reason)
+    // instead of a misleading number.
     const auto run_variant = [&](const std::string& name,
-                                 const rt::core::TemporalReport* trep,
-                                 auto&& fn) -> bool {
+                                 const rt::core::TemporalReport* trep) {
       rt::bench::RunResult r;
       r.plan.transform = rt::core::Transform::kOrig;
       r.plan.dip = n;
       r.plan.djp = n;
+      r.threads = pool.num_threads();
       r.threads_requested = threads;
       r.simd_requested = bo.simd_given ? bo.simd : rt::simd::SimdMode::kAuto;
       r.simd = lvl;
@@ -188,28 +197,34 @@ int main(int argc, char** argv) {
         r.plan_status = trep->status;
         r.plan_detail = trep->detail;
       }
+      if (r.threads < threads) {
+        r.status = rt::guard::Status::kFellBackUntiled;
+        r.status_detail = "thread pool degraded to " +
+                          std::to_string(r.threads) + " of " +
+                          std::to_string(threads);
+      }
       bool identical = true;
       if (trep == nullptr || trep->ok()) {
-        Array3D<double> a(dims), b(dims);
-        rt::temporal::first_touch_zero(threads > 1 ? &pool : nullptr, a);
-        rt::temporal::first_touch_zero(threads > 1 ? &pool : nullptr, b);
-        init(b);
+        // run_steps starts from g[tsteps % 2], which therefore ends as the
+        // reference's b, and the other array as its a.
+        std::vector<Array3D<double>> g;
+        g.reserve(2);
+        g.emplace_back(dims);
+        g.emplace_back(dims);
+        const std::size_t start = static_cast<std::size_t>(tsteps % 2);
+        init(g[start]);
         const double t1 = secs();
-        const rt::temporal::TemporalRun run = fn(a, b);
+        rt::simd::run_steps(ex, rt::kernels::KernelId::kJacobi,
+                            rt::core::TilingPlan{}, g, tsteps,
+                            trep != nullptr ? trep->plan
+                                            : rt::core::TemporalPlan{});
         const double dt = secs() - t1;
-        r.threads = run.threads;
-        if (trep != nullptr && run.threads < trep->plan.threads) {
-          r.status = rt::guard::Status::kFellBackUntiled;
-          r.status_detail = "thread spawn degraded to " +
-                            std::to_string(run.threads) + " of " +
-                            std::to_string(trep->plan.threads);
-        } else {
-          r.host_mflops = flops / dt / 1e6;
-        }
+        if (!r.degraded()) r.host_mflops = flops / dt / 1e6;
         for (long k = 0; k < kd && identical; ++k)
           for (long j = 0; j < n && identical; ++j)
             for (long i = 0; i < n; ++i)
-              if (a(i, j, k) != ra(i, j, k) || b(i, j, k) != rb(i, j, k)) {
+              if (g[1 - start](i, j, k) != ra(i, j, k) ||
+                  g[start](i, j, k) != rb(i, j, k)) {
                 identical = false;
                 std::cerr << "ERROR: " << name << " diverged at (" << i
                           << "," << j << "," << k << ")\n";
@@ -251,16 +266,7 @@ int main(int argc, char** argv) {
       hrows.push_back({"pingpong serial (reference)",
                        rt::bench::fmt(r.host_mflops, 1), "reference"});
     }
-    all_ok &= run_variant(
-        "pingpong rows+par (best spatial)", nullptr,
-        [&](Array3D<double>& a, Array3D<double>& b) {
-          const rt::simd::Exec ex{threads > 1 ? &pool : nullptr, lvl};
-          for (int t = 0; t < tsteps; ++t) {
-            rt::simd::jacobi(ex, rt::core::TilingPlan{}, t % 2 == 0 ? a : b,
-                             t % 2 == 0 ? b : a, 1.0 / 6.0);
-          }
-          return rt::temporal::TemporalRun{threads, 1};
-        });
+    all_ok &= run_variant("pingpong rows+par (best spatial)", nullptr);
 
     const bool want_skew =
         !bo.temporal_given || bo.temporal == rt::core::TemporalMode::kSkew;
@@ -270,23 +276,15 @@ int main(int argc, char** argv) {
       const auto rep = cache.temporal(rt::core::TemporalMode::kSkew, cs, n,
                                       n, kd, tsteps, bo.bk, threads);
       all_ok &= run_variant(
-          "temporal skew (bk=" + std::to_string(rep.plan.bk) + ")", &rep,
-          [&](Array3D<double>& a, Array3D<double>& b) {
-            return rt::temporal::jacobi3d_skew_rows(
-                threads > 1 ? &pool : nullptr, a, b, 1.0 / 6.0, rep.plan,
-                lvl);
-          });
+          "temporal skew (bk=" + std::to_string(rep.plan.bk) + ")", &rep);
     }
     if (want_diamond) {
       const auto rep = cache.temporal(rt::core::TemporalMode::kDiamond, cs,
                                       n, n, kd, tsteps, bo.bk, threads);
-      all_ok &= run_variant(
-          "temporal diamond (W=" + std::to_string(rep.plan.bk) +
-              ",tb=" + std::to_string(rep.plan.tb) + ")",
-          &rep, [&](Array3D<double>& a, Array3D<double>& b) {
-            return rt::temporal::jacobi3d_diamond_rows(a, b, 1.0 / 6.0,
-                                                       rep.plan, lvl);
-          });
+      all_ok &= run_variant("temporal diamond (W=" +
+                                std::to_string(rep.plan.bk) +
+                                ",tb=" + std::to_string(rep.plan.tb) + ")",
+                            &rep);
     }
 
     std::cout << "\nHost temporal blocking at N=" << n << ", " << tsteps

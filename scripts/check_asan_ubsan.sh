@@ -49,7 +49,8 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/cachesim_lattice_test"
 "${BUILD_DIR}/tests/plan_cache_test"
 # The executor's block driver (degenerate tiles, empty interiors, recursive
-# leaves) and every row sweep on padded and minimum-size grids.
+# leaves), every row sweep on padded and minimum-size grids, and run_steps
+# with the skew and diamond time schedules on pools.
 "${BUILD_DIR}/tests/exec_test"
 "${BUILD_DIR}/tests/mg_fastpath_test"
 # Latency histogram: NaN/inf/negative samples and out-of-range values

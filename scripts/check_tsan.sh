@@ -30,7 +30,8 @@ cmake --build "${BUILD_DIR}" -j \
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/par_pool_test"
 # The executor's differential matrix: every operator and schedule on 2- and
-# 4-thread pools, plus the red-black colour-barrier stress.
+# 4-thread pools, the red-black colour-barrier stress, and run_steps with
+# the skew and diamond time schedules on pools (ExecSteps.*).
 "${BUILD_DIR}/tests/exec_test"
 "${BUILD_DIR}/tests/simd_kernels_test"
 "${BUILD_DIR}/tests/plan_cache_test"
@@ -39,6 +40,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/core_backend_test"
 "${BUILD_DIR}/tests/mg_fastpath_test"
 "${BUILD_DIR}/tests/obs_test"
+# Skew and diamond wavefronts through run_steps on 1- to 4-thread pools.
 "${BUILD_DIR}/tests/temporal_test"
 "${BUILD_DIR}/tests/tune_test"
 # The serve suite runs a real multi-threaded server (acceptor + handlers +

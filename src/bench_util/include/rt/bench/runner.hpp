@@ -28,7 +28,10 @@ namespace rt::bench {
 
 struct RunOptions {
   bool simulate = true;    ///< trace-driven cache simulation
-  bool time_host = false;  ///< wall-clock host timing (secondary signal)
+  /// Wall-clock host timing (secondary signal): rt::simd::run_steps, one
+  /// step per timed iteration (JACOBI: one ping-pong sweep, no copy-back;
+  /// simulation keeps the paper's sweep plus copy-back).
+  bool time_host = false;
   int time_steps = 2;      ///< time-step iterations measured in simulation
   double min_host_seconds = 0.05;
   /// Execution width for *host* timing: > 1 runs the executor
@@ -164,14 +167,6 @@ RunResult run_kernel(rt::kernels::KernelId id, rt::core::Transform tr, long n,
 RunResult run_kernel_with_plan(rt::kernels::KernelId id,
                                const rt::core::TilingPlan& plan, long n,
                                const RunOptions& opts);
-
-/// One host time step of @p id on its kernel_info(id).num_arrays @p arrays
-/// (the bench runner's timed step): the serial accessor kernels when
-/// ex.lvl is kScalar, the executor otherwise.  Recursive plans recurse on
-/// either path.
-void host_step(rt::kernels::KernelId id, const rt::core::TilingPlan& plan,
-               const rt::simd::Exec& ex,
-               std::vector<rt::array::Array3D<double>>& arrays);
 
 /// Simulated L1/L2 miss rates of the 2D Jacobi stencil nest on an n x n
 /// array — used by the 2D-vs-3D motivation study (no copy-back, so the

@@ -20,9 +20,9 @@
 #include "rt/cachesim/traced_array.hpp"
 #include "rt/kernels/jacobi2d.hpp"
 #include "rt/kernels/jacobi3d.hpp"
+#include "rt/kernels/psinv.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
-#include "rt/multigrid/operators.hpp"
 #include "rt/par/thread_pool.hpp"
 
 namespace rt::bench {
@@ -99,7 +99,7 @@ void accessor_step(KernelId id, const TilingPlan& plan, std::vector<A>& x) {
       return;
     case KernelId::kPsinv:
       blocks(plan, [&](auto... box) {
-        rt::multigrid::psinv(x[0], x[1], rt::multigrid::nas_mg_c(), box...);
+        rt::kernels::psinv(x[0], x[1], rt::kernels::nas_mg_c(), box...);
       });
       return;
   }
@@ -110,7 +110,9 @@ std::uint64_t flops_per_step(KernelId id, long n1, long n2, long n3) {
   return rt::kernels::kernel_info(id).flops_per_point * interior(n1, n2, n3);
 }
 
-/// Host timing loop: run `step` until the time budget is met.  Fills in
+/// Host timing loop: run `step` until the time budget is met (each step
+/// is a kHang fault point in run_steps, which is what the run watchdog
+/// exists for).  Fills in
 /// res.host_mflops, the warm-up/measure phase stats, and — when
 /// opts.counters resolves to enabled — the hardware-counter block over the
 /// measured iterations (warm-up excluded).
@@ -136,11 +138,6 @@ void time_host(StepFn&& step, std::uint64_t flops_per_iter,
   const double t0 = now_seconds();
   double t1 = t0;
   do {
-    // Injected-hang site (rt::guard kHang): a wedged measured step, the
-    // case the run watchdog exists for.  armed() is one relaxed load.
-    if (rt::guard::FaultInjector::armed(rt::guard::FaultKind::kHang)) {
-      rt::guard::FaultInjector::instance().hang_point();
-    }
     rt::obs::ScopedTimer t(res.measure);
     step();
     ++iters;
@@ -242,9 +239,11 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
   }
 
   if (opts.time_host) {
-    // The level exec_level reports is what runs: the serial accessor
-    // kernels for a single-threaded --simd=off run, otherwise the executor
-    // (row kernels, on a pool when threads > 1, recursive plans recursing).
+    // One run_steps step per timed iteration, at the level exec_level
+    // reports: the accessor nests for a single-threaded --simd=off run,
+    // otherwise the row kernels (on a pool when threads > 1, recursive
+    // plans recursing).  JACOBI times the ping-pong sweep arrays[1] ->
+    // arrays[0], with no copy-back.
     res.threads_requested = opts.threads > 1 ? opts.threads : 1;
     res.simd_requested = opts.simd;
     std::unique_ptr<rt::par::ThreadPool> pool;
@@ -254,8 +253,8 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
     }
     res.simd = rt::simd::exec_level(opts.simd, opts.threads);
     const rt::simd::Exec ex{pool.get(), res.simd};
-    time_host([&] { host_step(id, res.plan, ex, arrays); }, fl_step, opts,
-              res);
+    time_host([&] { rt::simd::run_steps(ex, id, res.plan, arrays, 1); },
+              fl_step, opts, res);
   }
 
   if (opts.verify != rt::guard::VerifyMode::kOff) {
@@ -281,31 +280,6 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
 }
 
 }  // namespace
-
-void host_step(KernelId id, const TilingPlan& plan, const rt::simd::Exec& ex,
-               std::vector<Array3D<double>>& arrays) {
-  if (ex.lvl == rt::simd::SimdLevel::kScalar) {
-    accessor_step(id, plan, arrays);
-    return;
-  }
-  switch (id) {
-    case KernelId::kJacobi:
-      rt::simd::jacobi(ex, plan, arrays[0], arrays[1], kJacobiC);
-      rt::simd::copy_interior(ex, arrays[1], arrays[0]);
-      return;
-    case KernelId::kRedBlack:
-      rt::simd::redblack(ex, plan, arrays[0], kRbC1, kRbC2);
-      return;
-    case KernelId::kResid:
-      rt::simd::resid(ex, plan, arrays[0], arrays[1], arrays[2],
-                      rt::kernels::nas_mg_a());
-      return;
-    case KernelId::kPsinv:
-      rt::simd::psinv(ex, plan, arrays[0], arrays[1],
-                      rt::multigrid::nas_mg_c());
-      return;
-  }
-}
 
 RunResult run_kernel(KernelId id, Transform tr, long n, const RunOptions& opts) {
   // Through the PlanCache when the caller provides one (pinned autotuned

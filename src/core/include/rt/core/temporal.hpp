@@ -1,7 +1,8 @@
 #pragma once
 // Temporal-blocking planner: the validated entry point that sizes a
 // time-skewed or diamond-wavefront execution of the ping-pong Jacobi
-// kernel (rt/kernels/timeskew.hpp, executed by rt::temporal).
+// kernel.  The plan is schedule data: rt::simd::for_each_step_block turns
+// it into (step, box) work items and rt::simd::run_steps runs them.
 //
 // Spatial tiling (the paper's contribution) exploits reuse *within* one
 // sweep; temporal blocking keeps a window of K planes cache-resident
@@ -17,9 +18,10 @@
 //    descending triangles (steps t cover the planes whose offset within
 //    the block lies in [t, W-1-t]) which are fully independent across
 //    blocks; after a barrier, phase 2 fills the inverted triangles at the
-//    block boundaries.  With W >= 2*tb every concurrent work unit touches
-//    a disjoint plane set, so per-diamond thread teams can run the whole
-//    tb-step pass with no global synchronisation inside a phase.
+//    block boundaries.  With W >= 2*tb the triangles of one step touch
+//    disjoint plane sets, so every step is one set of independent work
+//    items — each triangle split into `team` J slices — and one barrier
+//    per step orders the pass.
 //
 // Like plan_for_checked, this never throws and never silently clamps: a
 // degraded request (cache window too small, width below the diamond
@@ -36,8 +38,8 @@ namespace rt::core {
 /// Requested temporal-blocking schedule (the --temporal= flag).
 enum class TemporalMode {
   kOff,      ///< no temporal blocking (plain per-sweep execution)
-  kSkew,     ///< slope-1 skewed K blocks (rt::kernels::jacobi3d_timeskew)
-  kDiamond,  ///< two-phase diamond wavefront with thread teams
+  kSkew,     ///< slope-1 skewed K blocks
+  kDiamond,  ///< two-phase diamond wavefront, triangles split in J
 };
 
 /// Stable token ("off", "skew", "diamond").
@@ -52,7 +54,7 @@ struct TemporalPlan {
   long bk = 0;     ///< K-block depth (kSkew) / diamond width W (kDiamond)
   int tb = 0;      ///< steps fused per diamond pass, <= bk/2 (0 for kSkew)
   int threads = 1; ///< total execution width
-  int team = 1;    ///< threads per diamond team (1 for kSkew)
+  int team = 1;    ///< J slices per diamond triangle (1 for kSkew)
   /// Scheduled (window, step) sweeps with a nonempty plane range.
   long stages = 0;
   /// Mean fraction of the execution width with a plane (kSkew) or a work

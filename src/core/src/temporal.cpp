@@ -9,7 +9,7 @@ namespace {
 using rt::guard::Status;
 
 /// Count the scheduled sweeps of the slope-1 skew (the exact loop bounds
-/// rt::kernels::jacobi3d_timeskew runs) and the mean fraction of `threads`
+/// rt::simd::for_each_step_block runs) and the mean fraction of `threads`
 /// with a plane to sweep per stage.
 void skew_stages(long kmax, int tsteps, long bk, int threads,
                  TemporalPlan* plan) {

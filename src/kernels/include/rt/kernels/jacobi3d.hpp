@@ -39,6 +39,21 @@ void jacobi3d(Dst& a, Src& b, double c) {
   jacobi3d(a, b, c, 1, a.n1() - 1, 1, a.n2() - 1, 1, a.n3() - 1);
 }
 
+/// Reference for the simplified stencil code of Fig. 5 (top): @p tsteps
+/// alternating whole-interior sweeps between ping-pong arrays.  @p b holds
+/// the start state; step t writes (t even ? a : b).  Every time-skewed or
+/// diamond schedule must reproduce it bit for bit.
+template <class Arr>
+void jacobi3d_pingpong(Arr& a, Arr& b, double c, int tsteps) {
+  for (int t = 0; t < tsteps; ++t) {
+    if (t % 2 == 0) {
+      jacobi3d(a, b, c);
+    } else {
+      jacobi3d(b, a, c);
+    }
+  }
+}
+
 /// Interior copy-back dst = src over the box (the second nest of the
 /// realistic stencil pattern, Fig. 5 middle).
 template <class Dst, class Src>

@@ -30,6 +30,7 @@
 #include "rt/array/array3d.hpp"
 #include "rt/cachesim/hierarchy.hpp"
 #include "rt/core/plan.hpp"
+#include "rt/kernels/psinv.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
 #include "rt/obs/perf_counters.hpp"
@@ -140,7 +141,7 @@ class MgSolver {
   rt::simd::Exec exec() const { return {pool_.get(), lvl_}; }
   /// First-touch initialization: zero the whole allocation plane-parallel
   /// on the pool (same bytes Grid's default construction writes serially).
-  void first_touch_zero(Grid& g);
+  void zero_on_pool(Grid& g);
   /// norm2u3 with phase timing (always serial: ordered reduction).
   double norm_l2(Grid& g);
   void counters_begin();

@@ -5,62 +5,15 @@
 // the cache simulator.
 //
 // Grids are (2^k + 2)^3 with one ghost layer and periodic boundaries kept
-// consistent by comm3(), exactly like NAS MG / SPEC mgrid.  RESID itself
-// lives in rt/kernels/resid.hpp (it is one of the paper's three kernels);
-// here are the remaining operators: psinv (smoother), rprj3 (restriction),
-// interp (prolongation), comm3, zero3 and norms.
+// consistent by comm3(), exactly like NAS MG / SPEC mgrid.  RESID and the
+// PSINV smoother live in rt/kernels/ (resid.hpp, psinv.hpp) next to the
+// paper's other kernels; here are the remaining operators: rprj3
+// (restriction), interp (prolongation), comm3, zero3 and norms.
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 namespace rt::multigrid {
-
-/// Smoother coefficients: c[0] centre, c[1] faces, c[2] edges, c[3] corners.
-using SmootherCoeffs = std::array<double, 4>;
-
-/// NAS MG class-A/B smoother: (-3/8, 1/32, -1/64, 0).
-inline SmootherCoeffs nas_mg_c() {
-  return SmootherCoeffs{-3.0 / 8.0, 1.0 / 32.0, -1.0 / 64.0, 0.0};
-}
-
-/// u += S r : 27-point smoother application (NAS MG psinv) over the
-/// half-open box [i1lo, i1hi) x [i2lo, i2hi) x [i3lo, i3hi), I3 outermost.
-/// A pure gather from r, so the order of boxes cannot change an update.
-template <class U, class R>
-void psinv(U& u, R& r, const SmootherCoeffs& c, long i1lo, long i1hi,
-           long i2lo, long i2hi, long i3lo, long i3hi) {
-  for (long i3 = i3lo; i3 < i3hi; ++i3) {
-    for (long i2 = i2lo; i2 < i2hi; ++i2) {
-      for (long i1 = i1lo; i1 < i1hi; ++i1) {
-        const double s1 = r.load(i1 - 1, i2, i3) + r.load(i1 + 1, i2, i3) +
-                          r.load(i1, i2 - 1, i3) + r.load(i1, i2 + 1, i3) +
-                          r.load(i1, i2, i3 - 1) + r.load(i1, i2, i3 + 1);
-        const double s2 =
-            r.load(i1 - 1, i2 - 1, i3) + r.load(i1 + 1, i2 - 1, i3) +
-            r.load(i1 - 1, i2 + 1, i3) + r.load(i1 + 1, i2 + 1, i3) +
-            r.load(i1, i2 - 1, i3 - 1) + r.load(i1, i2 + 1, i3 - 1) +
-            r.load(i1, i2 - 1, i3 + 1) + r.load(i1, i2 + 1, i3 + 1) +
-            r.load(i1 - 1, i2, i3 - 1) + r.load(i1 - 1, i2, i3 + 1) +
-            r.load(i1 + 1, i2, i3 - 1) + r.load(i1 + 1, i2, i3 + 1);
-        const double s3 =
-            r.load(i1 - 1, i2 - 1, i3 - 1) + r.load(i1 + 1, i2 - 1, i3 - 1) +
-            r.load(i1 - 1, i2 + 1, i3 - 1) + r.load(i1 + 1, i2 + 1, i3 - 1) +
-            r.load(i1 - 1, i2 - 1, i3 + 1) + r.load(i1 + 1, i2 - 1, i3 + 1) +
-            r.load(i1 - 1, i2 + 1, i3 + 1) + r.load(i1 + 1, i2 + 1, i3 + 1);
-        u.store(i1, i2, i3,
-                u.load(i1, i2, i3) + c[0] * r.load(i1, i2, i3) + c[1] * s1 +
-                    c[2] * s2 + c[3] * s3);
-      }
-    }
-  }
-}
-
-/// psinv over the whole interior: the serial reference.
-template <class U, class R>
-void psinv(U& u, R& r, const SmootherCoeffs& c) {
-  psinv(u, r, c, 1, u.n1() - 1, 1, u.n2() - 1, 1, u.n3() - 1);
-}
 
 /// Full-weighting restriction: fine residual r -> coarse residual s.
 /// Coarse interior j (0-based) maps to fine centre i = 2j - 1.

@@ -92,7 +92,7 @@ class SorSolver {
   const Phases& phases() const { return phases_; }
 
  private:
-  void first_touch_zero(rt::array::Array3D<double>& g);
+  void zero_on_pool(rt::array::Array3D<double>& g);
 
   SorOptions opts_;
   rt::cachesim::CacheHierarchy* hier_;

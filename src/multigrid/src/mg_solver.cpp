@@ -103,13 +103,13 @@ MgSolver::MgSolver(const MgOptions& opts, rt::cachesim::CacheHierarchy* hier)
   // on a thread that will sweep that K range.  Same bytes as default
   // construction, just written by the right threads.
   if (pool_) {
-    for (auto& g : u_) first_touch_zero(g);
-    for (auto& g : r_) first_touch_zero(g);
-    first_touch_zero(v_);
+    for (auto& g : u_) zero_on_pool(g);
+    for (auto& g : r_) zero_on_pool(g);
+    zero_on_pool(v_);
   }
 }
 
-void MgSolver::first_touch_zero(Grid& g) {
+void MgSolver::zero_on_pool(Grid& g) {
   double* base = g.data();
   const long plane = g.dims().plane_stride();
   pool_->parallel_for(g.n3(), [&](long k) {
@@ -184,7 +184,7 @@ void MgSolver::psinv_level(int l, Grid& u, Grid& r) {
   const bool tile = opts_.tile_psinv && l == opts_.lt && opts_.resid_plan.tiled;
   const rt::core::TilingPlan plan =
       tile ? opts_.resid_plan : rt::core::TilingPlan{};
-  const auto c = nas_mg_c();
+  const auto c = rt::kernels::nas_mg_c();
   {
     rt::obs::ScopedTimer timer(phases_.psinv);
     if (fast_path()) {
@@ -195,7 +195,7 @@ void MgSolver::psinv_level(int l, Grid& u, Grid& r) {
           [&](auto&& ua, auto&& ra) {
             rt::simd::for_each_block(
                 {}, plan, u.n1(), u.n2(), u.n3(),
-                [&](auto... box) { psinv(ua, ra, c, box...); });
+                [&](auto... box) { rt::kernels::psinv(ua, ra, c, box...); });
           },
           GB{&u, base_of(u)}, GB{&r, base_of(r)});
     }

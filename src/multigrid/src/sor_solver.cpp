@@ -64,9 +64,9 @@ SorSolver::SorSolver(const SorOptions& opts,
     u_ = rt::array::Array3D<double>(d, rt::array::uninit);
     rhs_ = rt::array::Array3D<double>(d, rt::array::uninit);
     f_ = rt::array::Array3D<double>(d, rt::array::uninit);
-    first_touch_zero(u_);
-    first_touch_zero(rhs_);
-    first_touch_zero(f_);
+    zero_on_pool(u_);
+    zero_on_pool(rhs_);
+    zero_on_pool(f_);
   } else {
     u_ = rt::array::Array3D<double>(d);
     rhs_ = rt::array::Array3D<double>(d);
@@ -79,7 +79,7 @@ SorSolver::SorSolver(const SorOptions& opts,
   rhs_base_ = space.place_mod("rhs", elems, 8, 16384, 8192);
 }
 
-void SorSolver::first_touch_zero(rt::array::Array3D<double>& g) {
+void SorSolver::zero_on_pool(rt::array::Array3D<double>& g) {
   // Zero plane-parallel so each page's first write — and hence its NUMA
   // home — happens on a thread that will sweep that K range.
   double* base = g.data();

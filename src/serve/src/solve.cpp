@@ -30,9 +30,9 @@ double lap_ms(Clock::time_point& t) {
   return ms;
 }
 
-/// One relaxed load per sweep, same as the runner's measured loop: lets
-/// RT_GUARD_FAULTS=hang wedge a served solve so the deadline/abandonment
-/// machinery can be tested end to end.
+/// One relaxed load per app iteration, like run_steps' per-step fault
+/// point on the kernel paths: lets RT_GUARD_FAULTS=hang wedge a served
+/// solve so the deadline/abandonment machinery can be tested end to end.
 void hang_check() {
   if (rt::guard::FaultInjector::armed(rt::guard::FaultKind::kHang)) {
     rt::guard::FaultInjector::instance().hang_point();
@@ -96,24 +96,7 @@ SolveOutcome solve_kernels(const SolveParams& p, const TilingPlan& plan,
   out.init_ms = lap_ms(t);
   // The server always runs the best row kernels this host supports.
   const rt::simd::Exec ex{pool, rt::simd::resolve(rt::simd::SimdMode::kAuto)};
-  for (int step = 0; step < p.tsteps; ++step) {
-    hang_check();
-    switch (p.kernel) {
-      case ServeKernel::kJacobi: {
-        const std::size_t dst =
-            static_cast<std::size_t>((p.tsteps - 1 - step) % 2);
-        rt::simd::jacobi(ex, plan, arrays[dst], arrays[1 - dst], 1.0 / 6.0);
-        break;
-      }
-      case ServeKernel::kRedBlack:
-        rt::simd::redblack(ex, plan, arrays[0], 0.4, 0.1);
-        break;
-      default:
-        rt::simd::resid(ex, plan, arrays[0], arrays[1], arrays[2],
-                        rt::kernels::nas_mg_a());
-        break;
-    }
-  }
+  rt::simd::run_steps(ex, kernel_id_of(p.kernel), plan, arrays, p.tsteps);
   out.iters = p.tsteps;
   out.sweep_ms = lap_ms(t);
   if (p.kernel == ServeKernel::kJacobi && p.tsteps > 0) {

@@ -23,6 +23,13 @@
 // order, so the traced address stream — and every simulated count — is
 // deterministic.
 //
+// Time steps go through one call too, run_steps: the runner's timed step,
+// the solve server's kernel paths and the temporal benches all run their
+// time loop there.  Temporal blocking (rt/core/temporal.hpp) is schedule
+// data for a second driver, for_each_step_block: the skew and diamond
+// wavefronts hand it (step, box) work items, one pool call per stage, and
+// the barrier after each call orders the stages.
+//
 // Reductions go through one primitive, reduce_planes: one partial per K
 // plane (on the pool or inline), combined serially in plane order, so a
 // reduced value never depends on the pool width.  The grid checksum is
@@ -36,6 +43,8 @@
 
 #include "rt/array/array3d.hpp"
 #include "rt/core/plan.hpp"
+#include "rt/core/temporal.hpp"
+#include "rt/kernels/kernel_info.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/par/thread_pool.hpp"
 #include "rt/simd/row_kernels.hpp"
@@ -98,6 +107,33 @@ void co_over(long ilo, long ihi, long jlo, long jhi, long base_ti,
 void for_each_block(const Exec& ex, const TilingPlan& plan, long n1, long n2,
                     long n3, const BlockFn& body);
 
+/// body(t, ilo, ihi, jlo, jhi, klo, khi): time step t (0-based) of one
+/// half-open box of the interior.
+using StepBlockFn =
+    std::function<void(int, long, long, long, long, long, long)>;
+
+/// Run @p body over every (step, box) of @p tp's schedule for tp.tsteps
+/// steps of a six-point stencil on an n1 x n2 x n3 grid.  Each stage is one
+/// detail::run_items call (inline in schedule order with a null pool), and
+/// its barrier orders the stages:
+///   * kSkew — slope-1 skewed K blocks of depth tp.bk (clamped to >= 1):
+///     block kb runs steps t = 0 .. tsteps-1 over planes
+///     [max(1, kb - t), min(n3 - 2, kb + tp.bk - 1 - t)], blocks in
+///     ascending K; one item per plane.
+///   * kDiamond — the two-phase diamond of width W = tp.bk (>= 2) in
+///     passes of tb = tp.tb steps (clamped to [1, W/2], which keeps the
+///     triangles of one step plane-disjoint).  Phase 1: block d (first
+///     plane s = 1 + d*W) runs step t over [s + t, s + W - 1 - t]; phase 2:
+///     boundary b = 1 + d*W (d = 0 .. nblocks) runs step t >= 1 over
+///     [max(1, b - t), b + t - 1].  One item per (block, J slice) per
+///     step, the J interior split into tp.team slices.
+/// Every (step, plane, row) runs exactly once, after the step - 1 updates
+/// of its neighbours, so a ping-pong body computes exactly
+/// rt::kernels::jacobi3d_pingpong.  tp.tsteps <= 0 or an empty interior
+/// runs nothing; kOff throws std::invalid_argument.
+void for_each_step_block(const Exec& ex, const rt::core::TemporalPlan& tp,
+                         long n1, long n2, long n3, const StepBlockFn& body);
+
 namespace detail {
 /// item(i) for every i in [0, count): on ex.pool, or inline in index order
 /// when the pool is null.  A barrier, like for_each_block.
@@ -142,6 +178,26 @@ T reduce_planes(const Exec& ex, long n3, T init, const Partial& partial,
 /// sign flips in one lane do not cancel.
 std::uint64_t checksum(const Exec& ex, const Array3D<double>& a);
 
+/// @p tsteps time steps of kernel @p id on its kernel_info(id).num_arrays
+/// @p arrays, with the coefficients the benches and the solve server use
+/// (JACOBI c = 1/6, REDBLACK 0.4 / 0.1, RESID nas_mg_a, PSINV nas_mg_c):
+///   * JACOBI ping-pongs: the start state is arrays[tsteps % 2], step s
+///     writes arrays[(tsteps - 1 - s) % 2]'s interior from the other
+///     array, so the result lands in arrays[0];
+///   * REDBLACK, RESID and PSINV make one operator call per step (RESID:
+///     arrays[0] = arrays[1] - A arrays[2]; PSINV: arrays[0] += S arrays[1]).
+/// Each step runs @p plan's schedule: the row kernels at ex.lvl, or the
+/// accessor nests (rt/kernels/*.hpp) at kScalar.  With tp.mode != kOff,
+/// JACOBI instead runs tp's wavefront through for_each_step_block (plan
+/// is not used) and any other kernel throws std::invalid_argument.
+/// tsteps <= 0 runs nothing; the caller initialises the arrays.  Every
+/// step is one rt::guard kHang fault point (checked on the calling thread
+/// before the step; a temporal run checks all of them before it starts).
+/// Bit-identical for every pool width, level, plan and schedule.
+void run_steps(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
+               std::vector<Array3D<double>>& arrays, int tsteps,
+               const rt::core::TemporalPlan& tp = {});
+
 // --- One call per operator, each bit-identical to its accessor kernel ---
 
 /// a = c * (six face neighbours of b); == rt::kernels::jacobi3d.
@@ -165,7 +221,7 @@ void resid(const Exec& ex, const TilingPlan& plan, Array3D<double>& r,
            const Array3D<double>& v, const Array3D<double>& u,
            const rt::kernels::ResidCoeffs& a);
 
-/// u += S r (27-point smoother); == rt::multigrid::psinv.
+/// u += S r (27-point smoother); == rt::kernels::psinv.
 void psinv(const Exec& ex, const TilingPlan& plan, Array3D<double>& u,
            const Array3D<double>& r, const PsinvCoeffs& c);
 

@@ -26,9 +26,8 @@
 // x [klo,khi): one work item of the executor (rt/simd/exec.hpp), which
 // turns a plan's schedule into those boxes.
 
-#include <array>
-
 #include "rt/array/array3d.hpp"
+#include "rt/kernels/psinv.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/simd/simd.hpp"
 
@@ -36,10 +35,8 @@ namespace rt::simd {
 
 using rt::array::Array3D;
 
-/// Smoother coefficients in rt::multigrid::SmootherCoeffs layout (centre,
-/// faces, edges, corners) — duplicated as a plain array type so rt::simd
-/// stays below rt::multigrid in the layering.
-using PsinvCoeffs = std::array<double, 4>;
+/// Smoother coefficients (centre, faces, edges, corners).
+using PsinvCoeffs = rt::kernels::SmootherCoeffs;
 
 /// a(i,j,k) = c * (six face neighbours of b); a and b share dims.
 void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,

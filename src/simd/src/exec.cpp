@@ -2,7 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <utility>
 #include <vector>
+
+#include "rt/guard/fault_injector.hpp"
+#include "rt/kernels/jacobi3d.hpp"
+#include "rt/kernels/psinv.hpp"
+#include "rt/kernels/redblack.hpp"
 
 namespace rt::simd {
 
@@ -92,10 +99,165 @@ void for_each_block(const Exec& ex, const TilingPlan& plan, long n1, long n2,
   }
 }
 
+void for_each_step_block(const Exec& ex, const rt::core::TemporalPlan& tp,
+                         long n1, long n2, long n3, const StepBlockFn& body) {
+  using rt::core::TemporalMode;
+  if (tp.mode == TemporalMode::kOff) {
+    throw std::invalid_argument("for_each_step_block: temporal mode off");
+  }
+  const int tsteps = tp.tsteps;
+  if (tsteps <= 0 || n1 < 3 || n2 < 3 || n3 < 3) return;
+  const long kmax = n3 - 2;  // interior planes 1 .. kmax
+  if (tp.mode == TemporalMode::kSkew) {
+    const long bk = std::max(tp.bk, 1L);
+    for (long kb = 1; kb < kmax + tsteps; kb += bk) {
+      for (int t = 0; t < tsteps; ++t) {
+        const long lo = std::max(1L, kb - t);
+        const long hi = std::min(kmax, kb + bk - 1 - t);
+        if (hi < lo) continue;
+        run_items(ex, hi - lo + 1, [&](long kk) {
+          body(t, 1, n1 - 1, 1, n2 - 1, lo + kk, lo + kk + 1);
+        });
+      }
+    }
+    return;
+  }
+  const long w = std::max(tp.bk, 2L);
+  const int tb = static_cast<int>(std::clamp<long>(tp.tb, 1, w / 2));
+  const long nblocks = (kmax + w - 1) / w;
+  const long team = std::max(tp.team, 1);
+  const long jtot = n2 - 2;
+  // One step of one phase: unit d covers planes range(d) = [lo, hi].
+  const auto stage = [&](int t, long units, const auto& range) {
+    run_items(ex, units * team, [&](long idx) {
+      const auto [lo, hi] = range(idx / team);
+      const long m = idx % team;
+      const long jlo = 1 + jtot * m / team;
+      const long jhi = 1 + jtot * (m + 1) / team;
+      if (hi >= lo && jhi > jlo) body(t, 1, n1 - 1, jlo, jhi, lo, hi + 1);
+    });
+  };
+  for (int t0 = 0; t0 < tsteps; t0 += tb) {
+    const int tbc = std::min(tb, tsteps - t0);
+    for (int t = 0; t < tbc; ++t) {  // phase 1: descending triangles
+      stage(t0 + t, nblocks, [&](long d) {
+        const long s = 1 + d * w;
+        return std::pair{s + t, std::min(kmax, s + w - 1 - t)};
+      });
+    }
+    for (int t = 1; t < tbc; ++t) {  // phase 2: inverted triangles
+      stage(t0 + t, nblocks + 1, [&](long d) {
+        const long b = 1 + d * w;
+        return std::pair{std::max(1L, b - t), std::min(kmax, b + t - 1)};
+      });
+    }
+  }
+}
+
 std::uint64_t checksum(const Exec& ex, const Array3D<double>& a) {
   return reduce_planes(
       ex, a.n3(), kHashInit, [&](long k) { return plane_hash(a, k); },
       hash_step);
+}
+
+namespace {
+
+constexpr double kJacobiC = 1.0 / 6.0;
+constexpr double kRbC1 = 0.4;
+constexpr double kRbC2 = 0.1;
+
+void fault_point() {
+  if (rt::guard::FaultInjector::armed(rt::guard::FaultKind::kHang)) {
+    rt::guard::FaultInjector::instance().hang_point();
+  }
+}
+
+/// One step of @p id on @p x; JACOBI writes x[dst] from x[1 - dst].
+void step(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
+          std::vector<Array3D<double>>& x, std::size_t dst) {
+  using rt::kernels::KernelId;
+  const auto blocks = [&](const BlockFn& body) {
+    for_each_block(ex, plan, x[0].n1(), x[0].n2(), x[0].n3(), body);
+  };
+  const bool scalar = ex.lvl == SimdLevel::kScalar;
+  switch (id) {
+    case KernelId::kJacobi:
+      if (!scalar) {
+        jacobi(ex, plan, x[dst], x[1 - dst], kJacobiC);
+        return;
+      }
+      blocks([&](auto... box) {
+        rt::kernels::jacobi3d(x[dst], x[1 - dst], kJacobiC, box...);
+      });
+      return;
+    case KernelId::kRedBlack:
+      if (!scalar) {
+        redblack(ex, plan, x[0], kRbC1, kRbC2);
+      } else if (plan.tiled &&
+                 plan.schedule != rt::core::LoopSchedule::kRecursive) {
+        rt::kernels::redblack_tiled(x[0], kRbC1, kRbC2, plan.tile);
+      } else {
+        for (long parity = 0; parity < 2; ++parity) {
+          blocks([&](auto... box) {
+            rt::kernels::redblack_colour(x[0], kRbC1, kRbC2, parity, box...);
+          });
+        }
+      }
+      return;
+    case KernelId::kResid:
+      if (!scalar) {
+        resid(ex, plan, x[0], x[1], x[2], rt::kernels::nas_mg_a());
+        return;
+      }
+      blocks([&](auto... box) {
+        rt::kernels::resid(x[0], x[1], x[2], rt::kernels::nas_mg_a(), box...);
+      });
+      return;
+    case KernelId::kPsinv:
+      if (!scalar) {
+        psinv(ex, plan, x[0], x[1], rt::kernels::nas_mg_c());
+        return;
+      }
+      blocks([&](auto... box) {
+        rt::kernels::psinv(x[0], x[1], rt::kernels::nas_mg_c(), box...);
+      });
+      return;
+  }
+}
+
+}  // namespace
+
+void run_steps(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
+               std::vector<Array3D<double>>& arrays, int tsteps,
+               const rt::core::TemporalPlan& tp) {
+  if (tp.mode != rt::core::TemporalMode::kOff) {
+    if (id != rt::kernels::KernelId::kJacobi) {
+      throw std::invalid_argument(
+          "run_steps: temporal schedules run JACOBI only");
+    }
+    for (int s = 0; s < tsteps; ++s) fault_point();
+    rt::core::TemporalPlan sched = tp;
+    sched.tsteps = tsteps;
+    const auto dst = [&](int t) {
+      return static_cast<std::size_t>((tsteps - 1 - t) % 2);
+    };
+    for_each_step_block(
+        ex, sched, arrays[0].n1(), arrays[0].n2(), arrays[0].n3(),
+        [&](int t, long i0, long i1, long j0, long j1, long k0, long k1) {
+          Array3D<double>& a = arrays[dst(t)];
+          const Array3D<double>& b = arrays[1 - dst(t)];
+          if (ex.lvl == SimdLevel::kScalar) {
+            rt::kernels::jacobi3d(a, b, kJacobiC, i0, i1, j0, j1, k0, k1);
+          } else {
+            jacobi_sweep(a, b, kJacobiC, i0, i1, j0, j1, k0, k1, ex.lvl);
+          }
+        });
+    return;
+  }
+  for (int s = 0; s < tsteps; ++s) {
+    fault_point();
+    step(ex, id, plan, arrays, static_cast<std::size_t>((tsteps - 1 - s) % 2));
+  }
 }
 
 void jacobi(const Exec& ex, const TilingPlan& plan, Array3D<double>& a,

@@ -90,7 +90,7 @@ class Autotuner {
   /// Same sweep over temporal candidates.
   TuneResult tune_temporal(const TuneKey& key,
                            const std::vector<TemporalCandidate>& cands,
-                           const TemporalRunner& runner);
+                           const TemporalCandidateRunner& runner);
 
   /// Is @p e older than config().max_age_ms at wall-clock @p now_ms?
   bool is_stale(const StoreEntry& e, std::int64_t now_ms) const;

@@ -94,7 +94,7 @@ using CandidateRunner =
     std::function<Measurement(const rt::core::TilingPlan& plan)>;
 
 /// Same for temporal candidates.
-using TemporalRunner =
+using TemporalCandidateRunner =
     std::function<Measurement(const rt::core::TemporalPlan& plan)>;
 
 }  // namespace rt::tune

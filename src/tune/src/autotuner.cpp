@@ -235,7 +235,7 @@ TuneResult Autotuner::tune_spatial(const TuneKey& key,
 
 TuneResult Autotuner::tune_temporal(const TuneKey& key,
                                     const std::vector<TemporalCandidate>& cands,
-                                    const TemporalRunner& runner) {
+                                    const TemporalCandidateRunner& runner) {
   Sweep sweep;
   const std::size_t n = std::min(cands.size(), cfg_.max_candidates);
   for (std::size_t i = 0; i < n; ++i) {

@@ -10,6 +10,12 @@
 // divergence compounds.  Red-black is checked against the serial fused
 // tiled schedule as well as the naive one.
 //
+// run_steps, the one time-step call, is checked the same way for every
+// kernel, tsteps (including <= 0) and plan schedule, and under skew and
+// diamond TemporalPlans against the ping-pong reference; the time-schedule
+// driver must run every (step, plane, row) exactly once and only after the
+// step - 1 updates it reads.
+//
 // Also pinned: the block driver's work items (a null pool runs the serial
 // tile order; a recursive plan runs exactly the co_over leaves, not the
 // flat grid), degenerate tiles and empty interiors, the red-black colour
@@ -21,15 +27,21 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <mutex>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "rt/array/array3d.hpp"
+#include "rt/core/temporal.hpp"
 #include "rt/kernels/jacobi3d.hpp"
+#include "rt/kernels/psinv.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
@@ -160,11 +172,11 @@ int num_grids(Op op) {
   }
 }
 
-rt::multigrid::SmootherCoeffs psinv_coeffs(Op op) {
+rt::kernels::SmootherCoeffs psinv_coeffs(Op op) {
   // The NAS set zeroes the corner term; the dense set exercises it.
   return op == Op::kPsinvNas
-             ? rt::multigrid::nas_mg_c()
-             : rt::multigrid::SmootherCoeffs{-0.4, 0.03, -0.015, 0.007};
+             ? rt::kernels::nas_mg_c()
+             : rt::kernels::SmootherCoeffs{-0.4, 0.03, -0.015, 0.007};
 }
 
 TilingPlan plan_of(Sched s, IterTile t) {
@@ -211,7 +223,7 @@ void run_reference(Op op, Sched s, IterTile t, Grids& x) {
         break;
       case Op::kPsinvNas:
       case Op::kPsinvDense:
-        rt::multigrid::psinv(x[0], x[1], psinv_coeffs(op));
+        rt::kernels::psinv(x[0], x[1], psinv_coeffs(op));
         break;
     }
   }
@@ -463,6 +475,244 @@ TEST(ExecDriver, DegenerateTilesAndEmptyInteriorsAreSafe) {
       jacobi(ex, plan, a, src, 1.0 / 6.0);
       copy_interior(ex, a, src);
       EXPECT_TRUE(logical_equal(a, Array3D<double>(2, 7, 6, 5.0)));
+    }
+  }
+}
+
+// --- The time-step call: run_steps ---
+
+using rt::core::TemporalMode;
+using rt::core::TemporalPlan;
+using rt::kernels::KernelId;
+
+const int kStepCounts[] = {-1, 0, 1, 2, 3, 5};
+
+/// Where run_steps may run: the accessor nests inline, and the row kernels
+/// inline and on 1-, 2- and 4-thread pools.
+struct StepRunner {
+  ThreadPool one{1}, two{2}, four{4};
+  std::vector<Exec> execs() {
+    std::vector<Exec> v{Exec{nullptr, SimdLevel::kScalar}};
+    for (const SimdLevel lvl : kLevels) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &one, &two,
+                            &four}) {
+        v.push_back(Exec{p, lvl});
+      }
+    }
+    return v;
+  }
+};
+
+/// Start index of a JACOBI run: run_steps reads its start state from
+/// arrays[tsteps % 2] (nothing runs for tsteps <= 0).
+std::size_t start_of(int tsteps) {
+  return static_cast<std::size_t>(tsteps > 0 ? tsteps % 2 : 0);
+}
+
+/// The serial accessor oracle of run_steps(id, tsteps) on @p x.  JACOBI is
+/// jacobi3d_pingpong from x[start]: its result lands in x[0] for either
+/// parity.
+void step_oracle(KernelId id, int tsteps, Grids& x) {
+  if (id == KernelId::kJacobi) {
+    const std::size_t start = start_of(tsteps);
+    rt::kernels::jacobi3d_pingpong(x[1 - start], x[start], 1.0 / 6.0, tsteps);
+    return;
+  }
+  for (int t = 0; t < tsteps; ++t) {
+    switch (id) {
+      case KernelId::kRedBlack:
+        rt::kernels::redblack_naive(x[0], 0.4, 0.1);
+        break;
+      case KernelId::kResid:
+        rt::kernels::resid(x[0], x[1], x[2], rt::kernels::nas_mg_a());
+        break;
+      default:
+        rt::kernels::psinv(x[0], x[1], rt::kernels::nas_mg_c());
+        break;
+    }
+  }
+}
+
+using StepsParam = std::tuple<KernelId, Sched>;
+
+class ExecSteps : public ::testing::TestWithParam<StepsParam> {};
+
+TEST_P(ExecSteps, BitIdenticalToSerialAccessorOracle) {
+  const auto [id, sched] = GetParam();
+  const int arrays = rt::kernels::kernel_info(id).num_arrays;
+  StepRunner runner;
+  for (const Shape& s : {shapes()[0], shapes()[4], shapes()[5],
+                         shapes()[12]}) {
+    const TilingPlan plan = plan_of(sched, IterTile{s.ti, s.tj});
+    for (const int tsteps : kStepCounts) {
+      Grids want = make_grids(arrays, s, /*padded=*/false);
+      step_oracle(id, tsteps, want);
+      for (const Exec& ex : runner.execs()) {
+        Grids got = make_grids(arrays, s, /*padded=*/true);
+        run_steps(ex, id, plan, got, tsteps);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_TRUE(logical_equal(want[i], got[i]))
+              << "grid " << i << " " << describe(s) << " tsteps " << tsteps
+              << describe(ex);
+        }
+      }
+    }
+  }
+}
+
+std::string steps_name(const ::testing::TestParamInfo<StepsParam>& info) {
+  static const char* const kScheds[] = {"Untiled", "Flat", "Recursive"};
+  const auto [id, sched] = info.param;
+  return std::string(rt::kernels::kernel_info(id).name) + "_" +
+         kScheds[static_cast<int>(sched)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, ExecSteps,
+    ::testing::Combine(::testing::Values(KernelId::kJacobi,
+                                         KernelId::kRedBlack,
+                                         KernelId::kResid, KernelId::kPsinv),
+                       ::testing::Values(Sched::kUntiled, Sched::kFlat,
+                                         Sched::kRecursive)),
+    steps_name);
+
+/// A skew or diamond plan for @p threads, made by the planner.
+TemporalPlan temporal_plan(TemporalMode mode, long n1, long n2, long n3,
+                           int tsteps, long bk, int threads) {
+  return rt::core::temporal_plan_checked(mode, 1 << 22, n1, n2, n3,
+                                         std::max(tsteps, 0), bk, threads)
+      .plan;
+}
+
+TEST(ExecSteps, SkewAndDiamondMatchPingPong) {
+  struct Grid {
+    long n1, n2, n3, bk;
+  };
+  // Non-cubic grids; 10x12x6 has one diamond block for up to four threads,
+  // so its triangles split into team > 1 J slices.
+  const Grid grids[] = {{9, 7, 13, 3}, {6, 11, 20, 4}, {17, 9, 6, 2},
+                        {10, 12, 6, 4}};
+  StepRunner runner;
+  bool split = false;
+  for (const Grid& g : grids) {
+    const Shape s{g.n1, g.n2, g.n3, 0, 0, 0, 0};
+    for (const int tsteps : kStepCounts) {
+      Grids want = make_grids(2, s, false);
+      step_oracle(KernelId::kJacobi, tsteps, want);
+      for (const TemporalMode mode :
+           {TemporalMode::kSkew, TemporalMode::kDiamond}) {
+        for (const Exec& ex : runner.execs()) {
+          const int width = ex.pool != nullptr ? ex.pool->num_threads() : 1;
+          const TemporalPlan tp =
+              temporal_plan(mode, g.n1, g.n2, g.n3, tsteps, g.bk, width);
+          split |= tp.team > 1;
+          Grids got = make_grids(2, s, false);
+          run_steps(ex, KernelId::kJacobi, TilingPlan{}, got, tsteps, tp);
+          for (std::size_t i = 0; i < 2; ++i) {
+            EXPECT_TRUE(logical_equal(want[i], got[i]))
+                << "grid " << i << " " << describe(s) << " "
+                << rt::core::temporal_mode_name(mode) << " tsteps " << tsteps
+                << describe(ex);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(split) << "no diamond plan split its triangles in J";
+}
+
+TEST(ExecSteps, TemporalPlansRunJacobiOnly) {
+  TemporalPlan tp;
+  tp.mode = TemporalMode::kSkew;
+  tp.bk = 2;
+  for (const KernelId id :
+       {KernelId::kRedBlack, KernelId::kResid, KernelId::kPsinv}) {
+    Grids x = make_grids(rt::kernels::kernel_info(id).num_arrays,
+                         shapes()[2], false);
+    EXPECT_THROW(run_steps(Exec{}, id, TilingPlan{}, x, 1, tp),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(for_each_step_block(Exec{}, TemporalPlan{}, 8, 8, 8,
+                                   [](int, long, long, long, long, long,
+                                      long) {}),
+               std::invalid_argument);
+}
+
+/// Runs @p tp's schedule with a body that, at the start of each item,
+/// requires every row (j, k) of its box to have finished exactly t steps
+/// and every interior face-neighbour row at least t (the step t - 1 values
+/// it reads), then marks the box's rows done.  On a multi-thread pool each
+/// item lingers so that a missing stage barrier lets later items overtake.
+/// Returns the number of violations, after checking every interior row
+/// ran max(tsteps, 0) steps.
+int schedule_violations(const Exec& ex, const TemporalPlan& tp, long n1,
+                        long n2, long n3) {
+  std::vector<std::atomic<int>> done(static_cast<std::size_t>(n2 * n3));
+  const auto at = [&](long j, long k) -> std::atomic<int>& {
+    return done[static_cast<std::size_t>(k * n2 + j)];
+  };
+  const auto interior = [&](long j, long k) {
+    return j >= 1 && j < n2 - 1 && k >= 1 && k < n3 - 1;
+  };
+  const std::pair<long, long> kFaces[] = {{-1, 0}, {1, 0}, {0, -1}, {0, 1}};
+  const bool linger = ex.pool != nullptr && ex.pool->num_threads() > 1;
+  std::atomic<int> bad{0};
+  for_each_step_block(
+      ex, tp, n1, n2, n3,
+      [&](int t, long i0, long i1, long j0, long j1, long k0, long k1) {
+        if (i0 != 1 || i1 != n1 - 1) ++bad;
+        for (long k = k0; k < k1; ++k) {
+          for (long j = j0; j < j1; ++j) {
+            if (!interior(j, k) || at(j, k).load() != t) {
+              ++bad;
+              continue;
+            }
+            for (const auto& [dj, dk] : kFaces) {
+              if (interior(j + dj, k + dk) && at(j + dj, k + dk).load() < t) {
+                ++bad;
+              }
+            }
+          }
+        }
+        if (linger) std::this_thread::sleep_for(std::chrono::microseconds(200));
+        for (long k = k0; k < k1; ++k) {
+          for (long j = j0; j < j1; ++j) {
+            if (interior(j, k)) at(j, k).fetch_add(1);
+          }
+        }
+      });
+  for (long k = 1; k < n3 - 1; ++k) {
+    for (long j = 1; j < n2 - 1; ++j) {
+      if (at(j, k).load() != std::max(tp.tsteps, 0)) ++bad;
+    }
+  }
+  return bad.load();
+}
+
+TEST(ExecSteps, ScheduleRunsEachRowStepOnceAfterItsInputs) {
+  ThreadPool two(2), four(4);
+  const Exec execs[] = {Exec{}, Exec{&two}, Exec{&four}};
+  for (const TemporalMode mode :
+       {TemporalMode::kSkew, TemporalMode::kDiamond}) {
+    for (const long n3 : {3L, 7L, 14L}) {
+      for (const long bk : {0L, 1L, 2L, 3L, 5L, 40L}) {
+        for (const int tsteps : kStepCounts) {
+          for (const int team : {1, 3}) {
+            TemporalPlan tp;
+            tp.mode = mode;
+            tp.tsteps = tsteps;
+            tp.bk = bk;
+            tp.tb = static_cast<int>(std::max(bk / 2, 1L));
+            tp.team = team;
+            for (const Exec& ex : execs) {
+              EXPECT_EQ(schedule_violations(ex, tp, 6, 9, n3), 0)
+                  << rt::core::temporal_mode_name(mode) << " n3 " << n3
+                  << " bk " << bk << " tsteps " << tsteps << " team " << team
+                  << describe(ex);
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -15,7 +15,7 @@
 #include "rt/kernels/kernel_info.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
-#include "rt/multigrid/operators.hpp"
+#include "rt/kernels/psinv.hpp"
 #include "rt/simd/exec.hpp"
 
 namespace rt::kernels {
@@ -114,7 +114,7 @@ TEST_P(TiledCounts, PsinvTiledSameAccessCount) {
     CacheHierarchy h = CacheHierarchy::ultrasparc2();
     TracedArray3D<double> tu(u, 0, h), tr_(r, 1 << 22, h);
     on_blocks(t, s, n, kd, [&](auto... box) {
-      rt::multigrid::psinv(tu, tr_, rt::multigrid::nas_mg_c(), box...);
+      rt::kernels::psinv(tu, tr_, rt::kernels::nas_mg_c(), box...);
     });
     EXPECT_EQ(h.stats().l1.accesses, 29u * pts) << static_cast<int>(s);
   }

@@ -1,17 +1,39 @@
-// Time-skewed Jacobi must be bitwise equal to the plain ping-pong sweeps
-// for any block size and step count.
+// Time-skewed Jacobi — the skew schedule of rt::simd::for_each_step_block
+// with the accessor nest as its body, inline in schedule order — must be
+// bitwise equal to the plain ping-pong sweeps for any block size and step
+// count.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "rt/array/array3d.hpp"
-#include "rt/kernels/timeskew.hpp"
+#include "rt/core/temporal.hpp"
+#include "rt/kernels/jacobi3d.hpp"
+#include "rt/simd/exec.hpp"
 
 namespace rt::kernels {
 namespace {
 
 using rt::array::Array3D;
+
+/// @p tsteps skewed steps with K blocks of depth @p bk on the ping-pong
+/// pair of jacobi3d_pingpong: b holds step 0, step t writes (t even ? a : b).
+void jacobi3d_skewed(Array3D<double>& a, Array3D<double>& b, double c,
+                     int tsteps, long bk) {
+  rt::core::TemporalPlan tp;
+  tp.mode = rt::core::TemporalMode::kSkew;
+  tp.tsteps = tsteps;
+  tp.bk = bk;
+  rt::simd::for_each_step_block(
+      {}, tp, a.n1(), a.n2(), a.n3(), [&](int t, auto... box) {
+        if (t % 2 == 0) {
+          jacobi3d(a, b, c, box...);
+        } else {
+          jacobi3d(b, a, c, box...);
+        }
+      });
+}
 
 Array3D<double> make_grid(long n, long kd, double seed) {
   Array3D<double> a(n, n, kd);
@@ -34,7 +56,7 @@ TEST_P(TimeSkew, BitwiseEqualToPingPong) {
   Array3D<double> b1 = make_grid(n, kd, 0.7), b2 = b1;
   Array3D<double> a1(n, n, kd), a2(n, n, kd);
   jacobi3d_pingpong(a1, b1, 1.0 / 6.0, tsteps);
-  jacobi3d_timeskew(a2, b2, 1.0 / 6.0, tsteps, bk);
+  jacobi3d_skewed(a2, b2, 1.0 / 6.0, tsteps, bk);
   for (long k = 0; k < kd; ++k)
     for (long j = 0; j < n; ++j)
       for (long i = 0; i < n; ++i) {
@@ -69,7 +91,7 @@ TEST_P(TimeSkewShapes, BitwiseEqualToPingPong) {
         b1(i, j, k) = std::cos(0.7 + 0.05 * i + 0.11 * j + 0.23 * k);
   Array3D<double> b2 = b1;
   jacobi3d_pingpong(a1, b1, 1.0 / 6.0, tsteps);
-  jacobi3d_timeskew(a2, b2, 1.0 / 6.0, tsteps, bk);
+  jacobi3d_skewed(a2, b2, 1.0 / 6.0, tsteps, bk);
   for (long k = 0; k < n3; ++k)
     for (long j = 0; j < n2; ++j)
       for (long i = 0; i < n1; ++i) {
@@ -101,7 +123,7 @@ TEST(TimeSkew, ExhaustiveSmallShapesAndBlockClamps) {
                         b2 = b1;
         Array3D<double> a1(n, n, n), a2(n, n, n);
         jacobi3d_pingpong(a1, b1, 1.0 / 6.0, tsteps);
-        jacobi3d_timeskew(a2, b2, 1.0 / 6.0, tsteps, bk);
+        jacobi3d_skewed(a2, b2, 1.0 / 6.0, tsteps, bk);
         for (long k = 0; k < n; ++k)
           for (long j = 0; j < n; ++j)
             for (long i = 0; i < n; ++i) {
@@ -125,7 +147,7 @@ TEST(TimeSkew, NonPositiveBlockIsClampedNotHung) {
     Array3D<double> b1 = make_grid(8, 8, 0.9), b2 = b1;
     Array3D<double> a1(8, 8, 8), a2(8, 8, 8);
     jacobi3d_pingpong(a1, b1, 1.0 / 6.0, 3);
-    jacobi3d_timeskew(a2, b2, 1.0 / 6.0, 3, bk);
+    jacobi3d_skewed(a2, b2, 1.0 / 6.0, 3, bk);
     for (long k = 0; k < 8; ++k)
       for (long j = 0; j < 8; ++j)
         for (long i = 0; i < 8; ++i) {
@@ -141,7 +163,7 @@ TEST(TimeSkew, NonPositiveStepsIsNoOp) {
   for (int tsteps : {0, -1, -5}) {
     Array3D<double> b1 = make_grid(7, 7, 0.4), b2 = b1;
     Array3D<double> a1(7, 7, 7), a2 = a1;
-    jacobi3d_timeskew(a2, b2, 1.0 / 6.0, tsteps, 2);
+    jacobi3d_skewed(a2, b2, 1.0 / 6.0, tsteps, 2);
     for (long k = 0; k < 7; ++k)
       for (long j = 0; j < 7; ++j)
         for (long i = 0; i < 7; ++i) {
@@ -155,7 +177,7 @@ TEST(TimeSkew, SingleStepEqualsOneSweep) {
   Array3D<double> b1 = make_grid(12, 12, 0.3), b2 = b1;
   Array3D<double> a1(12, 12, 12), a2(12, 12, 12);
   jacobi3d_pingpong(a1, b1, 0.25, 1);
-  jacobi3d_timeskew(a2, b2, 0.25, 1, 3);
+  jacobi3d_skewed(a2, b2, 0.25, 1, 3);
   for (long k = 1; k < 11; ++k)
     for (long j = 1; j < 11; ++j)
       for (long i = 1; i < 11; ++i) ASSERT_EQ(a1(i, j, k), a2(i, j, k));

@@ -8,12 +8,15 @@
 
 #include "rt/cachesim/hierarchy.hpp"
 #include "rt/cachesim/traced_array.hpp"
+#include "rt/kernels/psinv.hpp"
 #include "rt/multigrid/operators.hpp"
 
 namespace rt::multigrid {
 namespace {
 
 using rt::array::Array3D;
+using rt::kernels::nas_mg_c;
+using rt::kernels::psinv;
 
 Array3D<double> rand_grid(long n, std::uint64_t seed) {
   Array3D<double> a(n, n, n);

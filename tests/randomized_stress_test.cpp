@@ -11,10 +11,10 @@
 #include "rt/array/array3d.hpp"
 #include "rt/core/conflict.hpp"
 #include "rt/core/plan.hpp"
+#include "rt/core/temporal.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
-#include "rt/kernels/timeskew.hpp"
 #include "rt/simd/exec.hpp"
 
 namespace rt {
@@ -133,7 +133,17 @@ TEST_P(RandomStress, TimeSkewEquals) {
     Array3D<double> b1 = rand_grid(rng, d), b2 = b1;
     Array3D<double> a1(d), a2(d);
     kernels::jacobi3d_pingpong(a1, b1, 0.2, ts);
-    kernels::jacobi3d_timeskew(a2, b2, 0.2, ts, bk);
+    core::TemporalPlan tp;
+    tp.mode = core::TemporalMode::kSkew;
+    tp.tsteps = ts;
+    tp.bk = bk;
+    simd::for_each_step_block({}, tp, n, n, kd, [&](int t, auto... box) {
+      if (t % 2 == 0) {
+        kernels::jacobi3d(a2, b2, 0.2, box...);
+      } else {
+        kernels::jacobi3d(b2, a2, 0.2, box...);
+      }
+    });
     ASSERT_TRUE(interiors_equal(a1, a2) && interiors_equal(b1, b2))
         << "n=" << n << " kd=" << kd << " bk=" << bk << " ts=" << ts;
   }

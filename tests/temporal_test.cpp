@@ -1,8 +1,9 @@
-// rt::temporal — validated planner semantics, PlanCache temporal keying,
-// and the tentpole contract: the skew and diamond wavefront executors are
-// bitwise identical to the serial ping-pong reference for every thread
-// count x SimdLevel x tsteps combination, including degraded thread
-// spawns (RT_GUARD_FAULTS-style injection).
+// Temporal blocking: validated planner semantics, PlanCache temporal
+// keying, and the execution contract — rt::simd::run_steps under a skew or
+// diamond TemporalPlan is bitwise identical to the serial ping-pong
+// reference for every pool width x SimdLevel x tsteps combination,
+// including a pool degraded by injected thread-spawn failures
+// (RT_GUARD_FAULTS=thread).
 
 #include <gtest/gtest.h>
 
@@ -14,12 +15,11 @@
 #include "rt/core/temporal.hpp"
 #include "rt/guard/fault_injector.hpp"
 #include "rt/guard/status.hpp"
-#include "rt/kernels/timeskew.hpp"
+#include "rt/kernels/jacobi3d.hpp"
 #include "rt/par/thread_pool.hpp"
-#include "rt/simd/simd.hpp"
-#include "rt/temporal/wavefront.hpp"
+#include "rt/simd/exec.hpp"
 
-namespace rt::temporal {
+namespace rt::simd {
 namespace {
 
 using rt::array::Array3D;
@@ -28,7 +28,7 @@ using rt::core::TemporalPlan;
 using rt::core::TemporalReport;
 using rt::core::temporal_plan_checked;
 using rt::guard::Status;
-using rt::simd::SimdLevel;
+using rt::kernels::KernelId;
 
 Array3D<double> make_grid(long n1, long n2, long n3, double seed) {
   Array3D<double> a(n1, n2, n3);
@@ -49,6 +49,24 @@ void expect_bitwise(const Array3D<double>& x, const Array3D<double>& y,
       for (long i = 0; i < x.n1(); ++i)
         ASSERT_EQ(x(i, j, k), y(i, j, k))
             << what << " @ " << i << "," << j << "," << k;
+}
+
+/// run_steps of JACOBI under @p tp on a fresh pair whose start state is
+/// make_grid(.., 0.7) in arrays[tsteps % 2], checked against
+/// jacobi3d_pingpong from the same start: arrays[tsteps % 2] must end as
+/// the reference's b and the other array as its a.
+void expect_pingpong(const Exec& ex, const TemporalPlan& tp, long n1, long n2,
+                     long n3, int tsteps, const char* what) {
+  Array3D<double> rb = make_grid(n1, n2, n3, 0.7), ra(n1, n2, n3);
+  rt::kernels::jacobi3d_pingpong(ra, rb, 1.0 / 6.0, tsteps);
+  const std::size_t start = static_cast<std::size_t>(tsteps > 0 ? tsteps % 2 : 0);
+  std::vector<Array3D<double>> g;
+  g.emplace_back(n1, n2, n3);
+  g.emplace_back(n1, n2, n3);
+  g[start] = make_grid(n1, n2, n3, 0.7);
+  run_steps(ex, KernelId::kJacobi, rt::core::TilingPlan{}, g, tsteps, tp);
+  expect_bitwise(ra, g[1 - start], what);
+  expect_bitwise(rb, g[start], what);
 }
 
 // ---------------------------------------------------------------------------
@@ -194,7 +212,7 @@ TEST(TemporalPlanCache, CachedReportMatchesDirectPlanning) {
 }
 
 // ---------------------------------------------------------------------------
-// Bitwise identity: executors vs. serial ping-pong reference
+// Bitwise identity: run_steps schedules vs. serial ping-pong reference
 // ---------------------------------------------------------------------------
 
 struct RunCfg {
@@ -207,47 +225,36 @@ class TemporalIdentity : public ::testing::TestWithParam<RunCfg> {};
 
 std::vector<SimdLevel> levels_under_test() {
   std::vector<SimdLevel> lv = {SimdLevel::kScalar};
-  if (rt::simd::resolve(rt::simd::SimdMode::kAuto) != SimdLevel::kScalar) {
-    lv.push_back(rt::simd::resolve(rt::simd::SimdMode::kAuto));
+  if (resolve(SimdMode::kAuto) != SimdLevel::kScalar) {
+    lv.push_back(resolve(SimdMode::kAuto));
   }
   return lv;
 }
 
-TEST_P(TemporalIdentity, SkewMatchesPingPong) {
-  const auto [n1, n2, n3, tsteps, bk] = GetParam();
-  Array3D<double> rb = make_grid(n1, n2, n3, 0.7), ra(n1, n2, n3);
-  rt::kernels::jacobi3d_pingpong(ra, rb, 1.0 / 6.0, tsteps);
+/// Every level inline and on 1- to 4-thread pools, each pool width with the
+/// plan made for it.
+void expect_mode_matches(TemporalMode mode, const RunCfg& c) {
   for (SimdLevel lvl : levels_under_test()) {
-    for (int threads : {1, 2, 3, 4}) {
-      const auto rep = temporal_plan_checked(TemporalMode::kSkew, 1 << 22, n1,
-                                             n2, n3, tsteps, bk, threads);
-      Array3D<double> b = make_grid(n1, n2, n3, 0.7), a(n1, n2, n3);
-      rt::par::ThreadPool pool(threads);
-      const auto run = jacobi3d_skew_rows(threads > 1 ? &pool : nullptr, a, b,
-                                          1.0 / 6.0, rep.plan, lvl);
-      EXPECT_GE(run.threads, 1);
-      expect_bitwise(ra, a, "skew a");
-      expect_bitwise(rb, b, "skew b");
+    for (int threads : {0, 1, 2, 3, 4}) {
+      const auto rep = temporal_plan_checked(mode, 1 << 22, c.n1, c.n2, c.n3,
+                                             c.tsteps, c.bk,
+                                             std::max(threads, 1));
+      rt::par::ThreadPool pool(std::max(threads, 1));
+      const Exec ex{threads > 0 ? &pool : nullptr, lvl};
+      SCOPED_TRACE(std::string(rt::core::temporal_mode_name(mode)) + " " +
+                   simd_level_name(lvl) + " threads " +
+                   std::to_string(threads));
+      expect_pingpong(ex, rep.plan, c.n1, c.n2, c.n3, c.tsteps, "run");
     }
   }
 }
 
+TEST_P(TemporalIdentity, SkewMatchesPingPong) {
+  expect_mode_matches(TemporalMode::kSkew, GetParam());
+}
+
 TEST_P(TemporalIdentity, DiamondMatchesPingPong) {
-  const auto [n1, n2, n3, tsteps, bk] = GetParam();
-  Array3D<double> rb = make_grid(n1, n2, n3, 0.7), ra(n1, n2, n3);
-  rt::kernels::jacobi3d_pingpong(ra, rb, 1.0 / 6.0, tsteps);
-  for (SimdLevel lvl : levels_under_test()) {
-    for (int threads : {1, 2, 3, 4}) {
-      auto rep = temporal_plan_checked(TemporalMode::kDiamond, 1 << 22, n1, n2,
-                                       n3, tsteps, bk, threads);
-      Array3D<double> b = make_grid(n1, n2, n3, 0.7), a(n1, n2, n3);
-      const auto run = jacobi3d_diamond_rows(a, b, 1.0 / 6.0, rep.plan, lvl);
-      // tsteps <= 0 early-returns without spawning (threads = 1 is correct).
-      if (tsteps > 0) EXPECT_EQ(run.threads, rep.plan.threads);
-      expect_bitwise(ra, a, "diamond a");
-      expect_bitwise(rb, b, "diamond b");
-    }
-  }
+  expect_mode_matches(TemporalMode::kDiamond, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -263,55 +270,48 @@ INSTANTIATE_TEST_SUITE_P(
                       RunCfg{9, 9, 9, 0, 2}));  // tsteps = 0: no-op
 
 TEST(TemporalIdentity, ZeroStepsLeavesArraysUntouched) {
-  Array3D<double> b = make_grid(8, 8, 8, 0.3), b0 = b;
-  Array3D<double> a(8, 8, 8), a0 = a;
+  std::vector<Array3D<double>> g;
+  g.push_back(make_grid(8, 8, 8, 0.3));
+  g.emplace_back(8, 8, 8);
+  const std::vector<Array3D<double>> g0 = g;
   TemporalPlan plan;
   plan.mode = TemporalMode::kSkew;
-  plan.tsteps = 0;
+  plan.tsteps = 4;  // run_steps' tsteps = 0 wins over the plan's
   plan.bk = 4;
-  jacobi3d_skew_rows(nullptr, a, b, 1.0 / 6.0, plan, SimdLevel::kScalar);
-  expect_bitwise(a0, a, "skew zero-step a");
-  expect_bitwise(b0, b, "skew zero-step b");
+  run_steps(Exec{nullptr, SimdLevel::kScalar}, KernelId::kJacobi, {}, g, 0,
+            plan);
+  expect_bitwise(g0[0], g[0], "skew zero-step arrays[0]");
+  expect_bitwise(g0[1], g[1], "skew zero-step arrays[1]");
   plan.mode = TemporalMode::kDiamond;
   plan.tb = 1;
-  jacobi3d_diamond_rows(a, b, 1.0 / 6.0, plan, SimdLevel::kScalar);
-  expect_bitwise(a0, a, "diamond zero-step a");
-  expect_bitwise(b0, b, "diamond zero-step b");
+  run_steps(Exec{nullptr, SimdLevel::kScalar}, KernelId::kJacobi, {}, g, 0,
+            plan);
+  expect_bitwise(g0[0], g[0], "diamond zero-step arrays[0]");
+  expect_bitwise(g0[1], g[1], "diamond zero-step arrays[1]");
 }
 
 // ---------------------------------------------------------------------------
-// Degraded thread spawn (fault injection) and first-touch init
+// Degraded thread spawn (fault injection)
 // ---------------------------------------------------------------------------
 
 TEST(TemporalDegraded, InjectedSpawnFailureShrinksTheRunNotTheResult) {
   auto& inj = rt::guard::FaultInjector::instance();
   inj.disarm_all();
-  // Fail every spawn: the diamond must fall back to the calling thread.
-  inj.arm(rt::guard::FaultKind::kThreadSpawn, 0, -1);
+  // RT_GUARD_FAULTS=thread: every spawn fails, so the pool is built with
+  // the calling thread only.
+  ASSERT_TRUE(inj.parse_spec("thread"));
+  rt::par::ThreadPool pool(4);
+  inj.disarm_all();
+  EXPECT_LT(pool.num_threads(), 4)
+      << "injected spawn failure must be visible in the pool width";
   const auto rep = temporal_plan_checked(TemporalMode::kDiamond, 1 << 22, 10,
                                          10, 10, 3, 4, 4);
-  Array3D<double> rb = make_grid(10, 10, 10, 0.7), ra(10, 10, 10);
-  rt::kernels::jacobi3d_pingpong(ra, rb, 1.0 / 6.0, 3);
-  Array3D<double> b = make_grid(10, 10, 10, 0.7), a(10, 10, 10);
-  const auto run =
-      jacobi3d_diamond_rows(a, b, 1.0 / 6.0, rep.plan, SimdLevel::kScalar);
-  inj.disarm_all();
-  EXPECT_LT(run.threads, rep.plan.threads)
-      << "injected spawn failure must be visible in TemporalRun";
-  expect_bitwise(ra, a, "degraded diamond a");
-  expect_bitwise(rb, b, "degraded diamond b");
-}
-
-TEST(TemporalFirstTouch, ZeroesEveryElementSerialAndParallel) {
-  for (int threads : {1, 3}) {
-    Array3D<double> g = make_grid(9, 7, 11, 0.5);
-    rt::par::ThreadPool pool(threads);
-    first_touch_zero(threads > 1 ? &pool : nullptr, g);
-    for (long k = 0; k < g.n3(); ++k)
-      for (long j = 0; j < g.n2(); ++j)
-        for (long i = 0; i < g.n1(); ++i) ASSERT_EQ(g(i, j, k), 0.0);
+  EXPECT_EQ(rep.plan.threads, 4);
+  for (SimdLevel lvl : levels_under_test()) {
+    expect_pingpong(Exec{&pool, lvl}, rep.plan, 10, 10, 10, 3,
+                    "degraded diamond");
   }
 }
 
 }  // namespace
-}  // namespace rt::temporal
+}  // namespace rt::simd

@@ -1,5 +1,5 @@
 // rt::tune — the measurement-driven autotuner.  The calibration engine is
-// driven entirely through synthetic CandidateRunner/TemporalRunner
+// driven entirely through synthetic CandidateRunner/TemporalCandidateRunner
 // callbacks here (no kernels): objective and tie-breaking, skip recording,
 // the watchdog deadline with an injected hang, the durable plan store's
 // round-trip / kStale / kCorrupt contract, PlanCache installation, and the
@@ -435,7 +435,7 @@ TEST(Autotuner, TemporalSweepUsesTheSameProtocol) {
   cands[0].report.plan.bk = 8;
   cands[1].origin = "bk*2";
   cands[1].report.plan.bk = 16;
-  TemporalRunner runner = [](const rt::core::TemporalPlan& p) {
+  TemporalCandidateRunner runner = [](const rt::core::TemporalPlan& p) {
     return timed(p.bk == 16 ? 0.1 : 0.4);
   };
   const TuneResult res = t.tune_temporal(any_key(), cands, runner);

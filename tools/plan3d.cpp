@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -52,39 +53,46 @@ int main(int argc, char** argv) {
     std::cerr << "plan3d: need --di (and optionally --dj); see --help\n";
     return 2;
   }
-  const long cs = cache_bytes / elem_bytes;
+  // The planners reject some geometries (e.g. a cache whose size is not
+  // a power of two) by throwing; report that instead of aborting.
+  try {
+    const long cs = cache_bytes / elem_bytes;
 
-  std::cout << "Array " << di << " x " << dj << " x M, cache " << cache_bytes
-            << " B direct-mapped (" << cs << " elements), stencil trim ("
-            << spec.trim_i << "," << spec.trim_j << ") ATD " << spec.atd
-            << "\n\n";
+    std::cout << "Array " << di << " x " << dj << " x M, cache " << cache_bytes
+              << " B direct-mapped (" << cs << " elements), stencil trim ("
+              << spec.trim_i << "," << spec.trim_j << ") ATD " << spec.atd
+              << "\n\n";
 
-  std::vector<std::string> header{"transform", "tile (TI,TJ)", "padded dims",
-                                  "pad elems/plane", "cost",
-                                  "conflict-free"};
-  std::vector<std::vector<std::string>> rows;
-  for (rt::core::Transform tr : rt::core::all_transforms()) {
-    const auto p = rt::core::plan_for(tr, cs, di, dj, spec);
-    const bool cf =
-        !p.tiled ||
-        rt::core::is_conflict_free(cs, p.dip, p.djp, p.tile.ti + spec.trim_i,
-                                   p.tile.tj + spec.trim_j, spec.atd);
-    rows.push_back(
-        {std::string(rt::core::transform_name(tr)),
-         p.tiled ? "(" + std::to_string(p.tile.ti) + "," +
-                       std::to_string(p.tile.tj) + ")"
-                 : "-",
-         std::to_string(p.dip) + "x" + std::to_string(p.djp),
-         std::to_string(p.dip * p.djp - di * dj),
-         p.tiled ? rt::bench::fmt(rt::core::cost(p.tile, spec), 4) : "-",
-         p.tiled ? (cf ? "yes" : "NO") : "-"});
+    std::vector<std::string> header{"transform", "tile (TI,TJ)", "padded dims",
+                                    "pad elems/plane", "cost",
+                                    "conflict-free"};
+    std::vector<std::vector<std::string>> rows;
+    for (rt::core::Transform tr : rt::core::all_transforms()) {
+      const auto p = rt::core::plan_for(tr, cs, di, dj, spec);
+      const bool cf =
+          !p.tiled ||
+          rt::core::is_conflict_free(cs, p.dip, p.djp, p.tile.ti + spec.trim_i,
+                                     p.tile.tj + spec.trim_j, spec.atd);
+      rows.push_back(
+          {std::string(rt::core::transform_name(tr)),
+           p.tiled ? "(" + std::to_string(p.tile.ti) + "," +
+                         std::to_string(p.tile.tj) + ")"
+                   : "-",
+           std::to_string(p.dip) + "x" + std::to_string(p.djp),
+           std::to_string(p.dip * p.djp - di * dj),
+           p.tiled ? rt::bench::fmt(rt::core::cost(p.tile, spec), 4) : "-",
+           p.tiled ? (cf ? "yes" : "NO") : "-"});
+    }
+    rt::bench::print_table(header, rows);
+
+    const auto sel = rt::core::euc3d(cs, di, dj, spec);
+    std::cout << "\nEuc3D detail: array tile (" << sel.array_tile.ti << ","
+              << sel.array_tile.tj << "," << sel.array_tile.tk << ") -> "
+              << "iteration tile (" << sel.tile.ti << "," << sel.tile.tj
+              << ")\n";
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   }
-  rt::bench::print_table(header, rows);
-
-  const auto sel = rt::core::euc3d(cs, di, dj, spec);
-  std::cout << "\nEuc3D detail: array tile (" << sel.array_tile.ti << ","
-            << sel.array_tile.tj << "," << sel.array_tile.tk << ") -> "
-            << "iteration tile (" << sel.tile.ti << "," << sel.tile.tj
-            << ")\n";
   return 0;
 }
