@@ -13,9 +13,11 @@
 //
 // Flags: --threads=T sets the top of the thread sweep ({1, 2, 4, ..., T});
 // default sweep is {1, 2, 4}.  --nmax=N overrides the problem size
-// (default 400, the acceptance size); --host is implied.  --simd=MODE
-// restricts the SIMD axis (default sweeps off AND auto, so the table shows
-// the scalar-vs-row-kernel gap at every thread count).
+// (default 400, the acceptance size); with --nmin=N (and --nstep=S) the
+// bench sweeps sizes nmin, nmin + S, ... and nmax; --host is implied.
+// --simd=MODE restricts the SIMD axis (default sweeps off AND auto, so the
+// table shows the scalar-vs-row-kernel gap at every thread count).
+// --json=FILE writes one record per timed row (spatial and temporal).
 
 #include <chrono>
 #include <iostream>
@@ -32,6 +34,7 @@
 #include "rt/core/temporal.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
+#include "rt/obs/metrics_writer.hpp"
 #include "rt/simd/exec.hpp"
 
 namespace {
@@ -115,20 +118,12 @@ bool verify_bit_identical(long n, long kd, int threads) {
   return ok;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const rt::bench::BenchOptions bo = rt::bench::parse_options(argc, argv);
-  const long n = bo.nmax > 0 ? bo.nmax : 400;
-  const std::vector<int> threads = thread_sweep(bo.threads);
-
-  rt::bench::RunOptions ro;
-  ro.simulate = false;
-  ro.time_host = true;
-  ro.verify = bo.verify;
-  ro.timeout_seconds = bo.timeout_seconds;
-  ro.backend = bo.resolved_backend(ro.geom());
-
+/// Every table of the bench at problem size @p n, each timed row also a
+/// record in @p writer; returns the process exit status (1 on a
+/// verification failure).
+int run_size(const rt::bench::BenchOptions& bo, long n,
+             const std::vector<int>& threads, rt::bench::RunOptions ro,
+             rt::obs::MetricsWriter& writer) {
   const int vthreads = std::max(threads.back(), 4);
   if (!verify_bit_identical(n, ro.k_dim, vthreads)) return 1;
   std::cout << "verified: executor bit-identical to the serial kernels at N="
@@ -168,6 +163,7 @@ int main(int argc, char** argv) {
             continue;
           }
           if (t == 1) base_mflops = r.host_mflops;
+          rt::bench::append_json_record(writer, kn.name, n, r);
           const std::string tile =
               r.plan.tiled ? std::to_string(r.plan.tile.ti) + "x" +
                                  std::to_string(r.plan.tile.tj)
@@ -259,6 +255,7 @@ int main(int argc, char** argv) {
                             KernelId::kJacobi, rt::core::TilingPlan{}, g,
                             tsteps, rep.plan);
         const double dt = secs() - t1;
+        r.host_mflops = flops / dt / 1e6;
         if (!interiors_equal(g[1 - start], ra) ||
             !interiors_equal(g[start], rb)) {
           std::cerr << "VERIFY FAILED: temporal "
@@ -268,12 +265,14 @@ int main(int argc, char** argv) {
           tdiverged = true;
           continue;
         }
+        rt::bench::append_json_record(writer, "JACOBI", n, r)
+            .set("temporal", rt::bench::temporal_json(rep.plan));
         trows.push_back({rt::core::temporal_mode_name(mode),
                          std::to_string(rep.plan.bk) + "/" +
                              std::to_string(rep.plan.tb),
                          std::to_string(r.threads),
                          std::to_string(rep.plan.team),
-                         rt::bench::fmt(flops / dt / 1e6, 1),
+                         rt::bench::fmt(r.host_mflops, 1),
                          "bitwise identical"});
       }
     }
@@ -289,4 +288,33 @@ int main(int argc, char** argv) {
     if (tdiverged) return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const rt::bench::BenchOptions bo = rt::bench::parse_options(argc, argv);
+  const long n = bo.nmax > 0 ? bo.nmax : 400;
+  const std::vector<int> threads = thread_sweep(bo.threads);
+
+  rt::bench::RunOptions ro;
+  ro.simulate = false;
+  ro.time_host = true;
+  ro.verify = bo.verify;
+  ro.timeout_seconds = bo.timeout_seconds;
+  ro.backend = bo.resolved_backend(ro.geom());
+
+  // One size unless --nmin is given: nmin, nmin + nstep, ..., nmax.
+  const std::vector<long> sizes = bo.sweep(n, n, n, n);
+  rt::obs::MetricsWriter writer;
+  int status = 0;
+  for (std::size_t i = 0; i < sizes.size() && status == 0; ++i) {
+    if (i > 0) std::cout << "\n";
+    status = run_size(bo, sizes[i], threads, ro, writer);
+  }
+  if (!bo.json.empty() && !writer.write_file(bo.json)) {
+    std::cerr << "cannot write " << bo.json << "\n";
+    return 1;
+  }
+  return status;
 }

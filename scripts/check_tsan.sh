@@ -24,12 +24,13 @@ cmake -B "${BUILD_DIR}" -S . "${GEN_FLAG[@]}" \
 cmake --build "${BUILD_DIR}" -j \
   --target par_pool_test exec_test simd_kernels_test \
            plan_cache_test core_backend_test \
-           mg_fastpath_test obs_test temporal_test tune_test serve_test \
+           mg_fastpath_test sor_solver_test obs_test temporal_test tune_test \
+           serve_test \
            resil_test bench_chaos_soak
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/par_pool_test"
-# The executor's differential matrix: every operator and schedule on 2- and
+# The executor's differential matrix: every operator and schedule on 1- to
 # 4-thread pools, the red-black colour-barrier stress, and run_steps with
 # the skew and diamond time schedules on pools (ExecSteps.*).
 "${BUILD_DIR}/tests/exec_test"
@@ -39,6 +40,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # thread; the driver suite exercises registration + concurrent lookup paths.
 "${BUILD_DIR}/tests/core_backend_test"
 "${BUILD_DIR}/tests/mg_fastpath_test"
+# SorSolver's in-place red-black colour sweeps run J slabs on a pool: the
+# colour barrier is all that orders neighbouring slabs.
+"${BUILD_DIR}/tests/sor_solver_test"
 "${BUILD_DIR}/tests/obs_test"
 # Skew and diamond wavefronts through run_steps on 1- to 4-thread pools.
 "${BUILD_DIR}/tests/temporal_test"
@@ -55,5 +59,5 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${BUILD_DIR}/bench/bench_chaos_soak"
 echo "TSan clean: par_pool_test + exec_test + simd_kernels_test" \
      "+ plan_cache_test + core_backend_test" \
-     "+ mg_fastpath_test + obs_test + temporal_test + tune_test" \
+     "+ mg_fastpath_test + sor_solver_test + obs_test + temporal_test + tune_test" \
      "+ serve_test + resil_test + bench_chaos_soak reported no races."

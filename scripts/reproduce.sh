@@ -66,6 +66,15 @@ build/bench/bench_chaos_soak ${FULL_FLAG} --json=results/BENCH_9.json
 build/bench/bench_backend_ablation ${FULL_FLAG} --steps=1 \
   --json=results/BENCH_10.json
 
+# Executor thread scaling on the host: every kernel x transform at 1 and 2
+# threads (and the temporal wavefronts) at N = 130, where three planes fit
+# a private L2, and 256 and 384, where they do not (the sweep 130 + 126 s
+# also passes 382 on its way to nmax).  Untiled rows run L2-sized
+# J slabs on a pool; each row is a record with its plan, threads and
+# MFlops, so a later run can be diffed against this one.
+build/bench/bench_threads_scaling --threads=2 --nmin=130 --nstep=126 \
+  --nmax=384 --json=results/BENCH_11.json
+
 echo "Done: test_output.txt, bench_output.txt, results/BENCH_3.json," \
      "results/BENCH_6.json, results/BENCH_7.json, results/BENCH_9.json," \
-     "results/BENCH_10.json"
+     "results/BENCH_10.json, results/BENCH_11.json"

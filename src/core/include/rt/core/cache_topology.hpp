@@ -44,6 +44,9 @@ struct CacheTopology {
   long outer_data_elems() const { return outer_data_bytes() / 8; }
   /// Line size of the innermost data/unified level (64 when unknown).
   long line_bytes() const;
+  /// Capacity of the data or unified cache at @p level (0 when sysfs
+  /// reports none, e.g. unprobed) — the caller picks its own fallback.
+  long data_bytes(int level) const;
 
   /// Stable host fingerprint over the data/unified levels, e.g.
   ///   "L1D:32768/8w/64B+L2U:1048576/16w/64B+L3U:33554432/16w/64B"

@@ -99,6 +99,13 @@ long CacheTopology::line_bytes() const {
   return line > 0 ? line : 64;
 }
 
+long CacheTopology::data_bytes(int level) const {
+  for (const CacheLevelInfo& l : levels) {
+    if (l.level == level && l.type != 'I') return l.size_bytes;
+  }
+  return 0;
+}
+
 std::string CacheTopology::fingerprint() const {
   if (!probed) return "unknown";
   // Stable order: (level, type) ascending, instruction caches excluded.

@@ -9,7 +9,7 @@
 //   * optional trace-driven execution against a CacheHierarchy, so the
 //     whole application's simulated cycles can be compared orig vs tiled;
 //   * a host fast path (threads/simd options): the V-cycle operators run
-//     through the executor (rt/simd/exec.hpp) — row kernels over K planes
+//     through the executor (rt/simd/exec.hpp) — row kernels over J slabs
 //     or the plan's tiles, on a pool when threads > 1 — bit-identical to
 //     the serial accessor operators for any thread count and SimdLevel
 //     (tests/mg_fastpath_test.cpp).  Per-level

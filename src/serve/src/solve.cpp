@@ -210,14 +210,8 @@ int num_arrays_for(ServeKernel k) {
 }
 
 long serve_cs_elems() {
-  const rt::core::CacheTopology& topo = rt::core::host_cache_topology();
-  long best = 0;
-  for (const rt::core::CacheLevelInfo& l : topo.levels) {
-    if (l.level == 1 && (l.type == 'D' || l.type == 'U')) {
-      best = l.size_bytes / 8;
-    }
-  }
-  return best > 0 ? best : 32768 / 8;
+  const long l1 = rt::core::host_cache_topology().data_bytes(1);
+  return (l1 > 0 ? l1 : 32768) / 8;
 }
 
 rt::core::PlanReport plan_for_batch(const BatchKey& key, long cs,

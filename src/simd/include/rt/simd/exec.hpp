@@ -6,16 +6,21 @@
 // (rt/simd/row_kernels.hpp) on each item.
 //
 // Work items follow the paper's decomposition — JI tiles with K untiled —
-// so every item writes a disjoint (i, j) column range (or, untiled, a
-// disjoint K plane) and reads only data no concurrent item writes.  Items
-// may therefore run in any order on any thread: for every pool width and
-// every SimdLevel the result is bit-identical to the serial accessor
+// so every item writes a disjoint (i, j) column range (untiled: a disjoint
+// full-I, full-K J slab) and reads only data no concurrent item writes.
+// Items may therefore run in any order on any thread: for every pool width
+// and every SimdLevel the result is bit-identical to the serial accessor
 // kernels (tests/exec_test.cpp).  Red-black runs one driver call per
 // colour, and the driver's end-of-sweep barrier is the colour barrier.
 //
 // The recursive schedule is a driver too (cf. PCOT and the inncabs
 // recursive Jacobi): its work items are the leaves of co_over, and each
 // leaf runs the same row sweep as a flat tile.
+//
+// An untiled sweep on a pool tiles one dimension only: its items are J
+// slabs sized so that one slab's plane window stays in a core's private
+// L2 (slab_count), so each core keeps its K reuse in its own cache instead
+// of finding a plane's neighbours in another core's.
 //
 // Traced (simulated) and --simd=off runs use the same driver with a null
 // pool and an accessor nest as the body (rt/kernels/*.hpp: each stencil's
@@ -101,11 +106,23 @@ void co_over(long ilo, long ihi, long jlo, long jhi, long base_ti,
 ///     plan.tile, each with full K;
 ///   * other tiled plans: the JI tile grid, jj-outer / ii-inner, full K
 ///     (a tile with a non-positive extent runs as untiled);
-///   * untiled plans: one K plane per item.
+///   * untiled plans: with a null pool, one item, the whole interior (the
+///     accessor nests loop k, j, i, so the traced stream is plane order);
+///     on a pool, slab_count(n1, n2 - 2, width, host L2) full-I, full-K J
+///     slabs, slab m covering rows [1 + nj*m/c, 1 + nj*(m+1)/c).
 /// Returns once every item has run (a barrier).  An empty interior runs
 /// nothing.
 void for_each_block(const Exec& ex, const TilingPlan& plan, long n1, long n2,
                     long n3, const BlockFn& body);
+
+/// How many J slabs an untiled sweep of an n1-wide interior with @p nj J
+/// rows runs on a pool of @p width threads: the smallest multiple of width
+/// whose tallest slab, ceil(nj / count) rows, keeps its window — (rows + 2)
+/// rows of n1 doubles in five planes: the stencil input's three, one of a
+/// second input, one of the output — within half of @p l2_bytes (<= 0:
+/// unknown, 1 MiB).  Capped at nj (one row per slab), also when a single
+/// row overflows the budget.  nj <= 0 gives 0.
+long slab_count(long n1, long nj, int width, long l2_bytes);
 
 /// body(t, ilo, ihi, jlo, jhi, klo, khi): time step t (0-based) of one
 /// half-open box of the interior.
@@ -204,7 +221,7 @@ void run_steps(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
 void jacobi(const Exec& ex, const TilingPlan& plan, Array3D<double>& a,
             const Array3D<double>& b, double c);
 
-/// dst = src over the interior, one K plane per item.
+/// dst = src over the interior, on the untiled schedule.
 void copy_interior(const Exec& ex, Array3D<double>& dst,
                    const Array3D<double>& src);
 
@@ -225,11 +242,11 @@ void resid(const Exec& ex, const TilingPlan& plan, Array3D<double>& r,
 void psinv(const Exec& ex, const TilingPlan& plan, Array3D<double>& u,
            const Array3D<double>& r, const PsinvCoeffs& c);
 
-/// Restriction of fine r onto coarse s, one coarse K plane per item;
-/// == rt::multigrid::rprj3.
+/// Restriction of fine r onto coarse s, on the untiled schedule over the
+/// coarse grid; == rt::multigrid::rprj3.
 void rprj3(const Exec& ex, Array3D<double>& s, const Array3D<double>& r);
 
-/// Prolongation u += P z, one fine K plane per item;
+/// Prolongation u += P z, on the untiled schedule over the fine grid;
 /// == rt::multigrid::interp_add.
 void interp_add(const Exec& ex, Array3D<double>& u, const Array3D<double>& z);
 

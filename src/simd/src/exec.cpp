@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "rt/core/cache_topology.hpp"
 #include "rt/guard/fault_injector.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/psinv.hpp"
@@ -66,6 +67,19 @@ std::uint64_t plane_hash(const Array3D<double>& a, long k) {
 
 }  // namespace
 
+long slab_count(long n1, long nj, int width, long l2_bytes) {
+  if (nj <= 0) return 0;
+  constexpr long kFallbackL2Bytes = 1L << 20;
+  // Five planes of (rows + 2) rows of n1 doubles: the stencil input's
+  // three, one of a second input, one of the output.
+  const long budget = (l2_bytes > 0 ? l2_bytes : kFallbackL2Bytes) / 2;
+  const long rows = budget / (5 * 8 * std::max(n1, 1L)) - 2;
+  if (rows < 1) return nj;
+  const long w = std::max(width, 1);
+  const long c = ((nj + rows - 1) / rows + w - 1) / w * w;
+  return std::min(c, nj);
+}
+
 void for_each_block(const Exec& ex, const TilingPlan& plan, long n1, long n2,
                     long n3, const BlockFn& body) {
   if (n1 < 3 || n2 < 3 || n3 < 3) return;  // no interior point
@@ -92,9 +106,16 @@ void for_each_block(const Exec& ex, const TilingPlan& plan, long n1, long n2,
       body(ii, std::min(ii + t.ti, n1 - 1), jj, std::min(jj + t.tj, n2 - 1),
            1, n3 - 1);
     });
+  } else if (ex.pool == nullptr) {
+    body(1, n1 - 1, 1, n2 - 1, 1, n3 - 1);
   } else {
-    run_items(ex, n3 - 2, [&](long kk) {
-      body(1, n1 - 1, 1, n2 - 1, kk + 1, kk + 2);
+    const long nj = n2 - 2;
+    const long count =
+        slab_count(n1, nj, ex.pool->num_threads(),
+                   rt::core::host_cache_topology().data_bytes(2));
+    run_items(ex, count, [&](long m) {
+      body(1, n1 - 1, 1 + nj * m / count, 1 + nj * (m + 1) / count, 1,
+           n3 - 1);
     });
   }
 }

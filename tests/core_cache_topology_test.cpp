@@ -87,6 +87,15 @@ TEST(CacheTopology, OuterDataBytesIsLargestNonInstructionLevel) {
   EXPECT_EQ(topo.line_bytes(), 64);
 }
 
+TEST(CacheTopology, DataBytesPerLevelSkipsInstructionCaches) {
+  const FakeSysfs t = make_typical();
+  const CacheTopology topo = probe_cache_topology(t.root());
+  EXPECT_EQ(topo.data_bytes(1), 32L * 1024);  // L1D, not the L1I
+  EXPECT_EQ(topo.data_bytes(2), 1024L * 1024);
+  EXPECT_EQ(topo.data_bytes(3), 36L * 1024 * 1024);
+  EXPECT_EQ(topo.data_bytes(4), 0);  // no such level
+}
+
 TEST(CacheTopology, FingerprintIsStableAndSkipsInstructionCaches) {
   const FakeSysfs t = make_typical();
   const CacheTopology topo = probe_cache_topology(t.root());
@@ -111,6 +120,7 @@ TEST(CacheTopology, MissingTreeFallsBackCleanly) {
   EXPECT_TRUE(topo.levels.empty());
   EXPECT_EQ(topo.outer_data_bytes(), 32L * 1024 * 1024);  // conservative
   EXPECT_EQ(topo.line_bytes(), 64);
+  EXPECT_EQ(topo.data_bytes(2), 0);  // callers choose the fallback
   EXPECT_EQ(topo.fingerprint(), "unknown");
 }
 

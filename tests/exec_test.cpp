@@ -1,14 +1,15 @@
 // Differential test of the executor (rt/simd/exec.hpp), the one dispatch
 // every host fast path runs through.  Every operator, under every loop
-// schedule (untiled K planes, the flat JI tile grid, the recursive co_over
-// leaves), inline and on 2- and 4-thread pools, at every SimdLevel, must be
+// schedule (untiled J slabs, the flat JI tile grid, the recursive co_over
+// leaves), inline and on 1- to 4-thread pools, at every SimdLevel, must be
 // bitwise equal to the untiled serial accessor oracle — run on unpadded
 // grids, while the executor runs on the shape's padded ones.
 // Shapes cover n = 3, cubic, padded (odd and vector-aligned leading
 // dimensions) and ragged non-cubic grids, with tiles that do not divide,
-// or exceed, the interior; each operator runs several steps so any
-// divergence compounds.  Red-black is checked against the serial fused
-// tiled schedule as well as the naive one.
+// or exceed, the interior, J extents the slabs do not divide, and a grid
+// wide enough that each thread runs several L2-sized slabs; each operator
+// runs several steps so any divergence compounds.  Red-black is checked
+// against the serial fused tiled schedule as well as the naive one.
 //
 // run_steps, the one time-step call, is checked the same way for every
 // kernel, tsteps (including <= 0) and plan schedule, and under skew and
@@ -17,8 +18,10 @@
 // step - 1 updates it reads.
 //
 // Also pinned: the block driver's work items (a null pool runs the serial
-// tile order; a recursive plan runs exactly the co_over leaves, not the
-// flat grid), degenerate tiles and empty interiors, the red-black colour
+// tile order and one whole-interior box untiled; a pool runs untiled
+// sweeps as full-K J slabs that cover J once; a recursive plan runs
+// exactly the co_over leaves, not the flat grid), the slab-count rule,
+// degenerate tiles and empty interiors, the red-black colour
 // barrier under many threads, and reduce_planes: a plane-ordered value for
 // every pool width, each partial run exactly once.
 
@@ -39,6 +42,7 @@
 #include <vector>
 
 #include "rt/array/array3d.hpp"
+#include "rt/core/cache_topology.hpp"
 #include "rt/core/temporal.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/psinv.hpp"
@@ -120,6 +124,9 @@ const std::vector<Shape>& shapes() {
       {12, 18, 8, 5, 4, 17, 23},
       {12, 18, 8, 5, 4, 16, 18},
       {30, 10, 7, 9, 9, 40, 12},
+      // Wide: a slab's plane window holds only a few rows of this I
+      // extent, so every pool width runs several ragged slabs per thread.
+      {3000, 23, 4, 700, 5, 0, 0},
   };
   return kShapes;
 }
@@ -128,16 +135,17 @@ const std::vector<Shape>& shapes() {
 /// the baseline stamp rather than fault.
 const SimdLevel kLevels[] = {SimdLevel::kRows, SimdLevel::kAvx2};
 
-/// Every executor configuration: inline (no pool), 2 and 4 threads, at
+/// Every executor configuration: inline (no pool) and 1 to 4 threads, at
 /// every level.
 struct Runner {
-  ThreadPool two{2}, four{4};
+  ThreadPool one{1}, two{2}, three{3}, four{4};
   std::vector<Exec> execs() {
     std::vector<Exec> v;
     for (const SimdLevel lvl : kLevels) {
-      v.push_back(Exec{nullptr, lvl});
-      v.push_back(Exec{&two, lvl});
-      v.push_back(Exec{&four, lvl});
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &one, &two,
+                            &three, &four}) {
+        v.push_back(Exec{p, lvl});
+      }
     }
     return v;
   }
@@ -335,7 +343,9 @@ const std::vector<Shape>& coarse_shapes() {
       {3, 3, 3, 0, 0, 0, 0},   {5, 5, 5, 0, 0, 0, 0},
       {9, 9, 9, 0, 0, 0, 0},   {18, 18, 18, 0, 0, 0, 0},
       {3, 5, 7, 0, 0, 0, 0},   {12, 5, 9, 0, 0, 0, 0},
-      {9, 9, 9, 0, 0, 13, 11}, {10, 6, 8, 0, 0, 16, 9}};
+      {9, 9, 9, 0, 0, 13, 11}, {10, 6, 8, 0, 0, 16, 9},
+      // Wide: several L2-sized slabs per thread on the fine grid.
+      {1501, 13, 5, 0, 0, 0, 0}};
   return kCoarse;
 }
 
@@ -416,12 +426,95 @@ TEST(ExecDriver, NullPoolRunsTheSerialTileOrder) {
   EXPECT_EQ(blocks_of(Exec{&one}, plan, 10, 8, 5), want);
 }
 
-TEST(ExecDriver, UntiledPlanRunsOnePlanePerItem) {
-  std::vector<Box> want;
-  for (long k = 1; k < 6; ++k) want.push_back({1, 9, 1, 7, k, k + 1});
-  ThreadPool pool(3);
-  EXPECT_EQ(blocks_of(Exec{}, TilingPlan{}, 10, 8, 7), want);
-  EXPECT_EQ(blocks_of(Exec{&pool}, TilingPlan{}, 10, 8, 7), want);
+TEST(ExecDriver, UntiledPlanRunsJSlabs) {
+  const long l2 = rt::core::host_cache_topology().data_bytes(2);
+  // {n1, n2, n3}: J extents below, equal to and above the pool widths; a
+  // wide grid whose slabs the L2 budget, not the width, sizes.
+  const std::array<long, 3> grids[] = {
+      {10, 8, 7}, {10, 4, 5}, {9, 3, 6}, {3000, 40, 4}, {64, 37, 5}};
+  for (const auto& [n1, n2, n3] : grids) {
+    const std::vector<Box> whole = {{1, n1 - 1, 1, n2 - 1, 1, n3 - 1}};
+    EXPECT_EQ(blocks_of(Exec{}, TilingPlan{}, n1, n2, n3), whole);
+    const long nj = n2 - 2;
+    for (const int w : {1, 2, 3, 4}) {
+      ThreadPool pool(w);
+      const std::vector<Box> got =
+          blocks_of(Exec{&pool}, TilingPlan{}, n1, n2, n3);
+      const long count = slab_count(n1, nj, w, l2);
+      ASSERT_EQ(static_cast<long>(got.size()), count)
+          << n1 << "x" << n2 << " width " << w;
+      EXPECT_TRUE(count % w == 0 || count == nj);
+      // Sorted by jlo: full-I, full-K slabs, each starting where the last
+      // ended, so J is covered exactly once.
+      long next = 1;
+      for (const Box& b : got) {
+        EXPECT_EQ(b[0], 1);
+        EXPECT_EQ(b[1], n1 - 1);
+        EXPECT_EQ(b[2], next);
+        EXPECT_GT(b[3], b[2]);
+        EXPECT_LE(b[3] - b[2], (nj + count - 1) / count);
+        EXPECT_EQ(b[4], 1);
+        EXPECT_EQ(b[5], n3 - 1);
+        next = b[3];
+      }
+      EXPECT_EQ(next, n2 - 1) << n1 << "x" << n2 << " width " << w;
+    }
+  }
+}
+
+/// Whether slabs of ceil(nj / count) rows keep the five-plane window
+/// within half of @p l2.
+bool window_fits(long n1, long nj, long count, long l2) {
+  return ((nj + count - 1) / count + 2) * n1 * 8 * 5 <= l2 / 2;
+}
+
+TEST(SlabCount, SmallestMultipleOfTheWidthWhoseWindowFitsHalfTheL2) {
+  const long l2 = 2L << 20;
+  // n = 384: 64-row slabs (6 of them) on two threads; n <= 160: two slabs.
+  EXPECT_EQ(slab_count(384, 382, 2, l2), 6);
+  EXPECT_EQ(slab_count(160, 158, 2, l2), 2);
+  EXPECT_EQ(slab_count(130, 128, 2, l2), 2);
+  for (const long n1 : {10L, 130L, 384L, 1000L, 4000L}) {
+    for (const long nj : {2L, 7L, 64L, 382L, 1000L}) {
+      for (const int w : {1, 2, 3, 4, 8}) {
+        const long c = slab_count(n1, nj, w, l2);
+        if (!window_fits(n1, nj, nj, l2)) {
+          EXPECT_EQ(c, nj);  // a single row overflows: 1-row slabs
+          continue;
+        }
+        if (c == nj) continue;  // capped: one row per slab
+        EXPECT_EQ(c % w, 0) << n1 << " " << nj << " " << w;
+        EXPECT_TRUE(window_fits(n1, nj, c, l2)) << n1 << " " << nj;
+        if (c > w) {
+          EXPECT_FALSE(window_fits(n1, nj, c - w, l2)) << n1 << " " << nj;
+        }
+      }
+    }
+  }
+}
+
+TEST(SlabCount, Edges) {
+  const long l2 = 2L << 20;
+  // Fewer J rows than threads: one row per slab.
+  EXPECT_EQ(slab_count(100, 3, 4, l2), 3);
+  // One J row: one slab at any width.
+  for (const int w : {1, 2, 4}) EXPECT_EQ(slab_count(100, 1, w, l2), 1);
+  // A single row already overflows half the L2: 1-row slabs.
+  EXPECT_EQ(slab_count(100000, 10, 2, l2), 10);
+  EXPECT_EQ(slab_count(100000, 10, 1, l2), 10);
+  // No J rows: no slab.
+  EXPECT_EQ(slab_count(100, 0, 2, l2), 0);
+  // A non-positive width counts as one thread.
+  EXPECT_EQ(slab_count(384, 382, 0, l2), slab_count(384, 382, 1, l2));
+}
+
+TEST(SlabCount, UnprobedL2FallsBackToOneMiB) {
+  for (const long l2 : {0L, -1L}) {
+    EXPECT_EQ(slab_count(384, 382, 2, l2), slab_count(384, 382, 2, 1L << 20));
+    EXPECT_EQ(slab_count(160, 158, 4, l2), slab_count(160, 158, 4, 1L << 20));
+  }
+  // 1 MiB: 32-row windows at n = 384, twelve slabs on two threads.
+  EXPECT_EQ(slab_count(384, 382, 2, 0), 12);
 }
 
 TEST(ExecDriver, RecursivePlanRunsTheCoOverLeaves) {
@@ -449,7 +542,7 @@ TEST(ExecDriver, DegenerateTilesAndEmptyInteriorsAreSafe) {
   const Array3D<double> b = make_grid(9, 7, 6, 0.1, 0, 0);
   Array3D<double> want(9, 7, 6);
   rt::kernels::jacobi3d(want, b, 1.0 / 6.0);
-  // A flat tile with a non-positive extent runs as untiled K planes; a
+  // A flat tile with a non-positive extent runs as untiled; a
   // recursive one bottoms out at 1x1 leaves.  Both compute the sweep.
   for (const IterTile t : {IterTile{0, 5}, IterTile{3, -2}, IterTile{0, 0}}) {
     EXPECT_EQ(blocks_of(Exec{}, plan_of(Sched::kFlat, t), 9, 7, 6),
@@ -487,21 +580,13 @@ using rt::kernels::KernelId;
 
 const int kStepCounts[] = {-1, 0, 1, 2, 3, 5};
 
-/// Where run_steps may run: the accessor nests inline, and the row kernels
-/// inline and on 1-, 2- and 4-thread pools.
-struct StepRunner {
-  ThreadPool one{1}, two{2}, four{4};
-  std::vector<Exec> execs() {
-    std::vector<Exec> v{Exec{nullptr, SimdLevel::kScalar}};
-    for (const SimdLevel lvl : kLevels) {
-      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &one, &two,
-                            &four}) {
-        v.push_back(Exec{p, lvl});
-      }
-    }
-    return v;
-  }
-};
+/// Where run_steps may run: the accessor nests inline, and every Runner
+/// configuration of the row kernels.
+std::vector<Exec> step_execs(Runner& runner) {
+  std::vector<Exec> v{Exec{nullptr, SimdLevel::kScalar}};
+  for (const Exec& ex : runner.execs()) v.push_back(ex);
+  return v;
+}
 
 /// Start index of a JACOBI run: run_steps reads its start state from
 /// arrays[tsteps % 2] (nothing runs for tsteps <= 0).
@@ -540,14 +625,14 @@ class ExecSteps : public ::testing::TestWithParam<StepsParam> {};
 TEST_P(ExecSteps, BitIdenticalToSerialAccessorOracle) {
   const auto [id, sched] = GetParam();
   const int arrays = rt::kernels::kernel_info(id).num_arrays;
-  StepRunner runner;
+  Runner runner;
   for (const Shape& s : {shapes()[0], shapes()[4], shapes()[5],
                          shapes()[12]}) {
     const TilingPlan plan = plan_of(sched, IterTile{s.ti, s.tj});
     for (const int tsteps : kStepCounts) {
       Grids want = make_grids(arrays, s, /*padded=*/false);
       step_oracle(id, tsteps, want);
-      for (const Exec& ex : runner.execs()) {
+      for (const Exec& ex : step_execs(runner)) {
         Grids got = make_grids(arrays, s, /*padded=*/true);
         run_steps(ex, id, plan, got, tsteps);
         for (std::size_t i = 0; i < want.size(); ++i) {
@@ -592,7 +677,7 @@ TEST(ExecSteps, SkewAndDiamondMatchPingPong) {
   // so its triangles split into team > 1 J slices.
   const Grid grids[] = {{9, 7, 13, 3}, {6, 11, 20, 4}, {17, 9, 6, 2},
                         {10, 12, 6, 4}};
-  StepRunner runner;
+  Runner runner;
   bool split = false;
   for (const Grid& g : grids) {
     const Shape s{g.n1, g.n2, g.n3, 0, 0, 0, 0};
@@ -601,7 +686,7 @@ TEST(ExecSteps, SkewAndDiamondMatchPingPong) {
       step_oracle(KernelId::kJacobi, tsteps, want);
       for (const TemporalMode mode :
            {TemporalMode::kSkew, TemporalMode::kDiamond}) {
-        for (const Exec& ex : runner.execs()) {
+        for (const Exec& ex : step_execs(runner)) {
           const int width = ex.pool != nullptr ? ex.pool->num_threads() : 1;
           const TemporalPlan tp =
               temporal_plan(mode, g.n1, g.n2, g.n3, tsteps, g.bk, width);

@@ -1,5 +1,6 @@
 // Red-black SOR Poisson solver: convergence, tiled/untiled bitwise
-// equivalence, rhs-kernel consistency, and traced execution.
+// equivalence, pool-width bitwise equivalence, rhs-kernel consistency, and
+// traced execution.
 
 #include <gtest/gtest.h>
 
@@ -102,6 +103,34 @@ TEST(SorSolver, TiledSolverBitwiseEqualsNaive) {
     for (long j = 0; j < 34; ++j)
       for (long i = 0; i < 34; ++i)
         ASSERT_EQ(s1.u()(i, j, k), s2.u()(i, j, k));
+}
+
+TEST(SorSolver, PoolSweepsBitwiseEqualSerial) {
+  // On a pool the untiled colour sweeps run in place as J slabs (33 rows,
+  // which no width from 2 to 4 divides evenly); only the colour barrier
+  // orders neighbouring slabs, so every width must compute the serial bits.
+  SorOptions ref_o;
+  ref_o.n = 35;
+  SorSolver ref(ref_o);
+  ref.setup();
+  for (int i = 0; i < 4; ++i) ref.sweep();
+  for (const int threads : {2, 3, 4}) {
+    for (const auto simd :
+         {rt::simd::SimdMode::kOff, rt::simd::SimdMode::kAuto}) {
+      SorOptions o = ref_o;
+      o.threads = threads;
+      o.simd = simd;
+      SorSolver s(o);
+      s.setup();
+      for (int i = 0; i < 4; ++i) s.sweep();
+      for (long k = 0; k < 35; ++k)
+        for (long j = 0; j < 35; ++j)
+          for (long i = 0; i < 35; ++i)
+            ASSERT_EQ(ref.u()(i, j, k), s.u()(i, j, k))
+                << threads << " threads at (" << i << "," << j << "," << k
+                << ")";
+    }
+  }
 }
 
 TEST(SorSolver, TracedRunMatchesNative) {
