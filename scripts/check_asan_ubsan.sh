@@ -25,7 +25,8 @@ cmake -B "${BUILD_DIR}" -S . "${GEN_FLAG[@]}" \
 cmake --build "${BUILD_DIR}" -j \
   --target guard_test guard_fault_injection_test array_test kernels_test \
            core_plan_test core_backend_test cachesim_lattice_test \
-           plan_cache_test exec_test mg_fastpath_test obs_test temporal_test \
+           plan_cache_test exec_test simd_kernels_test mg_fastpath_test \
+           obs_test temporal_test \
            tune_test serve_test resil_test bench_chaos_soak
 
 # halt_on_error turns the first finding into a hard failure.  Abandonment
@@ -52,6 +53,9 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # leaves), every row sweep on padded and minimum-size grids, and run_steps
 # with the skew and diamond time schedules on pools.
 "${BUILD_DIR}/tests/exec_test"
+# Every row sweep and streaming-store stamp box by box: the head / whole
+# line / tail split on short, odd and padded rows.
+"${BUILD_DIR}/tests/simd_kernels_test"
 "${BUILD_DIR}/tests/mg_fastpath_test"
 # Latency histogram: NaN/inf/negative samples and out-of-range values
 # converted to bucket indices and nanoseconds.
@@ -68,6 +72,7 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 echo "ASan+UBSan clean: guard_test + guard_fault_injection_test +" \
      "array_test + kernels_test + core_plan_test + core_backend_test" \
      "+ cachesim_lattice_test + plan_cache_test + exec_test" \
+     "+ simd_kernels_test" \
      "+ mg_fastpath_test + obs_test" \
      "+ temporal_test + tune_test + serve_test + resil_test" \
      "+ bench_chaos_soak reported no findings."

@@ -70,11 +70,13 @@ build/bench/bench_backend_ablation ${FULL_FLAG} --steps=1 \
 # threads (and the temporal wavefronts) at N = 130, where three planes fit
 # a private L2, and 256 and 384, where they do not (the sweep 130 + 126 s
 # also passes 382 on its way to nmax).  Untiled rows run L2-sized
-# J slabs on a pool; each row is a record with its plan, threads and
-# MFlops, so a later run can be diffed against this one.
+# J slabs on a pool; each row is a record with its plan, threads, store
+# policy and MFlops, so a later run can be diffed against this one.  JACOBI
+# rows at N = 382 and 384, whose arrays exceed the last-level cache, run
+# streaming stores; results/BENCH_11.json is the same sweep before them.
 build/bench/bench_threads_scaling --threads=2 --nmin=130 --nstep=126 \
-  --nmax=384 --json=results/BENCH_11.json
+  --nmax=384 --json=results/BENCH_12.json
 
 echo "Done: test_output.txt, bench_output.txt, results/BENCH_3.json," \
      "results/BENCH_6.json, results/BENCH_7.json, results/BENCH_9.json," \
-     "results/BENCH_10.json, results/BENCH_11.json"
+     "results/BENCH_10.json, results/BENCH_12.json"

@@ -120,6 +120,10 @@ struct RunResult {
   /// Resolved SIMD level the host timing actually ran (kScalar when the
   /// accessor kernels ran: a single-threaded --simd=off run).
   rt::simd::SimdLevel simd = rt::simd::SimdLevel::kScalar;
+  /// Store policy the timed steps ran with (rt::simd::stores_for on the
+  /// destination; JACOBI's spatial steps only — every other path stores
+  /// normally).
+  rt::simd::Stores stores = rt::simd::Stores::kNormal;
   /// What the caller asked for, before capability fallbacks (e.g. a
   /// requested SIMD level the host cannot execute resolves lower; a
   /// degraded run would otherwise print rows that look like real data

@@ -253,6 +253,9 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
     }
     res.simd = rt::simd::exec_level(opts.simd, opts.threads);
     const rt::simd::Exec ex{pool.get(), res.simd};
+    if (id == KernelId::kJacobi) {
+      res.stores = rt::simd::stores_for(ex, arrays[0]);
+    }
     time_host([&] { rt::simd::run_steps(ex, id, res.plan, arrays, 1); },
               fl_step, opts, res);
   }
@@ -411,6 +414,7 @@ rt::obs::JsonValue& append_json_record(rt::obs::MetricsWriter& w,
                        : JsonValue())
       .set("simd", rt::simd::simd_mode_name(r.simd_requested))
       .set("simd_level", rt::simd::simd_level_name(r.simd))
+      .set("stores", rt::simd::stores_name(r.stores))
       .set("threads", r.threads)
       .set("threads_requested", r.threads_requested)
       .set("degraded", r.degraded())

@@ -39,12 +39,24 @@ struct KernelInfo {
 const KernelInfo& kernel_info(KernelId id);
 const std::vector<KernelId>& all_kernels();
 
+/// The one per-point expression of the deterministic grid initialisation:
+/// scale * (0.001 i + 0.002 j + 0.003 k), in that operation order.  Every
+/// init writes it — init_grid, init_grid_shell and the executor's
+/// rt::simd::init_grid — so they all produce the same bits.
+inline double grid_value(double scale, long i, long j, long k) {
+  return scale * (0.001 * static_cast<double>(i) +
+                  0.002 * static_cast<double>(j) +
+                  0.003 * static_cast<double>(k));
+}
+
 /// The deterministic initialisation the bench runner and the solve server
 /// give every kernel array (array i gets scale 1 / (1 + i)):
-/// a(i, j, k) = scale * (0.001 i + 0.002 j + 0.003 k) over the logical
-/// region; padding is left untouched.  Served checksums are reproducible
-/// from it.  With a multi-thread @p pool the K planes are written in
-/// parallel (same values, pages first touched by the sweeping threads).
+/// a(i, j, k) = grid_value(scale, i, j, k) over the logical region;
+/// padding is left untouched.  Served checksums are reproducible from it.
+/// With a multi-thread @p pool the K planes are written in parallel (same
+/// values, pages first touched by the sweeping threads).  This is the
+/// serial reference; the served path writes the same values through
+/// rt::simd::init_grid, which streams past the last-level cache.
 void init_grid(rt::array::Array3D<double>& a, double scale,
                rt::par::ThreadPool* pool = nullptr);
 

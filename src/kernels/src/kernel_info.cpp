@@ -39,13 +39,6 @@ const std::vector<KernelId>& all_kernels() {
 
 namespace {
 
-/// The one per-point expression init_grid and init_grid_shell write.
-inline double grid_value(double scale, long i, long j, long k) {
-  return scale * (0.001 * static_cast<double>(i) +
-                  0.002 * static_cast<double>(j) +
-                  0.003 * static_cast<double>(k));
-}
-
 /// plane(k) for every K plane of @p a, on @p pool when given.
 template <class Plane>
 void for_each_plane(const rt::array::Array3D<double>& a,

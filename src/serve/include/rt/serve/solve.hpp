@@ -32,6 +32,7 @@
 #include "rt/guard/status.hpp"
 #include "rt/par/thread_pool.hpp"
 #include "rt/serve/protocol.hpp"
+#include "rt/simd/simd.hpp"
 
 namespace rt::serve {
 
@@ -82,6 +83,11 @@ struct SolveOutcome {
   double init_ms = 0;
   double sweep_ms = 0;
   double checksum_ms = 0;
+  /// The store policy the executor chose for the kernel path's grids
+  /// (rt::simd::stores_for): it applies to the full inits and to JACOBI's
+  /// steps; RESID's output and REDBLACK's in-place sweeps always store
+  /// normally.  Apps report kNormal.
+  rt::simd::Stores stores = rt::simd::Stores::kNormal;
 };
 
 /// Execute one solve.  Kernel paths run on @p arrays — at least
@@ -100,6 +106,8 @@ struct SolveOutcome {
 /// The result, arrays[0], is bit-identical to the reference for every
 /// transform, pool width and tsteps parity; the other buffers are left in
 /// an unspecified state.  Apps ignore @p arrays.
+/// Full-grid inits go through rt::simd::init_grid (same bits as
+/// rt::kernels::init_grid), streaming past the last-level cache.
 /// @p pool (optional) runs the executor's work items, the init and the
 /// checksum's per-plane partials (every path) in parallel — results stay
 /// bit-identical to serial, every grid point is computed independently

@@ -755,6 +755,7 @@ void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
     doc.set("plan_status",
             std::string(rt::guard::status_name(rep.status)));
     doc.set("simd", simd);
+    doc.set("stores", rt::simd::stores_name(out.stores));
     doc.set("threads", opts_.solver_threads);
     doc.set("checksum", checksum_hex(out.checksum));
     doc.set("iters", out.iters);

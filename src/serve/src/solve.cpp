@@ -58,20 +58,22 @@ rt::kernels::KernelId kernel_id_of(ServeKernel k) {
 /// nothing else; the per-kernel rules are run_solve's contract in
 /// solve.hpp.  JACOBI puts its start state in arrays[tsteps % 2], so that
 /// the ping-pong's last step lands in arrays[0].
+/// Full inits go through the executor (streaming past the last level);
+/// shells are too thin to gain from it.
 void init_for_steps(const SolveParams& p, std::vector<Array3D<double>>& arrays,
-                    rt::par::ThreadPool* pool) {
-  using rt::kernels::init_grid;
+                    const rt::simd::Exec& ex) {
   using rt::kernels::init_grid_shell;
+  using rt::simd::init_grid;
   if (p.tsteps <= 0 || p.kernel == ServeKernel::kRedBlack) {
-    init_grid(arrays[0], 1.0, pool);
+    init_grid(ex, arrays[0], 1.0);
   } else if (p.kernel == ServeKernel::kJacobi) {
     const std::size_t start = static_cast<std::size_t>(p.tsteps % 2);
-    init_grid(arrays[start], 0.5, pool);
-    if (p.tsteps >= 2) init_grid_shell(arrays[1 - start], 0.5, pool);
+    init_grid(ex, arrays[start], 0.5);
+    if (p.tsteps >= 2) init_grid_shell(arrays[1 - start], 0.5, ex.pool);
   } else {
-    init_grid_shell(arrays[0], 1.0, pool);
+    init_grid_shell(arrays[0], 1.0, ex.pool);
     for (std::size_t i = 1; i < 3; ++i) {
-      init_grid(arrays[i], 1.0 / (1.0 + static_cast<double>(i)), pool);
+      init_grid(ex, arrays[i], 1.0 / (1.0 + static_cast<double>(i)));
     }
   }
 }
@@ -91,11 +93,13 @@ SolveOutcome solve_kernels(const SolveParams& p, const TilingPlan& plan,
     out.detail = "internal: batch allocated too few arrays";
     return out;
   }
-  Clock::time_point t = Clock::now();
-  init_for_steps(p, arrays, pool);
-  out.init_ms = lap_ms(t);
   // The server always runs the best row kernels this host supports.
   const rt::simd::Exec ex{pool, rt::simd::resolve(rt::simd::SimdMode::kAuto)};
+  // Every grid of a batch has the same dims, so one policy covers them all.
+  out.stores = rt::simd::stores_for(ex, arrays[0]);
+  Clock::time_point t = Clock::now();
+  init_for_steps(p, arrays, ex);
+  out.init_ms = lap_ms(t);
   rt::simd::run_steps(ex, kernel_id_of(p.kernel), plan, arrays, p.tsteps);
   out.iters = p.tsteps;
   out.sweep_ms = lap_ms(t);

@@ -35,6 +35,24 @@
 // wavefronts hand it (step, box) work items, one pool call per stage, and
 // the barrier after each call orders the stages.
 //
+// Store policy.  The paper's caches are write-around: a store allocates no
+// line.  This host's caches are write-allocate, so a store to an uncached
+// line first reads it from memory.  The write-only operators — jacobi's
+// destination, copy_interior and init_grid — therefore pick a Stores
+// policy per call, with no knob (choose_stores):
+//   * they stream only when the destination array's bytes exceed the
+//     last-level capacity the probed CacheTopology reports
+//     (outer_data_bytes()), at SimdLevel::kAvx2; an unprobed topology,
+//     any other level, traced runs (accessor nests) and temporal plans
+//     (a wavefront re-reads its destination) always store normally;
+//   * a streaming row writes each whole 64 B line with non-temporal
+//     stores and its head and tail lines with normal stores, never both
+//     kinds in one line (row_kernels.hpp);
+//   * every streaming work item ends with _mm_sfence() before it returns
+//     to the pool, and the pool's end-of-sweep barrier then publishes the
+//     stores to the next sweep, on whichever thread reads them.
+// The stored bits are the same either way.
+//
 // Reductions go through one primitive, reduce_planes: one partial per K
 // plane (on the pool or inline), combined serially in plane order, so a
 // reduced value never depends on the pool width.  The grid checksum is
@@ -47,6 +65,7 @@
 #include <vector>
 
 #include "rt/array/array3d.hpp"
+#include "rt/core/cache_topology.hpp"
 #include "rt/core/plan.hpp"
 #include "rt/core/temporal.hpp"
 #include "rt/kernels/kernel_info.hpp"
@@ -60,11 +79,25 @@ namespace rt::simd {
 using rt::core::TilingPlan;
 
 /// Where a sweep runs: on @p pool (nullptr = inline on the calling thread,
-/// in index order) with the row kernels compiled for @p lvl.
+/// in index order) with the row kernels compiled for @p lvl.  @p caches is
+/// the topology the store policy reads (nullptr = this host's,
+/// rt::core::host_cache_topology()).
 struct Exec {
   rt::par::ThreadPool* pool = nullptr;
   SimdLevel lvl = SimdLevel::kRows;
+  const rt::core::CacheTopology* caches = nullptr;
 };
+
+/// The store-policy rule: Stores::kStream when @p lvl is kAvx2, the plan is
+/// not @p temporal, @p topo is probed and @p dest_bytes exceeds
+/// topo.outer_data_bytes(); otherwise kNormal.
+Stores choose_stores(SimdLevel lvl, long dest_bytes,
+                     const rt::core::CacheTopology& topo, bool temporal);
+
+/// choose_stores for a spatial sweep of ex that writes @p dst (all of its
+/// allocation's bytes, padding included) — what jacobi, copy_interior and
+/// init_grid run with.
+Stores stores_for(const Exec& ex, const Array3D<double>& dst);
 
 /// body(ilo, ihi, jlo, jhi, klo, khi): one work item, a half-open box of
 /// the interior.
@@ -206,7 +239,8 @@ std::uint64_t checksum(const Exec& ex, const Array3D<double>& a);
 /// Each step runs @p plan's schedule: the row kernels at ex.lvl, or the
 /// accessor nests (rt/kernels/*.hpp) at kScalar.  With tp.mode != kOff,
 /// JACOBI instead runs tp's wavefront through for_each_step_block (plan
-/// is not used) and any other kernel throws std::invalid_argument.
+/// is not used) with normal stores, and any other kernel throws
+/// std::invalid_argument.
 /// tsteps <= 0 runs nothing; the caller initialises the arrays.  Every
 /// step is one rt::guard kHang fault point (checked on the calling thread
 /// before the step; a temporal run checks all of them before it starts).
@@ -217,11 +251,18 @@ void run_steps(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
 
 // --- One call per operator, each bit-identical to its accessor kernel ---
 
-/// a = c * (six face neighbours of b); == rt::kernels::jacobi3d.
+/// a = rt::kernels::grid_value(scale, i, j, k) over the logical region
+/// (padding untouched), one K plane per work item, with
+/// stores_for(ex, a); == rt::kernels::init_grid.
+void init_grid(const Exec& ex, Array3D<double>& a, double scale);
+
+/// a = c * (six face neighbours of b), with stores_for(ex, a);
+/// == rt::kernels::jacobi3d.
 void jacobi(const Exec& ex, const TilingPlan& plan, Array3D<double>& a,
             const Array3D<double>& b, double c);
 
-/// dst = src over the interior, on the untiled schedule.
+/// dst = src over the interior, on the untiled schedule, with
+/// stores_for(ex, dst).
 void copy_interior(const Exec& ex, Array3D<double>& dst,
                    const Array3D<double>& src);
 

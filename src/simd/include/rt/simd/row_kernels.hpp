@@ -14,7 +14,14 @@
 //
 // Two ISA instantiations of every sweep are compiled (baseline, and a
 // target("avx2") clone on x86); SimdLevel picks one at run time, so no
-// global -mavx2 build flag is needed.
+// global -mavx2 build flag is needed.  The write-only sweeps (jacobi, copy,
+// init) also take a Stores policy: with Stores::kStream at kAvx2 they run
+// a streaming stamp instead, non-temporal stores for every whole 64 B line
+// of a row and normal stores for its head and tail — the target("avx512f")
+// stamp (one 64 B store per line) when the CPU has AVX-512F, else the AVX2
+// stamp (both halves of a line back to back).  A streaming sweep ends with
+// _mm_sfence(), so its stores are globally visible before it returns.
+// Every other level and policy stores normally, with the same bits.
 //
 // Aliasing contract: destination and source arrays must be distinct
 // allocations (the accessor kernels are only ever used that way too);
@@ -41,12 +48,18 @@ using PsinvCoeffs = rt::kernels::SmootherCoeffs;
 /// a(i,j,k) = c * (six face neighbours of b); a and b share dims.
 void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,
                   long ilo, long ihi, long jlo, long jhi, long klo, long khi,
-                  SimdLevel lvl);
+                  SimdLevel lvl, Stores st = Stores::kNormal);
 
 /// dst = src over the box.
 void copy_sweep(Array3D<double>& dst, const Array3D<double>& src, long ilo,
                 long ihi, long jlo, long jhi, long klo, long khi,
-                SimdLevel lvl);
+                SimdLevel lvl, Stores st = Stores::kNormal);
+
+/// a(i,j,k) = rt::kernels::grid_value(scale, i, j, k) over a box of the
+/// *logical* region (boundaries included).  Every index must fit in an int.
+void init_sweep(Array3D<double>& a, double scale, long ilo, long ihi,
+                long jlo, long jhi, long klo, long khi, SimdLevel lvl,
+                Stores st = Stores::kNormal);
 
 /// One colour of red-black SOR over the box ((i+j+k) % 2 == parity).
 void redblack_sweep(Array3D<double>& a, double c1, double c2, long parity,
@@ -80,5 +93,29 @@ void rprj3_sweep(Array3D<double>& s, const Array3D<double>& r, long j1lo,
 void interp_sweep(Array3D<double>& u, const Array3D<double>& z, long ilo,
                   long ihi, long jlo, long jhi, long klo, long khi,
                   SimdLevel lvl);
+
+namespace detail {
+
+/// The streaming stamps a kStream sweep picks from: the widest one
+/// stream_stamp_supported says this host executes.
+enum class StreamStamp { kAvx2, kAvx512f };
+
+bool stream_stamp_supported(StreamStamp s);
+
+/// jacobi_sweep / copy_sweep / init_sweep with Stores::kStream on the
+/// named stamp, so that tests cover every stamp this host executes.  Each
+/// ends with _mm_sfence().  An unsupported stamp runs the baseline stamp
+/// with normal stores.
+void jacobi_sweep_stream(StreamStamp s, Array3D<double>& a,
+                         const Array3D<double>& b, double c, long ilo,
+                         long ihi, long jlo, long jhi, long klo, long khi);
+void copy_sweep_stream(StreamStamp s, Array3D<double>& dst,
+                       const Array3D<double>& src, long ilo, long ihi,
+                       long jlo, long jhi, long klo, long khi);
+void init_sweep_stream(StreamStamp s, Array3D<double>& a, double scale,
+                       long ilo, long ihi, long jlo, long jhi, long klo,
+                       long khi);
+
+}  // namespace detail
 
 }  // namespace rt::simd

@@ -42,6 +42,13 @@ enum class SimdLevel {
   kAvx2,    ///< row sweeps compiled for AVX2, runtime-dispatched
 };
 
+/// How a row body writes its destination (the executor's store policy,
+/// rt/simd/exec.hpp).  Either way the stored values are the same bits.
+enum class Stores {
+  kNormal,  ///< ordinary stores: each written line is first read into cache
+  kStream,  ///< non-temporal stores for whole 64 B lines (write-around)
+};
+
 /// Doubles per 64-byte vector register line (AVX-512 width; also the
 /// cache-line quantum, so it is the natural alignment unit either way).
 inline constexpr long kVecDoubles = 8;
@@ -59,6 +66,9 @@ SimdLevel exec_level(SimdMode mode, int threads);
 
 const char* simd_mode_name(SimdMode m);
 const char* simd_level_name(SimdLevel l);
+/// "normal" / "stream": the `stores` field of served responses and bench
+/// records.
+const char* stores_name(Stores s);
 
 /// Parse "off" / "auto" / "avx2" (anything else returns false).
 bool parse_simd_mode(const std::string& s, SimdMode* out);

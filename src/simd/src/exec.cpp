@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <climits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "rt/core/cache_topology.hpp"
 #include "rt/guard/fault_injector.hpp"
 #include "rt/kernels/jacobi3d.hpp"
+#include "rt/kernels/kernel_info.hpp"
 #include "rt/kernels/psinv.hpp"
 #include "rt/kernels/redblack.hpp"
 
@@ -66,6 +68,24 @@ std::uint64_t plane_hash(const Array3D<double>& a, long k) {
 }
 
 }  // namespace
+
+Stores choose_stores(SimdLevel lvl, long dest_bytes,
+                     const rt::core::CacheTopology& topo, bool temporal) {
+  if (temporal || lvl != SimdLevel::kAvx2 || !topo.probed) {
+    return Stores::kNormal;
+  }
+  return dest_bytes > topo.outer_data_bytes() ? Stores::kStream
+                                              : Stores::kNormal;
+}
+
+Stores stores_for(const Exec& ex, const Array3D<double>& dst) {
+  const long bytes =
+      dst.dims().alloc_elems() * static_cast<long>(sizeof(double));
+  return choose_stores(
+      ex.lvl, bytes,
+      ex.caches != nullptr ? *ex.caches : rt::core::host_cache_topology(),
+      /*temporal=*/false);
+}
 
 long slab_count(long n1, long nj, int width, long l2_bytes) {
   if (nj <= 0) return 0;
@@ -270,7 +290,9 @@ void run_steps(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
           if (ex.lvl == SimdLevel::kScalar) {
             rt::kernels::jacobi3d(a, b, kJacobiC, i0, i1, j0, j1, k0, k1);
           } else {
-            jacobi_sweep(a, b, kJacobiC, i0, i1, j0, j1, k0, k1, ex.lvl);
+            // A wavefront re-reads what it writes: normal stores.
+            jacobi_sweep(a, b, kJacobiC, i0, i1, j0, j1, k0, k1, ex.lvl,
+                         Stores::kNormal);
           }
         });
     return;
@@ -281,19 +303,33 @@ void run_steps(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
   }
 }
 
+void init_grid(const Exec& ex, Array3D<double>& a, double scale) {
+  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
+  if (n1 > INT_MAX) {  // init_sweep converts i through int
+    rt::kernels::init_grid(a, scale, ex.pool);
+    return;
+  }
+  const Stores st = stores_for(ex, a);
+  run_items(ex, n3, [&](long k) {
+    init_sweep(a, scale, 0, n1, 0, n2, k, k + 1, ex.lvl, st);
+  });
+}
+
 void jacobi(const Exec& ex, const TilingPlan& plan, Array3D<double>& a,
             const Array3D<double>& b, double c) {
+  const Stores st = stores_for(ex, a);
   for_each_block(ex, plan, a.n1(), a.n2(), a.n3(),
                  [&](long i0, long i1, long j0, long j1, long k0, long k1) {
-                   jacobi_sweep(a, b, c, i0, i1, j0, j1, k0, k1, ex.lvl);
+                   jacobi_sweep(a, b, c, i0, i1, j0, j1, k0, k1, ex.lvl, st);
                  });
 }
 
 void copy_interior(const Exec& ex, Array3D<double>& dst,
                    const Array3D<double>& src) {
+  const Stores st = stores_for(ex, dst);
   for_each_block(ex, TilingPlan{}, dst.n1(), dst.n2(), dst.n3(),
                  [&](long i0, long i1, long j0, long j1, long k0, long k1) {
-                   copy_sweep(dst, src, i0, i1, j0, j1, k0, k1, ex.lvl);
+                   copy_sweep(dst, src, i0, i1, j0, j1, k0, k1, ex.lvl, st);
                  });
 }
 

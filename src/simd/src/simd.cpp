@@ -50,6 +50,10 @@ const char* simd_level_name(SimdLevel l) {
   return "?";
 }
 
+const char* stores_name(Stores s) {
+  return s == Stores::kStream ? "stream" : "normal";
+}
+
 bool parse_simd_mode(const std::string& s, SimdMode* out) {
   if (s == "off") {
     *out = SimdMode::kOff;

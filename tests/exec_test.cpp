@@ -17,6 +17,13 @@
 // driver must run every (step, plane, row) exactly once and only after the
 // step - 1 updates it reads.
 //
+// Streaming stores (Stores::kStream) are checked the same way: an executor
+// given a topology whose last level is smaller than every test grid
+// streams jacobi, copy_interior, init_grid and run_steps' JACOBI, on rows
+// of 3 to 17 elements and padded rows that start off a line boundary,
+// under every schedule and pool width; the store-policy rule itself is
+// checked as a pure function.
+//
 // Also pinned: the block driver's work items (a null pool runs the serial
 // tile order and one whole-interior box untiled; a pool runs untiled
 // sweeps as full-K J slabs that cover J once; a recursive plan runs
@@ -33,6 +40,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -913,6 +921,178 @@ TEST(ExecRedBlack, RepeatedPoolRunsAreDeterministic) {
     Array3D<double> a = make_grid(19, 23, 10, 0.6, 0, 0);
     redblack(Exec{&pool}, plan_of(Sched::kFlat, IterTile{3, 2}), a, 0.4, 0.1);
     ASSERT_TRUE(logical_equal(want, a)) << "rep " << rep;
+  }
+}
+
+// --- Store policy: the rule, and streaming stores bit for bit ---
+
+/// A probed topology with data levels of the given capacities.
+rt::core::CacheTopology topology(std::initializer_list<long> sizes) {
+  rt::core::CacheTopology t;
+  t.probed = true;
+  int level = 0;
+  for (const long bytes : sizes) {
+    rt::core::CacheLevelInfo l;
+    l.level = ++level;
+    l.size_bytes = bytes;
+    t.levels.push_back(l);
+  }
+  return t;
+}
+
+TEST(StorePolicy, StreamsOnlyPastTheProbedLastLevel) {
+  const long llc = 300L << 20;
+  const rt::core::CacheTopology host = topology({48L << 10, 2L << 20, llc});
+  const SimdLevel avx2 = SimdLevel::kAvx2;
+  EXPECT_EQ(choose_stores(avx2, llc + 1, host, false), Stores::kStream);
+  EXPECT_EQ(choose_stores(avx2, llc, host, false), Stores::kNormal);
+  EXPECT_EQ(choose_stores(avx2, 17L << 20, host, false), Stores::kNormal);
+  // A temporal plan re-reads its destination inside a wavefront.
+  EXPECT_EQ(choose_stores(avx2, 4 * llc, host, true), Stores::kNormal);
+  // Unprobed: never stream, although the fallback capacity is 32 MiB.
+  const rt::core::CacheTopology unprobed;
+  EXPECT_EQ(choose_stores(avx2, 4 * llc, unprobed, false), Stores::kNormal);
+  // Only the AVX2 row kernels have streaming stamps.
+  EXPECT_EQ(choose_stores(SimdLevel::kScalar, 4 * llc, host, false),
+            Stores::kNormal);
+  EXPECT_EQ(choose_stores(SimdLevel::kRows, 4 * llc, host, false),
+            Stores::kNormal);
+  EXPECT_STREQ(stores_name(Stores::kStream), "stream");
+  EXPECT_STREQ(stores_name(Stores::kNormal), "normal");
+}
+
+TEST(StorePolicy, StoresForCountsTheAllocationAgainstExecCaches) {
+  const Array3D<double> a(Dims3::padded(5, 4, 3, 8, 4));  // 96 doubles
+  const rt::core::CacheTopology fits = topology({768});
+  const rt::core::CacheTopology smaller = topology({767});
+  EXPECT_EQ(stores_for(Exec{nullptr, SimdLevel::kAvx2, &fits}, a),
+            Stores::kNormal);
+  EXPECT_EQ(stores_for(Exec{nullptr, SimdLevel::kAvx2, &smaller}, a),
+            Stores::kStream);
+  // No topology given: this host's, whose last level holds a tiny grid.
+  EXPECT_EQ(stores_for(Exec{nullptr, SimdLevel::kAvx2}, a), Stores::kNormal);
+}
+
+/// A last level of 64 B: every test grid exceeds it, so an executor that
+/// reads this topology streams every write-only sweep.
+const rt::core::CacheTopology& tiny_llc() {
+  static const rt::core::CacheTopology t = topology({64});
+  return t;
+}
+
+/// Every Runner configuration at kAvx2, reading tiny_llc().
+std::vector<Exec> stream_execs(Runner& runner) {
+  std::vector<Exec> v;
+  for (Exec ex : runner.execs()) {
+    if (ex.lvl != SimdLevel::kAvx2) continue;
+    ex.caches = &tiny_llc();
+    v.push_back(ex);
+  }
+  return v;
+}
+
+/// Rows of every length from 3 to 17 (shorter than, equal to and longer
+/// than one line), unpadded and with a leading dimension that is not a
+/// multiple of 8, so rows start off a line boundary; plus rows long
+/// enough for several whole lines between a head and a tail.
+const std::vector<Shape>& stream_shapes() {
+  static const std::vector<Shape> kShapes = [] {
+    std::vector<Shape> v;
+    for (long n1 = 3; n1 <= 17; ++n1) {
+      v.push_back({n1, 5, 4, 3, 2, 0, 0});
+      const long p1 = (n1 + 3) % 8 == 0 ? n1 + 4 : n1 + 3;
+      v.push_back({n1, 5, 4, 3, 2, p1, 6});
+    }
+    v.push_back({67, 6, 5, 20, 3, 69, 7});
+    v.push_back({130, 7, 4, 45, 2, 0, 0});
+    return v;
+  }();
+  return kShapes;
+}
+
+class ExecStream : public ::testing::TestWithParam<Shape> {};
+
+TEST_P(ExecStream, JacobiAndCopyMatchTheAccessorKernels) {
+  const Shape s = GetParam();
+  const IterTile t{s.ti, s.tj};
+  Runner runner;
+  for (const Sched sched : {Sched::kUntiled, Sched::kFlat, Sched::kRecursive}) {
+    Grids want = make_grids(2, s, /*padded=*/false);
+    run_reference(Op::kJacobi, sched, t, want);
+    for (const Exec& ex : stream_execs(runner)) {
+      Grids got = make_grids(2, s, /*padded=*/true);
+      ASSERT_EQ(stores_for(ex, got[0]), Stores::kStream);
+      run_executor(Op::kJacobi, ex, plan_of(sched, t), got);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(logical_equal(want[i], got[i]))
+            << "grid " << i << " sched " << static_cast<int>(sched)
+            << describe(ex);
+      }
+    }
+  }
+}
+
+TEST_P(ExecStream, RunStepsJacobiMatchesPingPong) {
+  const Shape s = GetParam();
+  Runner runner;
+  for (const Sched sched : {Sched::kUntiled, Sched::kFlat, Sched::kRecursive}) {
+    const TilingPlan plan = plan_of(sched, IterTile{s.ti, s.tj});
+    for (int tsteps = 1; tsteps <= 5; ++tsteps) {
+      Grids want = make_grids(2, s, /*padded=*/false);
+      step_oracle(KernelId::kJacobi, tsteps, want);
+      for (const Exec& ex : stream_execs(runner)) {
+        Grids got = make_grids(2, s, /*padded=*/true);
+        run_steps(ex, KernelId::kJacobi, plan, got, tsteps);
+        EXPECT_TRUE(logical_equal(want[0], got[0]))
+            << "tsteps " << tsteps << " sched " << static_cast<int>(sched)
+            << describe(ex);
+      }
+    }
+  }
+}
+
+TEST_P(ExecStream, InitMatchesKernelsInitGridAndLeavesPaddingAlone) {
+  const Shape s = GetParam();
+  const Dims3 d = s.p1 > 0 ? Dims3::padded(s.n1, s.n2, s.n3, s.p1, s.p2)
+                           : Dims3::unpadded(s.n1, s.n2, s.n3);
+  Array3D<double> want(d, -7.0);
+  rt::kernels::init_grid(want, 0.5);
+  Runner runner;
+  std::vector<Exec> execs = stream_execs(runner);
+  execs.push_back(Exec{nullptr, SimdLevel::kRows});
+  execs.push_back(Exec{nullptr, SimdLevel::kScalar});
+  for (const Exec& ex : execs) {
+    Array3D<double> got(d, -7.0);
+    init_grid(ex, got, 0.5);
+    EXPECT_TRUE(std::equal(want.data(), want.data() + d.alloc_elems(),
+                           got.data()))
+        << describe(ex);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ExecStream, ::testing::ValuesIn(stream_shapes()),
+    [](const ::testing::TestParamInfo<Shape>& info) {
+      return describe(info.param);
+    });
+
+TEST(ExecStream, TemporalPlansStoreNormallyAndMatchPingPong) {
+  // The wavefront re-reads its destination, so it never streams; the
+  // result is the ping-pong's either way.
+  Runner runner;
+  const Shape s{13, 9, 12, 0, 0, 15, 10};
+  for (const int tsteps : {2, 3}) {
+    Grids want = make_grids(2, s, /*padded=*/false);
+    step_oracle(KernelId::kJacobi, tsteps, want);
+    for (const Exec& ex : stream_execs(runner)) {
+      const int threads = ex.pool != nullptr ? ex.pool->num_threads() : 1;
+      Grids got = make_grids(2, s, /*padded=*/true);
+      run_steps(ex, KernelId::kJacobi, TilingPlan{}, got, tsteps,
+                temporal_plan(TemporalMode::kSkew, s.n1, s.n2, s.n3, tsteps,
+                              3, threads));
+      EXPECT_TRUE(logical_equal(want[0], got[0]))
+          << "tsteps " << tsteps << describe(ex);
+    }
   }
 }
 

@@ -286,6 +286,7 @@ std::string golden_document() {
         .set("tile", "34x34")
         .set("simd", "off")
         .set("simd_level", "scalar")
+        .set("stores", "normal")
         .set("threads", 1)
         .set("threads_requested", 1)
         .set("degraded", false)
@@ -319,6 +320,7 @@ std::string golden_document() {
         .set("tile", JsonValue())
         .set("simd", "auto")
         .set("simd_level", "scalar")
+        .set("stores", "normal")
         .set("threads", 1)
         .set("threads_requested", 4)
         .set("degraded", true)
@@ -369,6 +371,7 @@ std::string golden_document() {
         .set("tile", JsonValue())
         .set("simd", "auto")
         .set("simd_level", "avx2")
+        .set("stores", "normal")
         .set("threads", 4)
         .set("threads_requested", 4)
         .set("degraded", false)
