@@ -26,7 +26,7 @@ cmake --build "${BUILD_DIR}" -j \
   --target guard_test guard_fault_injection_test array_test kernels_test \
            core_plan_test core_backend_test cachesim_lattice_test \
            plan_cache_test exec_test simd_kernels_test mg_fastpath_test \
-           obs_test temporal_test \
+           multigrid_test sor_solver_test obs_test temporal_test \
            tune_test serve_test resil_test bench_chaos_soak
 
 # halt_on_error turns the first finding into a hard failure.  Abandonment
@@ -56,7 +56,12 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # Every row sweep and streaming-store stamp box by box: the head / whole
 # line / tail split on short, odd and padded rows.
 "${BUILD_DIR}/tests/simd_kernels_test"
+# The two whole applications: MgSolver's held finest residual (reused by
+# iterate(), dropped by setup() and the V-cycle) and SorSolver's sweeps,
+# padded plans and unchecked solve(tol <= 0).
 "${BUILD_DIR}/tests/mg_fastpath_test"
+"${BUILD_DIR}/tests/multigrid_test"
+"${BUILD_DIR}/tests/sor_solver_test"
 # Latency histogram: NaN/inf/negative samples and out-of-range values
 # converted to bucket indices and nanoseconds.
 "${BUILD_DIR}/tests/obs_test"
@@ -73,6 +78,6 @@ echo "ASan+UBSan clean: guard_test + guard_fault_injection_test +" \
      "array_test + kernels_test + core_plan_test + core_backend_test" \
      "+ cachesim_lattice_test + plan_cache_test + exec_test" \
      "+ simd_kernels_test" \
-     "+ mg_fastpath_test + obs_test" \
+     "+ mg_fastpath_test + multigrid_test + sor_solver_test + obs_test" \
      "+ temporal_test + tune_test + serve_test + resil_test" \
      "+ bench_chaos_soak reported no findings."

@@ -85,14 +85,24 @@ class MgSolver {
   long level_n(int l) const { return (1L << l) + 2; }
   int lt() const { return opts_.lt; }
 
-  /// Initialise u = 0 and the NAS-style +/-1 charge RHS.
+  /// Initialise u = 0 and the NAS-style +/-1 charge RHS.  Drops any held
+  /// residual.
   void setup();
 
   /// One full MG iteration: r = v - Au at the finest level, then a V-cycle
   /// correction.  Returns the L2 residual norm *before* the correction.
+  /// When residual_norm() ran since the last setup()/iterate(), its held
+  /// finest residual and norm are reused instead of recomputed: u and v
+  /// have not changed since, so the skipped RESID + norm2u3 pass would
+  /// have rewritten r with the same bits, and the return value equals
+  /// that residual_norm() result exactly.
   double iterate();
 
-  /// L2 norm of the current residual r = v - Au (recomputes resid).
+  /// L2 norm of the current residual r = v - Au at the finest level.
+  /// Computes r (RESID + comm3) and its norm once per (u, v) state and
+  /// holds both; a repeated call, or the next iterate(), reuses them.
+  /// setup() and the V-cycle drop the held residual.  Bits are the same
+  /// as a recompute, and flops()/phases() count only passes that ran.
   double residual_norm();
 
   const rt::array::Array3D<double>& u() const { return u_.back(); }
@@ -132,6 +142,8 @@ class MgSolver {
 
   /// V-cycle on the residual hierarchy (NAS mg3P).
   void mg3p();
+  /// r = v - Au at the finest level plus its L2 norm; marks both held.
+  void finest_residual();
 
   /// True when operators run through the executor instead of the
   /// (possibly traced) accessor kernels.
@@ -161,6 +173,10 @@ class MgSolver {
   Grid v_;               ///< RHS at finest level
   std::vector<std::uint64_t> u_base_, r_base_;
   std::uint64_t v_base_ = 0;
+
+  /// The finest r_ and resid_norm_ hold v - Au for the current (u, v).
+  bool resid_valid_ = false;
+  double resid_norm_ = 0.0;
 
   std::uint64_t flops_ = 0;
   Phases phases_;

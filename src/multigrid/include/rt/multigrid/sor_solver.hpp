@@ -68,6 +68,10 @@ class SorSolver {
   double residual_linf();
 
   /// Sweeps until residual < tol or max_sweeps; returns sweeps executed.
+  /// With tol > 0 each sweep is followed by one residual_linf() check.
+  /// With tol <= 0 no sweep can meet the test (the residual is never
+  /// negative), so no check runs: exactly max_sweeps sweep() calls, same
+  /// bits, and phases().residual is left untouched.
   int solve(double tol, int max_sweeps);
 
   const rt::array::Array3D<double>& u() const { return u_; }

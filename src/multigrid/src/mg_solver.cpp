@@ -259,6 +259,7 @@ void MgSolver::counters_end() {
 }
 
 void MgSolver::setup() {
+  resid_valid_ = false;
   for (int l = 1; l <= opts_.lt; ++l) {
     zero3_grid(u_[static_cast<std::size_t>(l - 1)]);
     zero3_grid(r_[static_cast<std::size_t>(l - 1)]);
@@ -276,6 +277,8 @@ void MgSolver::setup() {
 }
 
 void MgSolver::mg3p() {
+  // The V-cycle rewrites the finest r and u: the held residual goes stale.
+  resid_valid_ = false;
   const int lt = opts_.lt, lb = opts_.lb;
   // Restrict the residual down the hierarchy.
   for (int k = lt; k > lb; --k) {
@@ -303,27 +306,31 @@ void MgSolver::mg3p() {
   psinv_level(lt, ut, rt_);
 }
 
-double MgSolver::iterate() {
-  counters_begin();
+void MgSolver::finest_residual() {
   Grid& r = r_[static_cast<std::size_t>(opts_.lt - 1)];
   resid_level(opts_.lt, r, v_, u_[static_cast<std::size_t>(opts_.lt - 1)],
               /*allow_tile=*/true);
-  const double before = norm_l2(r);
   flops_ += 2 * interior(r);
+  resid_norm_ = norm_l2(r);
+  resid_valid_ = true;
+}
+
+double MgSolver::iterate() {
+  counters_begin();
+  if (!resid_valid_) finest_residual();
+  const double before = resid_norm_;
   mg3p();
   counters_end();
   return before;
 }
 
 double MgSolver::residual_norm() {
-  counters_begin();
-  Grid& r = r_[static_cast<std::size_t>(opts_.lt - 1)];
-  resid_level(opts_.lt, r, v_, u_[static_cast<std::size_t>(opts_.lt - 1)],
-              /*allow_tile=*/true);
-  flops_ += 2 * interior(r);
-  const double norm = norm_l2(r);
-  counters_end();
-  return norm;
+  if (!resid_valid_) {
+    counters_begin();
+    finest_residual();
+    counters_end();
+  }
+  return resid_norm_;
 }
 
 }  // namespace rt::multigrid

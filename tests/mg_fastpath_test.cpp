@@ -143,6 +143,95 @@ TEST(MgFastPath, TracedRunsIgnoreThreadsAndSimd) {
   EXPECT_EQ(ss.iterate(), traced);
 }
 
+bool same_grid(const rt::array::Array3D<double>& a,
+               const rt::array::Array3D<double>& b) {
+  for (long k = 0; k < a.n3(); ++k)
+    for (long j = 0; j < a.n2(); ++j)
+      for (long i = 0; i < a.n1(); ++i)
+        if (a(i, j, k) != b(i, j, k)) return false;
+  return true;
+}
+
+// A convergence loop asks residual_norm() and then iterate() for the same
+// (u, v).  Solver A does that; solver B only iterates.  A's iterate() must
+// reuse the residual its residual_norm() left behind: same u bits as B
+// after every cycle, the same norm back, and one finest RESID + norm2u3
+// per cycle instead of two.
+void check_held_residual_reuse(const MgOptions& o, bool traced) {
+  rt::cachesim::CacheHierarchy ha = rt::cachesim::CacheHierarchy::ultrasparc2();
+  rt::cachesim::CacheHierarchy hb = rt::cachesim::CacheHierarchy::ultrasparc2();
+  MgSolver a(o, traced ? &ha : nullptr);
+  MgSolver b(o, traced ? &hb : nullptr);
+  a.setup();
+  b.setup();
+  // RESID passes per cycle: one per level from lb + 1 to lt inside the
+  // V-cycle, plus the finest r = v - Au the cycle starts from.
+  const long per_cycle = o.lt - o.lb + 1;
+  for (long cycle = 1; cycle <= 4; ++cycle) {
+    const double held = a.residual_norm();
+    // Nothing ran in between: the held norm again, and no pass.
+    EXPECT_EQ(a.residual_norm(), held);
+    EXPECT_EQ(a.phases().norm.count, cycle);
+    EXPECT_EQ(a.iterate(), held) << "cycle " << cycle;
+    EXPECT_EQ(b.iterate(), held) << "cycle " << cycle;
+    ASSERT_TRUE(same_grid(a.u(), b.u())) << "cycle " << cycle;
+    // Without reuse A would count per_cycle + 1 RESIDs and two norms per
+    // cycle: exactly one fewer of each, with flops to match.
+    EXPECT_EQ(a.phases().resid.count, cycle * per_cycle);
+    EXPECT_EQ(a.phases().norm.count, cycle);
+    EXPECT_EQ(a.phases().resid.count, b.phases().resid.count);
+    EXPECT_EQ(a.phases().norm.count, b.phases().norm.count);
+    EXPECT_EQ(a.flops(), b.flops());
+  }
+  if (traced) {
+    EXPECT_EQ(ha.stats().l1.accesses, hb.stats().l1.accesses);
+    EXPECT_EQ(ha.stats().l1.misses, hb.stats().l1.misses);
+  }
+}
+
+TEST(MgHeldResidual, IterateReusesTheResidualNormBeforeIt) {
+  struct Variant {
+    int threads;
+    SimdMode simd;
+  };
+  for (const Variant& v : {Variant{1, SimdMode::kOff},
+                           Variant{3, SimdMode::kOff},
+                           Variant{2, SimdMode::kAuto}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "threads=" << v.threads << " simd=" << int(v.simd));
+    MgOptions o = mg_base_opts();
+    o.threads = v.threads;
+    o.simd = v.simd;
+    check_held_residual_reuse(o, /*traced=*/false);
+  }
+}
+
+TEST(MgHeldResidual, TracedIterateReusesItToo) {
+  check_held_residual_reuse(mg_base_opts(), /*traced=*/true);
+}
+
+TEST(MgHeldResidual, SetupDropsTheHeldResidual) {
+  const MgOptions o = mg_base_opts();
+  MgSolver fresh(o);
+  fresh.setup();
+  const double first = fresh.iterate();
+
+  MgSolver s(o);
+  s.setup();
+  (void)s.iterate();
+  (void)s.iterate();
+  const double held = s.residual_norm();
+  EXPECT_NE(held, first);
+  const long resid = s.phases().resid.count;
+  const long norm = s.phases().norm.count;
+  s.setup();
+  // The held residual belongs to the old u: iterate() must recompute.
+  EXPECT_EQ(s.iterate(), first);
+  EXPECT_EQ(s.phases().norm.count, norm + 1);
+  EXPECT_EQ(s.phases().resid.count, resid + (o.lt - o.lb + 1));
+  EXPECT_TRUE(same_grid(s.u(), fresh.u()));
+}
+
 SorOptions sor_base_opts(long n = 34) {
   SorOptions o;
   o.n = n;

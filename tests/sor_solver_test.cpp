@@ -147,6 +147,65 @@ TEST(SorSolver, TracedRunMatchesNative) {
   EXPECT_EQ(h.stats().l1.accesses, 9u * 18 * 18 * 18);
 }
 
+TEST(SorSolver, SolveWithoutToleranceRunsTheBudgetUnchecked) {
+  // residual_linf() is never negative, so tol <= 0 can never stop a solve:
+  // solve() runs the whole budget with no residual pass at all, and leaves
+  // the same bits as the same number of bare sweeps.
+  SorOptions o;
+  o.n = 22;
+  SorSolver ref(o);
+  ref.setup();
+  for (int i = 0; i < 6; ++i) ref.sweep();
+  for (const double tol : {0.0, -1.0}) {
+    SorSolver s(o);
+    s.setup();
+    EXPECT_EQ(s.solve(tol, 6), 6);
+    EXPECT_EQ(s.phases().sweep.count, 6);
+    EXPECT_EQ(s.phases().residual.count, 0) << "tol " << tol;
+    for (long k = 0; k < 22; ++k)
+      for (long j = 0; j < 22; ++j)
+        for (long i = 0; i < 22; ++i)
+          ASSERT_EQ(ref.u()(i, j, k), s.u()(i, j, k));
+  }
+}
+
+TEST(SorSolver, SolveWithToleranceChecksEverySweep) {
+  // tol > 0: one residual_linf() per sweep run, stopping at the first
+  // sweep whose residual is below tol, as a hand-written loop does.
+  SorOptions o;
+  o.n = 22;
+  SorSolver probe(o);
+  probe.setup();
+  probe.sweep();
+  const double r1 = probe.residual_linf();
+  // One tolerance met part way, one never met within the budget.
+  const struct {
+    double tol;
+    bool early;
+  } cases[] = {{r1 / 20.0, true}, {r1 * 1e-12, false}};
+  for (const auto& c : cases) {
+    const double tol = c.tol;
+    SorSolver ref(o);
+    ref.setup();
+    int expect = 40;
+    for (int sweeps = 1; sweeps <= 40; ++sweeps) {
+      ref.sweep();
+      if (ref.residual_linf() < tol) {
+        expect = sweeps;
+        break;
+      }
+    }
+    SorSolver s(o);
+    s.setup();
+    const int got = s.solve(tol, 40);
+    EXPECT_EQ(expect < 40, c.early) << "tol " << tol;
+    EXPECT_EQ(got, expect) << "tol " << tol;
+    EXPECT_EQ(s.phases().sweep.count, got);
+    EXPECT_EQ(s.phases().residual.count, got);
+    EXPECT_EQ(s.residual_linf(), ref.residual_linf());
+  }
+}
+
 TEST(SorSolver, RejectsBadParameters) {
   SorOptions o;
   o.n = 2;
