@@ -26,7 +26,8 @@ cmake --build "${BUILD_DIR}" -j \
   --target guard_test guard_fault_injection_test array_test kernels_test \
            core_plan_test core_backend_test cachesim_lattice_test \
            plan_cache_test exec_test simd_kernels_test mg_fastpath_test \
-           multigrid_test sor_solver_test obs_test temporal_test \
+           multigrid_test multigrid_operators_test sor_solver_test \
+           obs_test temporal_test \
            tune_test serve_test resil_test bench_chaos_soak
 
 # halt_on_error turns the first finding into a hard failure.  Abandonment
@@ -61,6 +62,8 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # padded plans and unchecked solve(tol <= 0).
 "${BUILD_DIR}/tests/mg_fastpath_test"
 "${BUILD_DIR}/tests/multigrid_test"
+# norm2u3 walks raw rows by stride: padded grids catch an overrun.
+"${BUILD_DIR}/tests/multigrid_operators_test"
 "${BUILD_DIR}/tests/sor_solver_test"
 # Latency histogram: NaN/inf/negative samples and out-of-range values
 # converted to bucket indices and nanoseconds.
@@ -78,6 +81,7 @@ echo "ASan+UBSan clean: guard_test + guard_fault_injection_test +" \
      "array_test + kernels_test + core_plan_test + core_backend_test" \
      "+ cachesim_lattice_test + plan_cache_test + exec_test" \
      "+ simd_kernels_test" \
-     "+ mg_fastpath_test + multigrid_test + sor_solver_test + obs_test" \
+     "+ mg_fastpath_test + multigrid_test + multigrid_operators_test" \
+     "+ sor_solver_test + obs_test" \
      "+ temporal_test + tune_test + serve_test + resil_test" \
      "+ bench_chaos_soak reported no findings."

@@ -12,10 +12,12 @@
 //     through the executor (rt/simd/exec.hpp) — row kernels over J slabs
 //     or the plan's tiles, on a pool when threads > 1 — bit-identical to
 //     the serial accessor operators for any thread count and SimdLevel
-//     (tests/mg_fastpath_test.cpp).  Per-level
-//     arrays are allocated uninitialized and zeroed plane-parallel on the
-//     pool, so on NUMA hosts each page is first touched — and therefore
-//     placed — by a thread that later sweeps it.
+//     (tests/mg_fastpath_test.cpp).  The L2 residual norm (rms_norm) is
+//     one plane-ordered reduction on the same pool, and the serial and
+//     traced solvers run it inline: every path computes the same bits.
+//     Per-level arrays are allocated uninitialized and zeroed
+//     plane-parallel on the pool, so on NUMA hosts each page is first
+//     touched — and therefore placed — by a thread that later sweeps it.
 //
 // Instrumentation: per-operator wall-clock PhaseStats (resid/psinv/rprj3/
 // interp/comm3/zero3/norm) accumulate across every call, and an optional
@@ -154,8 +156,10 @@ class MgSolver {
   /// First-touch initialization: zero the whole allocation plane-parallel
   /// on the pool (same bytes Grid's default construction writes serially).
   void zero_on_pool(Grid& g);
-  /// norm2u3 with phase timing (always serial: ordered reduction).
-  double norm_l2(Grid& g);
+  /// rms_norm(g, exec()) with phase timing: the plane-ordered 8-lane sum
+  /// of squares (rt::simd::sum_squares) on the pool, or inline for the
+  /// serial and traced solvers — the same bits either way.
+  double norm_l2(const Grid& g);
   void counters_begin();
   void counters_end();
 

@@ -13,6 +13,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rt/array/array3d.hpp"
+#include "rt/simd/exec.hpp"
+
 namespace rt::multigrid {
 
 /// Full-weighting restriction: fine residual r -> coarse residual s.
@@ -131,22 +134,19 @@ struct Norms {
   double linf = 0;
 };
 
-/// L2 (rms over interior) and Linf norms (NAS MG norm2u3).
-template <class A>
-Norms norm2u3(A& u) {
-  const long n1 = u.n1(), n2 = u.n2(), n3 = u.n3();
-  double s = 0, m = 0;
-  for (long i3 = 1; i3 < n3 - 1; ++i3) {
-    for (long i2 = 1; i2 < n2 - 1; ++i2) {
-      for (long i1 = 1; i1 < n1 - 1; ++i1) {
-        const double v = u.load(i1, i2, i3);
-        s += v * v;
-        m = std::max(m, std::abs(v));
-      }
-    }
-  }
-  const double pts = static_cast<double>(n1 - 2) * (n2 - 2) * (n3 - 2);
-  return Norms{std::sqrt(s / pts), m};
-}
+/// L2 norm, rms over the interior: sqrt(rt::simd::sum_squares(ex, u) /
+/// interior points), on ex's pool (null: inline).  Each interior K plane
+/// sums v*v in 8 lanes, element i into lane (i - 1) mod 8, rows in j
+/// order; the lanes fold as ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) and the
+/// planes add in plane order, so the value has the same bits for every
+/// pool width and SimdLevel.  Reads the raw grid (padding skipped by
+/// stride), so a traced solve's simulated counts never include it.
+double rms_norm(const rt::array::Array3D<double>& u,
+                const rt::simd::Exec& ex = {});
+
+/// L2 (rms_norm) and Linf (interior max of |v|, exact in any order) norms
+/// (NAS MG norm2u3), on ex's pool (null: inline).
+Norms norm2u3(const rt::array::Array3D<double>& u,
+              const rt::simd::Exec& ex = {});
 
 }  // namespace rt::multigrid

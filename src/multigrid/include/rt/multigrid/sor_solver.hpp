@@ -64,7 +64,10 @@ class SorSolver {
   /// One full red-black sweep (both colours).
   void sweep();
 
-  /// Residual max-norm of  ∇²u - f  over the interior.
+  /// Residual max-norm of  ∇²u - f  over the interior: one
+  /// rt::simd::reduce_planes partial (the plane's max) per interior K
+  /// plane, on the solver's pool; a max is exact in any order, so the
+  /// value is the same for every thread count.
   double residual_linf();
 
   /// Sweeps until residual < tol or max_sweeps; returns sweeps executed.
@@ -75,6 +78,8 @@ class SorSolver {
   int solve(double tol, int max_sweeps);
 
   const rt::array::Array3D<double>& u() const { return u_; }
+  /// The source term f of  ∇²u = f  (the charges of setup()).
+  const rt::array::Array3D<double>& f() const { return f_; }
   std::uint64_t flops() const { return flops_; }
 
   /// Construction outcome: kOk, or the degradation the solver applied

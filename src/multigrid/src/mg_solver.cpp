@@ -231,9 +231,9 @@ void MgSolver::interp_level(Grid& fine, Grid& coarse) {
   flops_ += 8 * interior(fine);
 }
 
-double MgSolver::norm_l2(Grid& g) {
+double MgSolver::norm_l2(const Grid& g) {
   rt::obs::ScopedTimer timer(phases_.norm);
-  return norm2u3(g).l2;
+  return rms_norm(g, exec());
 }
 
 bool MgSolver::counters_available() const {

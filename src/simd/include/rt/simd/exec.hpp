@@ -55,8 +55,8 @@
 //
 // Reductions go through one primitive, reduce_planes: one partial per K
 // plane (on the pool or inline), combined serially in plane order, so a
-// reduced value never depends on the pool width.  The grid checksum is
-// built on it.
+// reduced value never depends on the pool width.  The grid checksum and
+// sum_squares (the multigrid L2 residual norm) are built on it.
 
 #include <cstdint>
 #include <functional>
@@ -227,6 +227,18 @@ T reduce_planes(const Exec& ex, long n3, T init, const Partial& partial,
 /// changes the hash; the rotate carries high-bit differences down, so two
 /// sign flips in one lane do not cancel.
 std::uint64_t checksum(const Exec& ex, const Array3D<double>& a);
+
+/// Sum of squares over the interior (1 .. n-2 in each dimension; ghosts
+/// and padding excluded), through reduce_planes with one item per interior
+/// K plane:
+///   * a plane's partial keeps 8 lanes; element i of a row adds v*v to
+///     lane (i - 1) mod 8, rows in j order, so each lane sums in (j, i)
+///     order and a row's tail lands in its own lanes;
+///   * the lanes fold as ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7));
+///   * planes combine with + in plane order, starting from 0.0.
+/// One portable body, compiled without FP contraction: the value is the
+/// same for every pool width and every SimdLevel.
+double sum_squares(const Exec& ex, const Array3D<double>& a);
 
 /// @p tsteps time steps of kernel @p id on its kernel_info(id).num_arrays
 /// @p arrays, with the coefficients the benches and the solve server use

@@ -67,6 +67,23 @@ std::uint64_t plane_hash(const Array3D<double>& a, long k) {
   return hash_step(hash_step(hash_step(l0, l1), l2), l3);
 }
 
+/// Partial of interior K plane @p k of sum_squares: 8 lanes keyed by
+/// (i - 1) mod 8, folded pairwise.
+double plane_sum_squares(const Array3D<double>& a, long k) {
+  const long ni = a.n1() - 2;
+  double l[8] = {};
+  if (ni <= 0) return 0.0;
+  for (long j = 1; j < a.n2() - 1; ++j) {
+    const double* row = &a(1, j, k);
+    long i = 0;
+    for (; i + 8 <= ni; i += 8) {
+      for (int q = 0; q < 8; ++q) l[q] += row[i + q] * row[i + q];
+    }
+    for (int q = 0; i + q < ni; ++q) l[q] += row[i + q] * row[i + q];
+  }
+  return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+}
+
 }  // namespace
 
 Stores choose_stores(SimdLevel lvl, long dest_bytes,
@@ -199,6 +216,12 @@ std::uint64_t checksum(const Exec& ex, const Array3D<double>& a) {
   return reduce_planes(
       ex, a.n3(), kHashInit, [&](long k) { return plane_hash(a, k); },
       hash_step);
+}
+
+double sum_squares(const Exec& ex, const Array3D<double>& a) {
+  return reduce_planes(
+      ex, a.n3() - 2, 0.0,
+      [&](long k) { return plane_sum_squares(a, k + 1); }, std::plus<>{});
 }
 
 namespace {

@@ -882,6 +882,78 @@ TEST(ExecReducePlanes, ZeroAndOnePlaneAreSafe) {
   }
 }
 
+// --- sum_squares: the 8-lane, plane-ordered sum of squares ---
+
+/// The definition written out point by point: interior element i of a row
+/// feeds lane (i - 1) mod 8, the lanes fold pairwise per plane, and the
+/// planes add in order from 0.0.
+double sum_squares_oracle(const Array3D<double>& a) {
+  double total = 0.0;
+  for (long k = 1; k < a.n3() - 1; ++k) {
+    std::array<double, 8> l{};
+    for (long j = 1; j < a.n2() - 1; ++j) {
+      for (long i = 1; i < a.n1() - 1; ++i) {
+        l[static_cast<std::size_t>((i - 1) % 8)] += a(i, j, k) * a(i, j, k);
+      }
+    }
+    total += ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+  }
+  return total;
+}
+
+TEST(ExecSumSquares, MatchesTheLaneDefinition) {
+  // n1 - 2 interior points per row: 1, 3, 8, 9, 16, 128 — rows shorter
+  // than the lanes, an exact multiple of 8, and ragged tails.
+  for (const long n1 : {3L, 5L, 10L, 11L, 18L, 130L}) {
+    const Array3D<double> a = make_grid(n1, 7, 5, 0.25 * n1, 0, 0);
+    EXPECT_EQ(sum_squares(Exec{}, a), sum_squares_oracle(a)) << "n1=" << n1;
+    const Array3D<double> b = make_grid(n1, 12, 9, 1.0 + n1, 0, 0);
+    EXPECT_EQ(sum_squares(Exec{}, b), sum_squares_oracle(b)) << "n1=" << n1;
+  }
+}
+
+TEST(ExecSumSquares, SameBitsForEveryPoolWidthAndLevel) {
+  const Array3D<double> a = make_grid(37, 13, 21, 0.5, 0, 0);
+  const double want = sum_squares(Exec{}, a);
+  for (const SimdLevel lvl :
+       {SimdLevel::kScalar, SimdLevel::kRows, SimdLevel::kAvx2}) {
+    EXPECT_EQ(sum_squares(Exec{nullptr, lvl}, a), want);
+    for (const int w : {1, 2, 3, 4}) {
+      ThreadPool pool(w);
+      for (int rep = 0; rep < 5; ++rep) {
+        ASSERT_EQ(sum_squares(Exec{&pool, lvl}, a), want)
+            << w << " threads rep " << rep;
+      }
+    }
+  }
+}
+
+TEST(ExecSumSquares, SkipsGhostsAndPadding) {
+  const Array3D<double> plain = make_grid(19, 11, 6, 2.0, 0, 0);
+  Array3D<double> padded(Dims3::padded(19, 11, 6, 24, 14));
+  padded.fill(std::nan(""));
+  for (long k = 1; k < 5; ++k) {
+    for (long j = 1; j < 10; ++j) {
+      for (long i = 1; i < 18; ++i) padded(i, j, k) = plain(i, j, k);
+    }
+  }
+  ThreadPool pool(3);
+  for (const Exec& ex : {Exec{}, Exec{&pool}}) {
+    const double got = sum_squares(ex, padded);
+    EXPECT_TRUE(std::isfinite(got));
+    EXPECT_EQ(got, sum_squares(ex, plain));
+  }
+}
+
+TEST(ExecSumSquares, EmptyInteriorIsZero) {
+  for (const Dims3 d : {Dims3::unpadded(2, 5, 5), Dims3::unpadded(5, 2, 5),
+                        Dims3::unpadded(5, 5, 2)}) {
+    Array3D<double> a(d);
+    a.fill(3.0);
+    EXPECT_EQ(sum_squares(Exec{}, a), 0.0);
+  }
+}
+
 // --- Red-black colour barrier ---
 
 TEST(ExecRedBlack, ColourBarrierHoldsUnderManyThreads) {

@@ -81,6 +81,39 @@ TEST(MgFastPath, UntiledOperatorsAreBitIdenticalToo) {
   EXPECT_EQ(fast.norms, serial.norms);
 }
 
+TEST(MgFastPath, PooledNormsAreBitIdenticalEveryCycle) {
+  // The residual norm is one plane-ordered reduction, inline on the serial
+  // solver and on the pool otherwise: every norm of every cycle has the
+  // same bits.  lt = 5 (n = 34) with a GcdPad plan that pads the finest
+  // grid, so the norm also walks padded rows.
+  MgOptions o = mg_base_opts();
+  o.lt = 5;
+  const long n = (1L << o.lt) + 2;
+  o.resid_plan = rt::core::plan_for(rt::core::Transform::kGcdPad, 2048, n, n,
+                                    rt::core::StencilSpec::resid27());
+  ASSERT_GE(o.resid_plan.dip, n);
+  ASSERT_GE(o.resid_plan.djp, n);
+  struct Variant {
+    int threads;
+    SimdMode simd;
+  };
+  std::vector<double> want;
+  for (const Variant& v : {Variant{1, SimdMode::kOff},
+                           Variant{3, SimdMode::kOff},
+                           Variant{2, SimdMode::kAuto}}) {
+    o.threads = v.threads;
+    o.simd = v.simd;
+    const MgOutcome got = run_mg(o, 4);
+    ASSERT_EQ(got.norms.size(), 5u);
+    if (want.empty()) want = got.norms;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.norms[i], want[i])
+          << "threads=" << v.threads << " simd=" << int(v.simd) << " norm "
+          << i;
+    }
+  }
+}
+
 TEST(MgFastPath, ReportsWidthLevelAndPhases) {
   MgOptions o = mg_base_opts();
   o.threads = 3;

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "rt/cachesim/hierarchy.hpp"
 #include "rt/cachesim/traced_array.hpp"
 #include "rt/kernels/psinv.hpp"
 #include "rt/multigrid/operators.hpp"
+#include "rt/par/thread_pool.hpp"
 
 namespace rt::multigrid {
 namespace {
@@ -135,6 +137,30 @@ TEST(Operators, NormScalesQuadratically) {
   const Norms n3 = norm2u3(a);
   EXPECT_NEAR(n3.l2, 3.0 * n1.l2, 1e-12 * (1 + n1.l2));
   EXPECT_NEAR(n3.linf, 3.0 * n1.linf, 1e-12 * (1 + n1.linf));
+}
+
+TEST(Operators, NormsAreTheSameOnEveryPoolAndSkipPadding) {
+  // Padded rows with NaN in the padding and ghosts: norm2u3 walks the raw
+  // rows by stride and must read the interior only.
+  const long n = 12;
+  const Array3D<double> plain = rand_grid(n, 9);
+  Array3D<double> padded(rt::array::Dims3::padded(n, n, n, n + 5, n + 3));
+  padded.fill(std::nan(""));
+  for (long k = 1; k < n - 1; ++k)
+    for (long j = 1; j < n - 1; ++j)
+      for (long i = 1; i < n - 1; ++i) padded(i, j, k) = plain(i, j, k);
+  const Norms want = norm2u3(plain);
+  EXPECT_EQ(want.l2, rms_norm(plain));
+  const std::vector<const Array3D<double>*> grids = {&plain, &padded};
+  rt::par::ThreadPool pool(3);
+  for (const rt::simd::Exec& ex : {rt::simd::Exec{}, rt::simd::Exec{&pool}}) {
+    for (const Array3D<double>* g : grids) {
+      const Norms got = norm2u3(*g, ex);
+      EXPECT_EQ(got.l2, want.l2);
+      EXPECT_EQ(got.linf, want.linf);
+      EXPECT_EQ(rms_norm(*g, ex), want.l2);
+    }
+  }
 }
 
 TEST(Operators, TracedOperatorsMatchNative) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "rt/core/plan.hpp"
 #include "rt/kernels/redblack.hpp"
@@ -129,6 +131,50 @@ TEST(SorSolver, PoolSweepsBitwiseEqualSerial) {
             ASSERT_EQ(ref.u()(i, j, k), s.u()(i, j, k))
                 << threads << " threads at (" << i << "," << j << "," << k
                 << ")";
+    }
+  }
+}
+
+/// residual_linf() as one serial pass: the triple loop the solver ran
+/// before its planes went to the pool.
+double serial_residual_linf(const Array3D<double>& u,
+                            const Array3D<double>& f) {
+  const long n = u.n1();
+  double m = 0.0;
+  for (long k = 1; k < n - 1; ++k) {
+    for (long j = 1; j < n - 1; ++j) {
+      for (long i = 1; i < n - 1; ++i) {
+        const double lap = u(i - 1, j, k) + u(i + 1, j, k) + u(i, j - 1, k) +
+                           u(i, j + 1, k) + u(i, j, k - 1) + u(i, j, k + 1) -
+                           6.0 * u(i, j, k);
+        m = std::max(m, std::abs(lap - f(i, j, k)));
+      }
+    }
+  }
+  return m;
+}
+
+TEST(SorSolver, PooledResidualEqualsSerialPass) {
+  // The max over planes is exact in any order: every width computes the
+  // serial pass's bits, sweep after sweep.
+  std::vector<double> want;
+  for (const int threads : {1, 2, 3}) {
+    SorOptions o;
+    o.n = 29;
+    o.threads = threads;
+    SorSolver s(o);
+    s.setup(7, 12);
+    for (int i = 0; i < 5; ++i) {
+      s.sweep();
+      const double got = s.residual_linf();
+      EXPECT_EQ(got, serial_residual_linf(s.u(), s.f()))
+          << threads << " threads, sweep " << i;
+      if (threads == 1) {
+        want.push_back(got);
+      } else {
+        EXPECT_EQ(got, want[static_cast<std::size_t>(i)])
+            << threads << " threads, sweep " << i;
+      }
     }
   }
 }
