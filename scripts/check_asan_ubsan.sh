@@ -55,7 +55,10 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # with the skew and diamond time schedules on pools.
 "${BUILD_DIR}/tests/exec_test"
 # Every row sweep and streaming-store stamp box by box: the head / whole
-# line / tail split on short, odd and padded rows.
+# line / tail split on short, odd and padded rows, and the transfer
+# sweeps' split (interp_sweep's leading even i, (2m-1, 2m) pairs and
+# trailing odd i; rprj3_sweep's stride-2 fine reads) on boxes of either
+# parity, odd and even fine extents and padded grids.
 "${BUILD_DIR}/tests/simd_kernels_test"
 # The two whole applications: MgSolver's held finest residual (reused by
 # iterate(), dropped by setup() and the V-cycle) and SorSolver's sweeps,

@@ -296,11 +296,16 @@ void psinv(const Exec& ex, const TilingPlan& plan, Array3D<double>& u,
            const Array3D<double>& r, const PsinvCoeffs& c);
 
 /// Restriction of fine r onto coarse s, on the untiled schedule over the
-/// coarse grid; == rt::multigrid::rprj3.
+/// coarse grid; == rt::multigrid::rprj3.  Throws std::invalid_argument,
+/// before writing, if fine r is too small for coarse s: a coarse extent m
+/// (>= 3) needs a fine extent of at least 2m - 3 on that axis.
 void rprj3(const Exec& ex, Array3D<double>& s, const Array3D<double>& r);
 
 /// Prolongation u += P z, on the untiled schedule over the fine grid;
-/// == rt::multigrid::interp_add.
+/// == rt::multigrid::interp_add.  Throws std::invalid_argument, before
+/// writing, if coarse z is too small for fine u: a fine extent n (>= 3)
+/// needs a coarse extent above n / 2 on that axis.  MgSolver's pair,
+/// fine 2m - 2 over coarse m, passes both checks.
 void interp_add(const Exec& ex, Array3D<double>& u, const Array3D<double>& z);
 
 }  // namespace rt::simd

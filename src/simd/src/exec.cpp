@@ -4,6 +4,7 @@
 #include <bit>
 #include <climits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -395,7 +396,34 @@ void psinv(const Exec& ex, const TilingPlan& plan, Array3D<double>& u,
                  });
 }
 
+namespace {
+
+/// The transfer sweeps index one grid by the other's interior: rprj3 reads
+/// fine 2j - 2 .. 2j around coarse j, interp_add reads coarse up to
+/// i / 2 + 1 for fine i.  Once per call, before any work, every axis's
+/// last read of @p read must lie inside its extent (so inside its
+/// allocation); an empty swept interior reads nothing.
+void check_transfer(const char* op, const Array3D<double>& swept,
+                    const Array3D<double>& read, bool reads_fine) {
+  const long n[3] = {swept.n1(), swept.n2(), swept.n3()};
+  const long m[3] = {read.n1(), read.n2(), read.n3()};
+  if (std::min({n[0], n[1], n[2]}) < 3) return;
+  for (int d = 0; d < 3; ++d) {
+    const long last = n[d] - 2;
+    const long reads = reads_fine ? 2 * last : last / 2 + 1;
+    if (reads >= m[d]) {
+      throw std::invalid_argument(
+          std::string(op) + ": grid too small on axis " +
+          std::to_string(d + 1) + " (reads index " + std::to_string(reads) +
+          " of extent " + std::to_string(m[d]) + ")");
+    }
+  }
+}
+
+}  // namespace
+
 void rprj3(const Exec& ex, Array3D<double>& s, const Array3D<double>& r) {
+  check_transfer("rprj3", s, r, /*reads_fine=*/true);
   for_each_block(ex, TilingPlan{}, s.n1(), s.n2(), s.n3(),
                  [&](long i0, long i1, long j0, long j1, long k0, long k1) {
                    rprj3_sweep(s, r, i0, i1, j0, j1, k0, k1, ex.lvl);
@@ -403,6 +431,7 @@ void rprj3(const Exec& ex, Array3D<double>& s, const Array3D<double>& r) {
 }
 
 void interp_add(const Exec& ex, Array3D<double>& u, const Array3D<double>& z) {
+  check_transfer("interp_add", u, z, /*reads_fine=*/false);
   for_each_block(ex, TilingPlan{}, u.n1(), u.n2(), u.n3(),
                  [&](long i0, long i1, long j0, long j1, long k0, long k1) {
                    interp_sweep(u, z, i0, i1, j0, j1, k0, k1, ex.lvl);

@@ -398,6 +398,69 @@ INSTANTIATE_TEST_SUITE_P(
              describe(std::get<1>(info.param));
     });
 
+// The transfer operators check how the two shapes relate, once per call:
+// coarse m (>= 3) needs fine >= 2m - 3 for rprj3, fine n (>= 3) needs
+// coarse > n / 2 for interp_add.  MgSolver's pair, fine 2m - 2 over coarse
+// m, passes; one index short on any axis throws before writing anything.
+TEST(ExecTransferShape, MgSolverPairAndTheLimitsRun) {
+  ThreadPool two(2);
+  for (const Exec& ex : {Exec{}, Exec{&two, SimdLevel::kAvx2}}) {
+    for (const std::array<long, 3> m :
+         {std::array<long, 3>{3, 3, 3}, {5, 4, 3}, {66, 3, 4}}) {
+      for (const long extra : {0L, 1L}) {
+        // rprj3 reads fine up to 2m - 4: fine 2m - 2 (the pair), 2m - 3.
+        const long f1 = 2 * m[0] - 2 - extra, f2 = 2 * m[1] - 2 - extra,
+                   f3 = 2 * m[2] - 2 - extra;
+        const Array3D<double> r = make_grid(f1, f2, f3, 0.4, 0, 0);
+        Array3D<double> want = make_grid(m[0], m[1], m[2], 0.2, 0, 0);
+        Array3D<double> got = want;
+        rt::multigrid::rprj3(want, r);
+        ASSERT_NO_THROW(rprj3(ex, got, r));
+        EXPECT_TRUE(logical_equal(want, got)) << describe(ex);
+      }
+      for (const long extra : {0L, 1L}) {
+        // interp_add reads coarse up to n / 2: fine 2m - 2 (the pair),
+        // 2m - 1.
+        const long f1 = 2 * m[0] - 2 + extra, f2 = 2 * m[1] - 2 + extra,
+                   f3 = 2 * m[2] - 2 + extra;
+        const Array3D<double> z = make_grid(m[0], m[1], m[2], 0.6, 0, 0);
+        Array3D<double> want = make_grid(f1, f2, f3, 0.1, 0, 0);
+        Array3D<double> got = want;
+        rt::multigrid::interp_add(want, z);
+        ASSERT_NO_THROW(interp_add(ex, got, z));
+        EXPECT_TRUE(logical_equal(want, got)) << describe(ex);
+      }
+    }
+  }
+}
+
+TEST(ExecTransferShape, TooSmallGridThrowsBeforeWriting) {
+  ThreadPool two(2);
+  for (const Exec& ex : {Exec{}, Exec{&two, SimdLevel::kAvx2}}) {
+    for (int axis = 0; axis < 3; ++axis) {
+      long f[3] = {10, 10, 10}, c[3] = {6, 6, 6};
+      f[axis] = 2 * c[axis] - 4;  // rprj3 would read fine 2 * 6 - 4 = 8
+      const Array3D<double> r = make_grid(f[0], f[1], f[2], 0.4, 0, 0);
+      Array3D<double> s = make_grid(c[0], c[1], c[2], 0.2, 0, 0);
+      const Array3D<double> s0 = s;
+      EXPECT_THROW(rprj3(ex, s, r), std::invalid_argument) << axis;
+      EXPECT_TRUE(logical_equal(s0, s)) << axis;
+
+      f[axis] = 2 * c[axis];  // interp_add would read coarse 12 / 2 = 6
+      const Array3D<double> z = make_grid(c[0], c[1], c[2], 0.6, 0, 0);
+      Array3D<double> u = make_grid(f[0], f[1], f[2], 0.1, 0, 0);
+      const Array3D<double> u0 = u;
+      EXPECT_THROW(interp_add(ex, u, z), std::invalid_argument) << axis;
+      EXPECT_TRUE(logical_equal(u0, u)) << axis;
+    }
+    // An empty swept interior reads nothing, whatever the other grid.
+    Array3D<double> s = make_grid(9, 2, 9, 0.2, 0, 0);
+    EXPECT_NO_THROW(rprj3(ex, s, make_grid(3, 3, 3, 0.4, 0, 0)));
+    Array3D<double> u = make_grid(20, 20, 2, 0.1, 0, 0);
+    EXPECT_NO_THROW(interp_add(ex, u, make_grid(3, 3, 3, 0.6, 0, 0)));
+  }
+}
+
 // --- The block driver itself ---
 
 using Box = std::array<long, 6>;  // ilo, ihi, jlo, jhi, klo, khi

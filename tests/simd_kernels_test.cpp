@@ -1,19 +1,26 @@
 // rt::simd policy layer and sweep composition: mode parsing, mode->level
 // resolution (resolve and exec_level), leading-dimension alignment, and
 // the property the executor rests on — sweeping arbitrary sub-boxes of
-// the interior equals one full sweep — and every streaming-store stamp
-// this host executes, box by box, against the accessor kernels.  The differential test of every
-// operator under every schedule, pool width and level is exec_test.cpp.
+// the interior equals one full sweep.  Checked box by box against the
+// accessor kernels: every streaming-store stamp this host executes, and
+// the multigrid transfer sweeps (rprj3_sweep, interp_sweep) on boxes that
+// start and end at odd and at even i, one-element and empty boxes, odd
+// and even fine extents, padded grids and -0.0 inputs.  The differential
+// test of every operator under every schedule, pool width and level is
+// exec_test.cpp.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "rt/array/array3d.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
+#include "rt/multigrid/operators.hpp"
 #include "rt/simd/row_kernels.hpp"
 #include "rt/simd/simd.hpp"
 
@@ -157,12 +164,11 @@ Array3D<double> make_grid(const Dims3& d, double seed) {
   return a;
 }
 
+/// Bitwise over the whole allocation, padding too (so -0.0 != +0.0).
 bool storage_equal(const Array3D<double>& a, const Array3D<double>& b) {
-  const long n = a.dims().alloc_elems();
-  for (long e = 0; e < n; ++e) {
-    if (a.data()[e] != b.data()[e]) return false;  // bitwise, padding too
-  }
-  return true;
+  return a.dims() == b.dims() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(double) * a.dims().alloc_elems()) == 0;
 }
 
 TEST(SimdStream, EveryStampMatchesTheAccessorKernels) {
@@ -221,6 +227,129 @@ TEST(SimdStream, StreamPolicyAtEveryLevelMatchesNormalStores) {
       init_sweep(got, 2.0, 0, d.n1, 0, d.n2, 0, d.n3, lvl, Stores::kStream);
       EXPECT_TRUE(storage_equal(want, got)) << "lvl " << int(lvl);
     }
+  }
+}
+
+// --- Transfer sweeps, box by box ---
+
+/// A half-open range of one axis; a box is three of them (i, j, k).
+using Range = std::array<long, 2>;
+
+/// I ranges of an interior 1 .. n - 2 (n >= 6): starting at odd and at
+/// even i, ending at odd and at even i, one odd and one even element, and
+/// an empty range.
+std::vector<Range> i_ranges(long n) {
+  return {{1, n - 1}, {1, n - 2}, {2, n - 1}, {2, n - 2},
+          {1, 2},     {2, 3},     {3, 3}};
+}
+
+/// J and K ranges: the whole interior (both parities) and short ranges
+/// starting at odd and at even indices.
+std::vector<Range> jk_ranges(long n) { return {{1, n - 1}, {2, n - 2}, {1, 2}}; }
+
+/// want, where the box covers it; base elsewhere (ghosts and padding too).
+Array3D<double> box_of(const Array3D<double>& want,
+                       const Array3D<double>& base, const Range& ri,
+                       const Range& rj, const Range& rk) {
+  Array3D<double> out = base;
+  for (long k = rk[0]; k < rk[1]; ++k) {
+    for (long j = rj[0]; j < rj[1]; ++j) {
+      for (long i = ri[0]; i < ri[1]; ++i) out(i, j, k) = want(i, j, k);
+    }
+  }
+  return out;
+}
+
+/// Sweeps every box of @p swept's interior at every level and checks each
+/// against the accessor operator run over the whole interior (@p want):
+/// inside the box its bits, outside it @p base's.
+template <class Sweep>
+void expect_boxes_match(const Array3D<double>& base,
+                        const Array3D<double>& want, const Sweep& sweep,
+                        const char* what) {
+  const Dims3& d = base.dims();
+  for (const SimdLevel lvl : levels_under_test()) {
+    for (const Range& rk : jk_ranges(d.n3)) {
+      for (const Range& rj : jk_ranges(d.n2)) {
+        for (const Range& ri : i_ranges(d.n1)) {
+          Array3D<double> got = base;
+          sweep(got, ri, rj, rk, lvl);
+          EXPECT_TRUE(storage_equal(box_of(want, base, ri, rj, rk), got))
+              << what << " " << d.n1 << "x" << d.n2 << "x" << d.n3 << " p"
+              << d.p1 << "x" << d.p2 << " lvl " << int(lvl) << " i ["
+              << ri[0] << "," << ri[1] << ") j [" << rj[0] << "," << rj[1]
+              << ") k [" << rk[0] << "," << rk[1] << ")";
+        }
+      }
+    }
+  }
+}
+
+struct TransferGrids {
+  Dims3 fine, coarse;
+};
+
+/// Odd and even fine extents on every axis, over coarse extents from
+/// MgSolver's pair (fine 2m - 2) to the largest fine extent a coarse m
+/// admits (2m - 1), and one larger; unpadded, a padded fine grid and both
+/// grids padded.
+std::vector<TransferGrids> transfer_grids() {
+  return {{Dims3::unpadded(17, 12, 11), Dims3::unpadded(9, 7, 7)},
+          {Dims3::unpadded(18, 13, 10), Dims3::unpadded(10, 7, 6)},
+          {Dims3::padded(17, 12, 11, 21, 15), Dims3::unpadded(9, 7, 7)},
+          {Dims3::padded(18, 13, 10, 21, 15), Dims3::padded(10, 7, 6, 13, 9)}};
+}
+
+TEST(SimdTransfer, InterpSweepMatchesInterpAddOnEveryBox) {
+  for (const TransferGrids& g : transfer_grids()) {
+    const Array3D<double> z = make_grid(g.coarse, 0.6);
+    const Array3D<double> base = make_grid(g.fine, 0.1);
+    Array3D<double> want = base;
+    rt::multigrid::interp_add(want, z);
+    expect_boxes_match(
+        base, want,
+        [&](Array3D<double>& u, const Range& ri, const Range& rj,
+            const Range& rk, SimdLevel lvl) {
+          interp_sweep(u, z, ri[0], ri[1], rj[0], rj[1], rk[0], rk[1], lvl);
+        },
+        "interp");
+  }
+}
+
+TEST(SimdTransfer, Rprj3SweepMatchesRprj3OnEveryBox) {
+  for (const TransferGrids& g : transfer_grids()) {
+    const Array3D<double> r = make_grid(g.fine, 0.4);
+    const Array3D<double> base = make_grid(g.coarse, 0.2);
+    Array3D<double> want = base;
+    rt::multigrid::rprj3(want, r);
+    expect_boxes_match(
+        base, want,
+        [&](Array3D<double>& s, const Range& ri, const Range& rj,
+            const Range& rk, SimdLevel lvl) {
+          rprj3_sweep(s, r, ri[0], ri[1], rj[0], rj[1], rk[0], rk[1], lvl);
+        },
+        "rprj3");
+  }
+}
+
+TEST(SimdTransfer, NegativeZerosSumToPositiveZero) {
+  // Every element's sum starts at +0.0, and 0.0 + -0.0 is +0.0: an
+  // interpolation of all -0.0 onto all -0.0 leaves +0.0 at every swept
+  // point, exactly as the accessor does.
+  for (const TransferGrids& g : transfer_grids()) {
+    const Array3D<double> z(g.coarse, -0.0);
+    const Array3D<double> base(g.fine, -0.0);
+    Array3D<double> want = base;
+    rt::multigrid::interp_add(want, z);
+    ASSERT_FALSE(std::signbit(want(1, 1, 1)));
+    ASSERT_FALSE(std::signbit(want(2, 2, 2)));
+    expect_boxes_match(
+        base, want,
+        [&](Array3D<double>& u, const Range& ri, const Range& rj,
+            const Range& rk, SimdLevel lvl) {
+          interp_sweep(u, z, ri[0], ri[1], rj[0], rj[1], rk[0], rk[1], lvl);
+        },
+        "interp -0.0");
   }
 }
 
