@@ -79,9 +79,9 @@ bool interiors_equal(const Array3D<double>& a, const Array3D<double>& b) {
 }
 
 /// Two run_steps steps of each kernel at the benched size at kScalar on no
-/// pool (the serial accessor nests) and on a @p threads pool at kRows and
-/// at the host's auto level; returns false (and reports) on any bitwise
-/// difference.
+/// pool (the serial accessor nests) and on a @p threads pool at every row
+/// level the host executes (so a --simd= row of any mode times a verified
+/// level); returns false (and reports) on any bitwise difference.
 bool verify_bit_identical(long n, long kd, int threads) {
   const auto plan = rt::core::plan_for(Transform::kGcdPad, 2048, n, n,
                                        rt::core::StencilSpec::jacobi3d());
@@ -100,8 +100,10 @@ bool verify_bit_identical(long n, long kd, int threads) {
     std::vector<Array3D<double>> want = grids(id);
     rt::simd::run_steps({nullptr, rt::simd::SimdLevel::kScalar}, id, plan,
                         want, 2);
-    for (const auto lvl : {rt::simd::SimdLevel::kRows,
-                           rt::simd::resolve(rt::simd::SimdMode::kAuto)}) {
+    for (const auto lvl :
+         {rt::simd::SimdLevel::kRows, rt::simd::SimdLevel::kAvx2,
+          rt::simd::SimdLevel::kAvx512}) {
+      if (lvl > rt::simd::resolve(rt::simd::SimdMode::kAuto)) continue;
       std::vector<Array3D<double>> got = grids(id);
       rt::simd::run_steps({&pool, lvl}, id, plan, got, 2);
       for (std::size_t i = 0; i < want.size(); ++i) {

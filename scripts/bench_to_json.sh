@@ -21,9 +21,10 @@
 #
 # The benchmark names are
 # "KERNEL/<n>/<transform>/<simd-mode>/<threads>/<temporal>/<tune>"; `simd`
-# is the requested mode (off/auto/avx2) split from the name, `simd_level`
-# is the level that actually ran (the benchmark's label, e.g. auto -> avx2
-# on an AVX2 host, scalar under off), `temporal` is the wavefront schedule
+# is the requested mode (off/auto/avx2) split from the name,
+# `simd_level` is the level that actually ran (the benchmark's label, e.g.
+# auto -> avx512 on an AVX-512F host, avx2 on an AVX2-only one, scalar
+# under off), `temporal` is the wavefront schedule
 # (off/skew/diamond; pre-PR6 five-component names default to "off"), and
 # `tune` is the autotuning mode (off/load/on; pre-PR7 names default to
 # "off").

@@ -51,10 +51,12 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/cachesim_lattice_test"
 "${BUILD_DIR}/tests/plan_cache_test"
 # The executor's block driver (degenerate tiles, empty interiors, recursive
-# leaves), every row sweep on padded and minimum-size grids, and run_steps
-# with the skew and diamond time schedules on pools.
+# leaves), every row sweep on padded and minimum-size grids at each of the
+# three ISA stamps (baseline, AVX2, AVX-512F), and run_steps with the skew
+# and diamond time schedules on pools.
 "${BUILD_DIR}/tests/exec_test"
-# Every row sweep and streaming-store stamp box by box: the head / whole
+# Every row sweep at each of the three ISA stamps (baseline, AVX2,
+# AVX-512F) and each streaming-store stamp, box by box: the head / whole
 # line / tail split on short, odd and padded rows, and the transfer
 # sweeps' split (interp_sweep's leading even i, (2m-1, 2m) pairs and
 # trailing odd i; rprj3_sweep's stride-2 fine reads) on boxes of either

@@ -41,8 +41,9 @@ struct RunOptions {
   int threads = 1;
   /// SIMD level for *host* timing, resolved by rt::simd::exec_level: kOff
   /// runs the serial accessor kernels when single-threaded and the kRows
-  /// row kernels otherwise; kAuto/kAvx2 run the best row kernels the host
-  /// supports (all bit-identical).  Trace-driven simulation always uses
+  /// row kernels otherwise; kAuto runs the widest row kernels the host
+  /// supports (kAvx512 with AVX-512F), kAvx2 the AVX2 ones (all
+  /// bit-identical).  Trace-driven simulation always uses
   /// the accessor kernels — TracedArray3D *is* the accessor concept.
   rt::simd::SimdMode simd = rt::simd::SimdMode::kOff;
   /// Opt-in: round the planned leading dimension up to the vector width

@@ -26,7 +26,7 @@
 //   {"id": 7, "op": "solve", "status": "ok", "detail": "", "kernel": ...,
 //    "plan": {"transform": "GcdPad", "backend": "model",
 //             "schedule": "tiled", ...},
-//    "plan_status": "ok", "simd": "avx2", "threads": 2,
+//    "plan_status": "ok", "simd": "avx512", "threads": 2,
 //    "checksum": "a41c07e95d3b2f68", "iters": 2, "residual": 0.0,
 //    "batch_size": 3, "shared": false,
 //    "queue_ms": 0.1, "solve_ms": 2.4, "total_ms": 2.7,

@@ -42,7 +42,8 @@
 // policy per call, with no knob (choose_stores):
 //   * they stream only when the destination array's bytes exceed the
 //     last-level capacity the probed CacheTopology reports
-//     (outer_data_bytes()), at SimdLevel::kAvx2; an unprobed topology,
+//     (outer_data_bytes()), at SimdLevel::kAvx2 or kAvx512 (the levels
+//     with streaming stamps); an unprobed topology,
 //     any other level, traced runs (accessor nests) and temporal plans
 //     (a wavefront re-reads its destination) always store normally;
 //   * a streaming row writes each whole 64 B line with non-temporal
@@ -88,9 +89,9 @@ struct Exec {
   const rt::core::CacheTopology* caches = nullptr;
 };
 
-/// The store-policy rule: Stores::kStream when @p lvl is kAvx2, the plan is
-/// not @p temporal, @p topo is probed and @p dest_bytes exceeds
-/// topo.outer_data_bytes(); otherwise kNormal.
+/// The store-policy rule: Stores::kStream when @p lvl is kAvx2 or kAvx512,
+/// the plan is not @p temporal, @p topo is probed and @p dest_bytes
+/// exceeds topo.outer_data_bytes(); otherwise kNormal.
 Stores choose_stores(SimdLevel lvl, long dest_bytes,
                      const rt::core::CacheTopology& topo, bool temporal);
 

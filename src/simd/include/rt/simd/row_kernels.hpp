@@ -12,14 +12,15 @@
 // results are bit-identical to the accessor kernels for every SimdLevel
 // (asserted exhaustively by tests/exec_test.cpp).
 //
-// Two ISA instantiations of every sweep are compiled (baseline, and a
-// target("avx2") clone on x86); SimdLevel picks one at run time, so no
-// global -mavx2 build flag is needed.  The write-only sweeps (jacobi, copy,
-// init) also take a Stores policy: with Stores::kStream at kAvx2 they run
-// a streaming stamp instead, non-temporal stores for every whole 64 B line
-// of a row and normal stores for its head and tail — the target("avx512f")
-// stamp (one 64 B store per line) when the CPU has AVX-512F, else the AVX2
-// stamp (both halves of a line back to back).  A streaming sweep ends with
+// Three ISA stamps of every sweep are compiled (baseline, and
+// target("avx2") and target("avx512f") clones on x86); each sweep looks up
+// the stamp for its SimdLevel once per call, narrowed to the widest one
+// the CPU executes, so no global -mavx2 build flag is needed.  The
+// write-only sweeps (jacobi, copy, init) also take a Stores policy: with
+// Stores::kStream at kAvx2 or kAvx512 they run that ISA's streaming stamp
+// instead, non-temporal stores for every whole 64 B line of a row and
+// normal stores for its head and tail (AVX2: both 32 B halves of a line
+// back to back; AVX-512F: one 64 B store).  A streaming sweep ends with
 // _mm_sfence(), so its stores are globally visible before it returns.
 // Every other level and policy stores normally, with the same bits.
 //
@@ -96,25 +97,11 @@ void interp_sweep(Array3D<double>& u, const Array3D<double>& z, long ilo,
 
 namespace detail {
 
-/// The streaming stamps a kStream sweep picks from: the widest one
-/// stream_stamp_supported says this host executes.
-enum class StreamStamp { kAvx2, kAvx512f };
-
-bool stream_stamp_supported(StreamStamp s);
-
-/// jacobi_sweep / copy_sweep / init_sweep with Stores::kStream on the
-/// named stamp, so that tests cover every stamp this host executes.  Each
-/// ends with _mm_sfence().  An unsupported stamp runs the baseline stamp
-/// with normal stores.
-void jacobi_sweep_stream(StreamStamp s, Array3D<double>& a,
-                         const Array3D<double>& b, double c, long ilo,
-                         long ihi, long jlo, long jhi, long klo, long khi);
-void copy_sweep_stream(StreamStamp s, Array3D<double>& dst,
-                       const Array3D<double>& src, long ilo, long ihi,
-                       long jlo, long jhi, long klo, long khi);
-void init_sweep_stream(StreamStamp s, Array3D<double>& a, double scale,
-                       long ilo, long ihi, long jlo, long jhi, long klo,
-                       long khi);
+/// The stamp a sweep at @p lvl runs on a CPU with @p cpu: @p lvl's own, or
+/// the widest level @p cpu executes when that is narrower (kScalar runs the
+/// baseline stamp, as kRows does).  Every sweep looks up
+/// stamp_level(lvl, host_cpu_features()).
+SimdLevel stamp_level(SimdLevel lvl, CpuFeatures cpu);
 
 }  // namespace detail
 

@@ -16,11 +16,13 @@
 // runs):
 //   --simd=off   -> kScalar : accessor kernels, single-threaded only
 //                   (exec_level: with threads > 1 it runs kRows)
-//   --simd=auto  -> kAvx2 when the host supports AVX2, else kRows
+//   --simd=auto  -> the widest level the CPU executes: kAvx512 with
+//                   AVX-512F, else kAvx2 with AVX2, else kRows
 //   --simd=avx2  -> kAvx2, falling back to kRows off-x86 / pre-AVX2
+//                   (against auto, times both stamps on an AVX-512F host)
 // kRows is portable C++ (restrict rows + `#pragma omp simd` hint, baseline
-// ISA); kAvx2 compiles the same loops in a target("avx2") clone picked at
-// run time.
+// ISA); kAvx2 and kAvx512 compile the same loops in target("avx2") and
+// target("avx512f") clones picked at run time.
 
 #include <string>
 
@@ -40,6 +42,7 @@ enum class SimdLevel {
   kScalar,  ///< not using row kernels at all
   kRows,    ///< row sweeps, baseline ISA auto-vectorization
   kAvx2,    ///< row sweeps compiled for AVX2, runtime-dispatched
+  kAvx512,  ///< row sweeps compiled for AVX-512F, runtime-dispatched
 };
 
 /// How a row body writes its destination (the executor's store policy,
@@ -53,10 +56,19 @@ enum class Stores {
 /// cache-line quantum, so it is the natural alignment unit either way).
 inline constexpr long kVecDoubles = 8;
 
-/// True when this CPU executes AVX2 (always false off x86).
-bool avx2_supported();
+/// The instruction sets the row-sweep stamps need.
+struct CpuFeatures {
+  bool avx2 = false;
+  bool avx512f = false;
+};
 
-/// Map a requested mode to the best level this host can execute.
+/// What this CPU executes (nothing off x86).
+CpuFeatures host_cpu_features();
+
+/// Map a requested mode to the best level a CPU with @p cpu can execute.
+SimdLevel resolve(SimdMode mode, CpuFeatures cpu);
+
+/// resolve(mode, host_cpu_features()).
 SimdLevel resolve(SimdMode mode);
 
 /// The level a run with @p threads workers actually executes (what every

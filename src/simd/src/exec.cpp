@@ -89,7 +89,7 @@ double plane_sum_squares(const Array3D<double>& a, long k) {
 
 Stores choose_stores(SimdLevel lvl, long dest_bytes,
                      const rt::core::CacheTopology& topo, bool temporal) {
-  if (temporal || lvl != SimdLevel::kAvx2 || !topo.probed) {
+  if (temporal || lvl < SimdLevel::kAvx2 || !topo.probed) {
     return Stores::kNormal;
   }
   return dest_bytes > topo.outer_data_bytes() ? Stores::kStream

@@ -1,5 +1,6 @@
 #include "rt/simd/row_kernels.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <climits>
 #include <cstdint>
@@ -29,10 +30,10 @@ namespace {
 #undef RT_SIMD_ATTR
 
 #if RT_SIMD_X86
-// AVX2 stamp: same loop bodies re-vectorized 4-wide.  target("avx2") does
-// not enable FMA, and rt_simd builds with -ffp-contract=off besides, so no
-// contraction can change the add/mul sequence — the clone stays
-// bit-identical to the baseline stamp.
+// AVX2 and AVX-512F stamps: the same loop bodies re-vectorized 4 and 8
+// wide.  target("avx512f") enables FMA (target("avx2") does not), and
+// rt_simd builds with -ffp-contract=off, so no contraction can change the
+// add/mul sequence: every stamp stays bit-identical to the baseline stamp.
 #define RT_SIMD_FN(name) RT_SIMD_CAT(name, avx2)
 #define RT_SIMD_ATTR __attribute__((target("avx2")))
 #include "row_sweeps.inl"
@@ -40,10 +41,15 @@ namespace {
 #undef RT_SIMD_FN
 #undef RT_SIMD_ATTR
 
+#define RT_SIMD_FN(name) RT_SIMD_CAT(name, avx512)
+#define RT_SIMD_ATTR __attribute__((target("avx512f")))
+#include "row_sweeps.inl"
+#include "row_writes.inl"
+#undef RT_SIMD_FN
+#undef RT_SIMD_ATTR
+
 // Streaming stamps of the write-only bodies.  AVX2 writes a line as two
 // 32 B non-temporal stores, back to back; AVX-512F as one 64 B store.
-// target("avx512f") enables FMA, which -ffp-contract=off keeps out of the
-// stencil expressions.
 #define RT_SIMD_FN(name) RT_SIMD_CAT(name, stream_avx2)
 #define RT_SIMD_ATTR __attribute__((target("avx2")))
 #define RT_SIMD_LINE_STORE(p, line)              \
@@ -74,108 +80,86 @@ namespace {
 #undef RT_SIMD_LINE_STORE
 #endif  // RT_SIMD_X86
 
-/// True when the AVX2 stamp should run: requested *and* executable here.
-bool run_avx2(SimdLevel lvl) {
+/// One stamp's row bodies.  A streaming stamp's write-only bodies are its
+/// own; its compute bodies are those of the normal stamp of its ISA.
+struct Stamp {
+  decltype(&jacobi_sweep_base) jacobi;
+  decltype(&copy_sweep_base) copy;
+  decltype(&init_sweep_base) init;
+  decltype(&redblack_sweep_base) redblack;
+  decltype(&redblack_rhs_sweep_base) redblack_rhs;
+  decltype(&resid_sweep_base) resid;
+  decltype(&psinv_sweep_base) psinv;
+  decltype(&rprj3_sweep_base) rprj3;
+  decltype(&interp_sweep_base) interp;
+};
+
+// isa: the compute bodies' suffix; w: the write-only bodies'.
+#define RT_SIMD_STAMP(isa, w)                                             \
+  Stamp{jacobi_sweep_##w,         copy_sweep_##w,    init_sweep_##w,     \
+        redblack_sweep_##isa,     redblack_rhs_sweep_##isa,              \
+        resid_sweep_##isa,        psinv_sweep_##isa, rprj3_sweep_##isa,  \
+        interp_sweep_##isa}
+
+/// Indexed by [SimdLevel][Stores].  kScalar callers of a row sweep run the
+/// baseline stamp, as kRows does; only the x86 levels have streaming
+/// stamps.
+constexpr Stamp kStamps[][2] = {
+    {RT_SIMD_STAMP(base, base), RT_SIMD_STAMP(base, base)},
+    {RT_SIMD_STAMP(base, base), RT_SIMD_STAMP(base, base)},
 #if RT_SIMD_X86
-  return lvl == SimdLevel::kAvx2 && avx2_supported();
-#else
-  (void)lvl;
-  return false;
+    {RT_SIMD_STAMP(avx2, avx2), RT_SIMD_STAMP(avx2, stream_avx2)},
+    {RT_SIMD_STAMP(avx512, avx512), RT_SIMD_STAMP(avx512, stream_avx512)},
 #endif
-}
+};
+#undef RT_SIMD_STAMP
 
-/// True when a sweep at @p lvl with policy @p st runs a streaming stamp.
-bool run_stream(SimdLevel lvl, Stores st) {
-  return st == Stores::kStream && run_avx2(lvl);
-}
-
-/// The stamp a kStream sweep runs: the widest this host executes.
-detail::StreamStamp widest_stamp() {
-  return detail::stream_stamp_supported(detail::StreamStamp::kAvx512f)
-             ? detail::StreamStamp::kAvx512f
-             : detail::StreamStamp::kAvx2;
+/// The stamp a sweep at @p lvl with policy @p st runs on this CPU.
+const Stamp& stamp(SimdLevel lvl, Stores st = Stores::kNormal) {
+  static const CpuFeatures host = host_cpu_features();
+  return kStamps[static_cast<int>(detail::stamp_level(lvl, host))]
+                [st == Stores::kStream];
 }
 
 }  // namespace
+
+SimdLevel detail::stamp_level(SimdLevel lvl, CpuFeatures cpu) {
+  return std::min(lvl, resolve(SimdMode::kAuto, cpu));
+}
 
 void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,
                   long ilo, long ihi, long jlo, long jhi, long klo, long khi,
                   SimdLevel lvl, Stores st) {
   assert(a.dims() == b.dims());
-  if (run_stream(lvl, st)) {
-    detail::jacobi_sweep_stream(widest_stamp(), a, b, c, ilo, ihi, jlo, jhi,
-                                klo, khi);
-    return;
-  }
-  const long s1 = a.dims().column_stride(), s2 = a.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    jacobi_sweep_avx2(a.data(), b.data(), s1, s2, c, ilo, ihi, jlo, jhi, klo,
-                      khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  jacobi_sweep_base(a.data(), b.data(), s1, s2, c, ilo, ihi, jlo, jhi, klo,
-                    khi);
+  stamp(lvl, st).jacobi(a.data(), b.data(), a.dims().column_stride(),
+                        a.dims().plane_stride(), c, ilo, ihi, jlo, jhi, klo,
+                        khi);
 }
 
 void copy_sweep(Array3D<double>& dst, const Array3D<double>& src, long ilo,
                 long ihi, long jlo, long jhi, long klo, long khi,
                 SimdLevel lvl, Stores st) {
   assert(dst.dims() == src.dims());
-  if (run_stream(lvl, st)) {
-    detail::copy_sweep_stream(widest_stamp(), dst, src, ilo, ihi, jlo, jhi,
-                              klo, khi);
-    return;
-  }
-  const long s1 = dst.dims().column_stride(), s2 = dst.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    copy_sweep_avx2(dst.data(), src.data(), s1, s2, ilo, ihi, jlo, jhi, klo,
-                    khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  copy_sweep_base(dst.data(), src.data(), s1, s2, ilo, ihi, jlo, jhi, klo,
-                  khi);
+  stamp(lvl, st).copy(dst.data(), src.data(), dst.dims().column_stride(),
+                      dst.dims().plane_stride(), ilo, ihi, jlo, jhi, klo,
+                      khi);
 }
 
 void init_sweep(Array3D<double>& a, double scale, long ilo, long ihi,
                 long jlo, long jhi, long klo, long khi, SimdLevel lvl,
                 Stores st) {
   assert(ihi <= INT_MAX);
-  if (run_stream(lvl, st)) {
-    detail::init_sweep_stream(widest_stamp(), a, scale, ilo, ihi, jlo, jhi,
-                              klo, khi);
-    return;
-  }
-  const long s1 = a.dims().column_stride(), s2 = a.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    init_sweep_avx2(a.data(), s1, s2, scale, ilo, ihi, jlo, jhi, klo, khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  init_sweep_base(a.data(), s1, s2, scale, ilo, ihi, jlo, jhi, klo, khi);
+  stamp(lvl, st).init(a.data(), a.dims().column_stride(),
+                      a.dims().plane_stride(), scale, ilo, ihi, jlo, jhi, klo,
+                      khi);
 }
 
 void redblack_sweep(Array3D<double>& a, double c1, double c2, long parity,
                     long ilo, long ihi, long jlo, long jhi, long klo,
                     long khi, SimdLevel lvl) {
-  const long s1 = a.dims().column_stride(), s2 = a.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    redblack_sweep_avx2(a.data(), s1, s2, c1, c2, parity, ilo, ihi, jlo, jhi,
-                        klo, khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  redblack_sweep_base(a.data(), s1, s2, c1, c2, parity, ilo, ihi, jlo, jhi,
-                      klo, khi);
+  stamp(lvl).redblack(a.data(), a.dims().column_stride(),
+                      a.dims().plane_stride(), c1, c2, parity, ilo, ihi, jlo,
+                      jhi, klo, khi);
 }
 
 void resid_sweep(Array3D<double>& r, const Array3D<double>& v,
@@ -183,17 +167,9 @@ void resid_sweep(Array3D<double>& r, const Array3D<double>& v,
                  long ilo, long ihi, long jlo, long jhi, long klo, long khi,
                  SimdLevel lvl) {
   assert(r.dims() == v.dims() && r.dims() == u.dims());
-  const long s1 = r.dims().column_stride(), s2 = r.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    resid_sweep_avx2(r.data(), v.data(), u.data(), s1, s2, a[0], a[1], a[2],
-                     a[3], ilo, ihi, jlo, jhi, klo, khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  resid_sweep_base(r.data(), v.data(), u.data(), s1, s2, a[0], a[1], a[2],
-                   a[3], ilo, ihi, jlo, jhi, klo, khi);
+  stamp(lvl).resid(r.data(), v.data(), u.data(), r.dims().column_stride(),
+                   r.dims().plane_stride(), a[0], a[1], a[2], a[3], ilo, ihi,
+                   jlo, jhi, klo, khi);
 }
 
 void redblack_rhs_sweep(Array3D<double>& a, const Array3D<double>& r,
@@ -201,149 +177,35 @@ void redblack_rhs_sweep(Array3D<double>& a, const Array3D<double>& r,
                         long jlo, long jhi, long klo, long khi,
                         SimdLevel lvl) {
   assert(a.dims() == r.dims());
-  const long s1 = a.dims().column_stride(), s2 = a.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    redblack_rhs_sweep_avx2(a.data(), r.data(), s1, s2, c1, c2, parity, ilo,
-                            ihi, jlo, jhi, klo, khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  redblack_rhs_sweep_base(a.data(), r.data(), s1, s2, c1, c2, parity, ilo,
-                          ihi, jlo, jhi, klo, khi);
+  stamp(lvl).redblack_rhs(a.data(), r.data(), a.dims().column_stride(),
+                          a.dims().plane_stride(), c1, c2, parity, ilo, ihi,
+                          jlo, jhi, klo, khi);
 }
 
 void psinv_sweep(Array3D<double>& u, const Array3D<double>& r,
                  const PsinvCoeffs& c, long ilo, long ihi, long jlo, long jhi,
                  long klo, long khi, SimdLevel lvl) {
   assert(u.dims() == r.dims());
-  const long s1 = u.dims().column_stride(), s2 = u.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    psinv_sweep_avx2(u.data(), r.data(), s1, s2, c[0], c[1], c[2], c[3], ilo,
-                     ihi, jlo, jhi, klo, khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  psinv_sweep_base(u.data(), r.data(), s1, s2, c[0], c[1], c[2], c[3], ilo,
-                   ihi, jlo, jhi, klo, khi);
+  stamp(lvl).psinv(u.data(), r.data(), u.dims().column_stride(),
+                   u.dims().plane_stride(), c[0], c[1], c[2], c[3], ilo, ihi,
+                   jlo, jhi, klo, khi);
 }
 
 void rprj3_sweep(Array3D<double>& s, const Array3D<double>& r, long j1lo,
                  long j1hi, long j2lo, long j2hi, long j3lo, long j3hi,
                  SimdLevel lvl) {
-  const long cs1 = s.dims().column_stride(), cs2 = s.dims().plane_stride();
-  const long fs1 = r.dims().column_stride(), fs2 = r.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    rprj3_sweep_avx2(s.data(), r.data(), cs1, cs2, fs1, fs2, j1lo, j1hi,
-                     j2lo, j2hi, j3lo, j3hi);
-    return;
-  }
-#endif
-  (void)lvl;
-  rprj3_sweep_base(s.data(), r.data(), cs1, cs2, fs1, fs2, j1lo, j1hi, j2lo,
-                   j2hi, j3lo, j3hi);
+  stamp(lvl).rprj3(s.data(), r.data(), s.dims().column_stride(),
+                   s.dims().plane_stride(), r.dims().column_stride(),
+                   r.dims().plane_stride(), j1lo, j1hi, j2lo, j2hi, j3lo,
+                   j3hi);
 }
 
 void interp_sweep(Array3D<double>& u, const Array3D<double>& z, long ilo,
                   long ihi, long jlo, long jhi, long klo, long khi,
                   SimdLevel lvl) {
-  const long us1 = u.dims().column_stride(), us2 = u.dims().plane_stride();
-  const long zs1 = z.dims().column_stride(), zs2 = z.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    interp_sweep_avx2(u.data(), z.data(), us1, us2, zs1, zs2, ilo, ihi, jlo,
-                      jhi, klo, khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  interp_sweep_base(u.data(), z.data(), us1, us2, zs1, zs2, ilo, ihi, jlo,
-                    jhi, klo, khi);
+  stamp(lvl).interp(u.data(), z.data(), u.dims().column_stride(),
+                    u.dims().plane_stride(), z.dims().column_stride(),
+                    z.dims().plane_stride(), ilo, ihi, jlo, jhi, klo, khi);
 }
-
-namespace detail {
-
-bool stream_stamp_supported(StreamStamp s) {
-#if RT_SIMD_X86
-  return s == StreamStamp::kAvx512f ? __builtin_cpu_supports("avx512f")
-                                    : avx2_supported();
-#else
-  (void)s;
-  return false;
-#endif
-}
-
-void jacobi_sweep_stream(StreamStamp s, Array3D<double>& a,
-                         const Array3D<double>& b, double c, long ilo,
-                         long ihi, long jlo, long jhi, long klo, long khi) {
-  assert(a.dims() == b.dims());
-  const long s1 = a.dims().column_stride(), s2 = a.dims().plane_stride();
-#if RT_SIMD_X86
-  if (stream_stamp_supported(s)) {
-    if (s == StreamStamp::kAvx512f) {
-      jacobi_sweep_stream_avx512(a.data(), b.data(), s1, s2, c, ilo, ihi, jlo,
-                                 jhi, klo, khi);
-    } else {
-      jacobi_sweep_stream_avx2(a.data(), b.data(), s1, s2, c, ilo, ihi, jlo,
-                               jhi, klo, khi);
-    }
-    _mm_sfence();
-    return;
-  }
-#endif
-  (void)s;
-  jacobi_sweep_base(a.data(), b.data(), s1, s2, c, ilo, ihi, jlo, jhi, klo,
-                    khi);
-}
-
-void copy_sweep_stream(StreamStamp s, Array3D<double>& dst,
-                       const Array3D<double>& src, long ilo, long ihi,
-                       long jlo, long jhi, long klo, long khi) {
-  assert(dst.dims() == src.dims());
-  const long s1 = dst.dims().column_stride(), s2 = dst.dims().plane_stride();
-#if RT_SIMD_X86
-  if (stream_stamp_supported(s)) {
-    if (s == StreamStamp::kAvx512f) {
-      copy_sweep_stream_avx512(dst.data(), src.data(), s1, s2, ilo, ihi, jlo,
-                               jhi, klo, khi);
-    } else {
-      copy_sweep_stream_avx2(dst.data(), src.data(), s1, s2, ilo, ihi, jlo,
-                             jhi, klo, khi);
-    }
-    _mm_sfence();
-    return;
-  }
-#endif
-  (void)s;
-  copy_sweep_base(dst.data(), src.data(), s1, s2, ilo, ihi, jlo, jhi, klo,
-                  khi);
-}
-
-void init_sweep_stream(StreamStamp s, Array3D<double>& a, double scale,
-                       long ilo, long ihi, long jlo, long jhi, long klo,
-                       long khi) {
-  const long s1 = a.dims().column_stride(), s2 = a.dims().plane_stride();
-#if RT_SIMD_X86
-  if (stream_stamp_supported(s)) {
-    if (s == StreamStamp::kAvx512f) {
-      init_sweep_stream_avx512(a.data(), s1, s2, scale, ilo, ihi, jlo, jhi,
-                               klo, khi);
-    } else {
-      init_sweep_stream_avx2(a.data(), s1, s2, scale, ilo, ihi, jlo, jhi, klo,
-                             khi);
-    }
-    _mm_sfence();
-    return;
-  }
-#endif
-  (void)s;
-  init_sweep_base(a.data(), s1, s2, scale, ilo, ihi, jlo, jhi, klo, khi);
-}
-
-}  // namespace detail
 
 }  // namespace rt::simd

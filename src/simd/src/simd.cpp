@@ -2,24 +2,29 @@
 
 namespace rt::simd {
 
-bool avx2_supported() {
+CpuFeatures host_cpu_features() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
+  return {__builtin_cpu_supports("avx2") != 0,
+          __builtin_cpu_supports("avx512f") != 0};
 #else
-  return false;
+  return {};
 #endif
 }
 
-SimdLevel resolve(SimdMode mode) {
+SimdLevel resolve(SimdMode mode, CpuFeatures cpu) {
   switch (mode) {
     case SimdMode::kOff:
       return SimdLevel::kScalar;
     case SimdMode::kAuto:
+      if (cpu.avx512f) return SimdLevel::kAvx512;
+      [[fallthrough]];
     case SimdMode::kAvx2:
-      return avx2_supported() ? SimdLevel::kAvx2 : SimdLevel::kRows;
+      return cpu.avx2 ? SimdLevel::kAvx2 : SimdLevel::kRows;
   }
   return SimdLevel::kScalar;
 }
+
+SimdLevel resolve(SimdMode mode) { return resolve(mode, host_cpu_features()); }
 
 SimdLevel exec_level(SimdMode mode, int threads) {
   if (mode == SimdMode::kOff && threads > 1) return SimdLevel::kRows;
@@ -46,6 +51,8 @@ const char* simd_level_name(SimdLevel l) {
       return "rows";
     case SimdLevel::kAvx2:
       return "avx2";
+    case SimdLevel::kAvx512:
+      return "avx512";
   }
   return "?";
 }

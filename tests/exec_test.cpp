@@ -139,9 +139,12 @@ const std::vector<Shape>& shapes() {
   return kShapes;
 }
 
-/// kAvx2 runs on every host: without AVX2 the dispatcher must fall back to
-/// the baseline stamp rather than fault.
-const SimdLevel kLevels[] = {SimdLevel::kRows, SimdLevel::kAvx2};
+/// kAvx2 and kAvx512 run on every host: without them the sweeps run the
+/// widest stamp the CPU executes (the narrowing rule is
+/// rt::simd::detail::stamp_level, tested for every feature set in
+/// simd_kernels_test).
+const SimdLevel kLevels[] = {SimdLevel::kRows, SimdLevel::kAvx2,
+                             SimdLevel::kAvx512};
 
 /// Every executor configuration: inline (no pool) and 1 to 4 threads, at
 /// every level.
@@ -978,8 +981,8 @@ TEST(ExecSumSquares, MatchesTheLaneDefinition) {
 TEST(ExecSumSquares, SameBitsForEveryPoolWidthAndLevel) {
   const Array3D<double> a = make_grid(37, 13, 21, 0.5, 0, 0);
   const double want = sum_squares(Exec{}, a);
-  for (const SimdLevel lvl :
-       {SimdLevel::kScalar, SimdLevel::kRows, SimdLevel::kAvx2}) {
+  for (const SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kRows,
+                              SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     EXPECT_EQ(sum_squares(Exec{nullptr, lvl}, a), want);
     for (const int w : {1, 2, 3, 4}) {
       ThreadPool pool(w);
@@ -1078,16 +1081,17 @@ rt::core::CacheTopology topology(std::initializer_list<long> sizes) {
 TEST(StorePolicy, StreamsOnlyPastTheProbedLastLevel) {
   const long llc = 300L << 20;
   const rt::core::CacheTopology host = topology({48L << 10, 2L << 20, llc});
-  const SimdLevel avx2 = SimdLevel::kAvx2;
-  EXPECT_EQ(choose_stores(avx2, llc + 1, host, false), Stores::kStream);
-  EXPECT_EQ(choose_stores(avx2, llc, host, false), Stores::kNormal);
-  EXPECT_EQ(choose_stores(avx2, 17L << 20, host, false), Stores::kNormal);
-  // A temporal plan re-reads its destination inside a wavefront.
-  EXPECT_EQ(choose_stores(avx2, 4 * llc, host, true), Stores::kNormal);
-  // Unprobed: never stream, although the fallback capacity is 32 MiB.
   const rt::core::CacheTopology unprobed;
-  EXPECT_EQ(choose_stores(avx2, 4 * llc, unprobed, false), Stores::kNormal);
-  // Only the AVX2 row kernels have streaming stamps.
+  for (const SimdLevel lvl : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    EXPECT_EQ(choose_stores(lvl, llc + 1, host, false), Stores::kStream);
+    EXPECT_EQ(choose_stores(lvl, llc, host, false), Stores::kNormal);
+    EXPECT_EQ(choose_stores(lvl, 17L << 20, host, false), Stores::kNormal);
+    // A temporal plan re-reads its destination inside a wavefront.
+    EXPECT_EQ(choose_stores(lvl, 4 * llc, host, true), Stores::kNormal);
+    // Unprobed: never stream, although the fallback capacity is 32 MiB.
+    EXPECT_EQ(choose_stores(lvl, 4 * llc, unprobed, false), Stores::kNormal);
+  }
+  // Only the AVX2 and AVX-512F row kernels have streaming stamps.
   EXPECT_EQ(choose_stores(SimdLevel::kScalar, 4 * llc, host, false),
             Stores::kNormal);
   EXPECT_EQ(choose_stores(SimdLevel::kRows, 4 * llc, host, false),
@@ -1100,12 +1104,14 @@ TEST(StorePolicy, StoresForCountsTheAllocationAgainstExecCaches) {
   const Array3D<double> a(Dims3::padded(5, 4, 3, 8, 4));  // 96 doubles
   const rt::core::CacheTopology fits = topology({768});
   const rt::core::CacheTopology smaller = topology({767});
-  EXPECT_EQ(stores_for(Exec{nullptr, SimdLevel::kAvx2, &fits}, a),
+  for (const SimdLevel lvl : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    EXPECT_EQ(stores_for(Exec{nullptr, lvl, &fits}, a), Stores::kNormal);
+    EXPECT_EQ(stores_for(Exec{nullptr, lvl, &smaller}, a), Stores::kStream);
+    // No topology given: this host's, whose last level holds a tiny grid.
+    EXPECT_EQ(stores_for(Exec{nullptr, lvl}, a), Stores::kNormal);
+  }
+  EXPECT_EQ(stores_for(Exec{nullptr, SimdLevel::kRows, &smaller}, a),
             Stores::kNormal);
-  EXPECT_EQ(stores_for(Exec{nullptr, SimdLevel::kAvx2, &smaller}, a),
-            Stores::kStream);
-  // No topology given: this host's, whose last level holds a tiny grid.
-  EXPECT_EQ(stores_for(Exec{nullptr, SimdLevel::kAvx2}, a), Stores::kNormal);
 }
 
 /// A last level of 64 B: every test grid exceeds it, so an executor that
@@ -1115,11 +1121,11 @@ const rt::core::CacheTopology& tiny_llc() {
   return t;
 }
 
-/// Every Runner configuration at kAvx2, reading tiny_llc().
+/// Every Runner configuration at kAvx2 and kAvx512, reading tiny_llc().
 std::vector<Exec> stream_execs(Runner& runner) {
   std::vector<Exec> v;
   for (Exec ex : runner.execs()) {
-    if (ex.lvl != SimdLevel::kAvx2) continue;
+    if (ex.lvl < SimdLevel::kAvx2) continue;
     ex.caches = &tiny_llc();
     v.push_back(ex);
   }

@@ -56,6 +56,7 @@ TEST(MgFastPath, ThreadsAndSimdAreBitIdenticalToSerial) {
     int threads;
     SimdMode simd;
   };
+  // auto runs kAvx512 on an AVX-512F host, so with avx2 both x86 stamps run.
   const std::vector<Variant> variants = {{3, SimdMode::kOff},
                                          {1, SimdMode::kAuto},
                                          {3, SimdMode::kAuto},

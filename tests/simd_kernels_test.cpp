@@ -53,11 +53,12 @@ bool interiors_equal(const Array3D<double>& a, const Array3D<double>& b) {
   return true;
 }
 
-/// Every level the dispatch can take.  kAvx2 is included even on hosts
-/// without AVX2: the dispatcher must fall back to the baseline stamp
-/// rather than fault, and the fallback is bit-identical anyway.
+/// Every level the dispatch can take.  kAvx2 and kAvx512 are included even
+/// on hosts without them, where the sweeps run the widest stamp the CPU
+/// executes (bit-identical anyway); SimdPolicy.StampLevel* tests that
+/// narrowing rule for every feature set, this host's or not.
 std::vector<SimdLevel> levels_under_test() {
-  return {SimdLevel::kRows, SimdLevel::kAvx2};
+  return {SimdLevel::kRows, SimdLevel::kAvx2, SimdLevel::kAvx512};
 }
 
 TEST(SimdKernels, SweepSubBoxesComposeToFullKernel) {
@@ -85,20 +86,64 @@ TEST(SimdPolicy, ParseAndNames) {
   EXPECT_EQ(m, SimdMode::kAuto);
   EXPECT_TRUE(parse_simd_mode("avx2", &m));
   EXPECT_EQ(m, SimdMode::kAvx2);
+  // AVX-512F is auto's level where the CPU has it; no mode pins it.
+  EXPECT_FALSE(parse_simd_mode("avx512", &m));
   EXPECT_FALSE(parse_simd_mode("sse", &m));
   EXPECT_FALSE(parse_simd_mode("", &m));
   EXPECT_STREQ(simd_mode_name(SimdMode::kAuto), "auto");
   EXPECT_STREQ(simd_level_name(SimdLevel::kScalar), "scalar");
   EXPECT_STREQ(simd_level_name(SimdLevel::kRows), "rows");
   EXPECT_STREQ(simd_level_name(SimdLevel::kAvx2), "avx2");
+  EXPECT_STREQ(simd_level_name(SimdLevel::kAvx512), "avx512");
 }
 
 TEST(SimdPolicy, ResolveRespectsHostSupport) {
+  const CpuFeatures cpu = host_cpu_features();
   EXPECT_EQ(resolve(SimdMode::kOff), SimdLevel::kScalar);
-  const SimdLevel expect_best =
-      avx2_supported() ? SimdLevel::kAvx2 : SimdLevel::kRows;
-  EXPECT_EQ(resolve(SimdMode::kAuto), expect_best);
-  EXPECT_EQ(resolve(SimdMode::kAvx2), expect_best);
+  const SimdLevel avx2 = cpu.avx2 ? SimdLevel::kAvx2 : SimdLevel::kRows;
+  const SimdLevel best = cpu.avx512f ? SimdLevel::kAvx512 : avx2;
+  EXPECT_EQ(resolve(SimdMode::kAuto), best);
+  EXPECT_EQ(resolve(SimdMode::kAvx2), avx2);
+}
+
+TEST(SimdPolicy, ResolveFallsBackToTheWidestLevelTheCpuExecutes) {
+  const CpuFeatures both{true, true}, avx2_only{true, false}, none{};
+  for (const CpuFeatures cpu : {both, avx2_only, none}) {
+    EXPECT_EQ(resolve(SimdMode::kOff, cpu), SimdLevel::kScalar);
+  }
+  EXPECT_EQ(resolve(SimdMode::kAuto, both), SimdLevel::kAvx512);
+  // --simd=avx2 pins AVX2 on an AVX-512 host, so both can be compared.
+  EXPECT_EQ(resolve(SimdMode::kAvx2, both), SimdLevel::kAvx2);
+  // AVX-512F absent: auto runs AVX2.
+  EXPECT_EQ(resolve(SimdMode::kAuto, avx2_only), SimdLevel::kAvx2);
+  EXPECT_EQ(resolve(SimdMode::kAvx2, avx2_only), SimdLevel::kAvx2);
+  // Neither: the baseline row kernels.
+  for (const SimdMode m : {SimdMode::kAuto, SimdMode::kAvx2}) {
+    EXPECT_EQ(resolve(m, none), SimdLevel::kRows) << simd_mode_name(m);
+  }
+}
+
+TEST(SimdPolicy, StampLevelNarrowsToTheWidestStampTheCpuExecutes) {
+  using detail::stamp_level;
+  const CpuFeatures both{true, true}, avx2_only{true, false}, none{};
+  // A level the CPU executes keeps its own stamp; none is widened.
+  for (const SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kRows,
+                              SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    EXPECT_EQ(stamp_level(lvl, both), lvl) << simd_level_name(lvl);
+  }
+  EXPECT_EQ(stamp_level(SimdLevel::kRows, avx2_only), SimdLevel::kRows);
+  EXPECT_EQ(stamp_level(SimdLevel::kScalar, none), SimdLevel::kScalar);
+  // AVX-512F absent: kAvx512 sweeps run the AVX2 stamp.
+  EXPECT_EQ(stamp_level(SimdLevel::kAvx512, avx2_only), SimdLevel::kAvx2);
+  EXPECT_EQ(stamp_level(SimdLevel::kAvx2, avx2_only), SimdLevel::kAvx2);
+  // Neither: the baseline stamp.
+  EXPECT_EQ(stamp_level(SimdLevel::kAvx2, none), SimdLevel::kRows);
+  EXPECT_EQ(stamp_level(SimdLevel::kAvx512, none), SimdLevel::kRows);
+  // On this host no sweep runs a stamp wider than auto's level.
+  for (const SimdLevel lvl : levels_under_test()) {
+    EXPECT_LE(stamp_level(lvl, host_cpu_features()),
+              resolve(SimdMode::kAuto));
+  }
 }
 
 TEST(SimdPolicy, ExecLevelRunsAccessorKernelsOnlySingleThreaded) {
@@ -127,13 +172,12 @@ TEST(SimdPolicy, AlignLeadingRoundsUpToVectorWidth) {
 
 // --- Streaming stamps, box by box ---
 
-using detail::StreamStamp;
-
-/// The streaming stamps this host executes (none off x86).
-std::vector<StreamStamp> stamps_under_test() {
-  std::vector<StreamStamp> v;
-  for (const StreamStamp s : {StreamStamp::kAvx2, StreamStamp::kAvx512f}) {
-    if (detail::stream_stamp_supported(s)) v.push_back(s);
+/// The levels with a streaming stamp that this host executes (none off
+/// x86): kStream at kAvx2 runs the AVX2 stamp, at kAvx512 the AVX-512F one.
+std::vector<SimdLevel> stream_levels() {
+  std::vector<SimdLevel> v;
+  for (const SimdLevel lvl : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (lvl <= resolve(SimdMode::kAuto)) v.push_back(lvl);
   }
   return v;
 }
@@ -172,47 +216,49 @@ bool storage_equal(const Array3D<double>& a, const Array3D<double>& b) {
 }
 
 TEST(SimdStream, EveryStampMatchesTheAccessorKernels) {
-  if (stamps_under_test().empty()) GTEST_SKIP() << "no streaming stamp here";
-  for (const StreamStamp st : stamps_under_test()) {
+  if (stream_levels().empty()) GTEST_SKIP() << "no streaming stamp here";
+  for (const SimdLevel lvl : stream_levels()) {
     for (const Dims3& d : stream_dims()) {
       const long mid = 1 + (d.n1 - 2) / 2;
       const Array3D<double> b = make_grid(d, 0.4);
       Array3D<double> want = make_grid(d, 0.9);
       Array3D<double> got = make_grid(d, 0.9);
       rt::kernels::jacobi3d(want, b, 1.0 / 6.0);
-      detail::jacobi_sweep_stream(st, got, b, 1.0 / 6.0, 1, mid, 1, d.n2 - 1,
-                                  1, d.n3 - 1);
-      detail::jacobi_sweep_stream(st, got, b, 1.0 / 6.0, mid, d.n1 - 1, 1,
-                                  d.n2 - 1, 1, d.n3 - 1);
+      jacobi_sweep(got, b, 1.0 / 6.0, 1, mid, 1, d.n2 - 1, 1, d.n3 - 1, lvl,
+                   Stores::kStream);
+      jacobi_sweep(got, b, 1.0 / 6.0, mid, d.n1 - 1, 1, d.n2 - 1, 1,
+                   d.n3 - 1, lvl, Stores::kStream);
       EXPECT_TRUE(storage_equal(want, got))
-          << "jacobi stamp " << int(st) << " n1 " << d.n1 << " p1 " << d.p1;
+          << "jacobi level " << int(lvl) << " n1 " << d.n1 << " p1 " << d.p1;
 
       want = make_grid(d, 0.9);
       got = make_grid(d, 0.9);
       rt::kernels::copy_interior(want, b);
-      detail::copy_sweep_stream(st, got, b, 1, mid, 1, d.n2 - 1, 1,
-                                d.n3 - 1);
-      detail::copy_sweep_stream(st, got, b, mid, d.n1 - 1, 1, d.n2 - 1, 1,
-                                d.n3 - 1);
+      copy_sweep(got, b, 1, mid, 1, d.n2 - 1, 1, d.n3 - 1, lvl,
+                 Stores::kStream);
+      copy_sweep(got, b, mid, d.n1 - 1, 1, d.n2 - 1, 1, d.n3 - 1, lvl,
+                 Stores::kStream);
       EXPECT_TRUE(storage_equal(want, got))
-          << "copy stamp " << int(st) << " n1 " << d.n1 << " p1 " << d.p1;
+          << "copy level " << int(lvl) << " n1 " << d.n1 << " p1 " << d.p1;
 
       want = Array3D<double>(d, -3.0);
       got = Array3D<double>(d, -3.0);
       rt::kernels::init_grid(want, 0.25);
-      detail::init_sweep_stream(st, got, 0.25, 0, mid, 0, d.n2, 0, d.n3);
-      detail::init_sweep_stream(st, got, 0.25, mid, d.n1, 0, d.n2, 0, d.n3);
+      init_sweep(got, 0.25, 0, mid, 0, d.n2, 0, d.n3, lvl, Stores::kStream);
+      init_sweep(got, 0.25, mid, d.n1, 0, d.n2, 0, d.n3, lvl,
+                 Stores::kStream);
       EXPECT_TRUE(storage_equal(want, got))
-          << "init stamp " << int(st) << " n1 " << d.n1 << " p1 " << d.p1;
+          << "init level " << int(lvl) << " n1 " << d.n1 << " p1 " << d.p1;
     }
   }
 }
 
 TEST(SimdStream, StreamPolicyAtEveryLevelMatchesNormalStores) {
-  // kStream runs a streaming stamp at kAvx2 and falls back to normal
-  // stores at every other level (or where AVX2 is missing): the same bits.
-  for (const SimdLevel lvl :
-       {SimdLevel::kScalar, SimdLevel::kRows, SimdLevel::kAvx2}) {
+  // kStream runs a streaming stamp at kAvx2 and kAvx512 and falls back to
+  // normal stores at every other level (or where AVX2 is missing): the
+  // same bits.
+  for (const SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kRows,
+                              SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     for (const Dims3& d : stream_dims()) {
       const Array3D<double> b = make_grid(d, 0.7);
       Array3D<double> want = make_grid(d, 0.2);
