@@ -24,7 +24,8 @@ cmake -B "${BUILD_DIR}" -S . "${GEN_FLAG[@]}" \
   -DRT_BUILD_BENCH=ON -DRT_BUILD_EXAMPLES=OFF
 cmake --build "${BUILD_DIR}" -j \
   --target guard_test guard_fault_injection_test array_test kernels_test \
-           core_plan_test core_backend_test cachesim_lattice_test \
+           kernels_counts_test core_stencil_desc_test core_plan_test \
+           core_backend_test cachesim_lattice_test \
            plan_cache_test exec_test simd_kernels_test mg_fastpath_test \
            multigrid_test multigrid_operators_test sor_solver_test \
            obs_test temporal_test \
@@ -43,6 +44,12 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # Grid init: init_grid_shell's shell indexing on one-point, two-wide and
 # padded grids, next to the kernels it feeds.
 "${BUILD_DIR}/tests/kernels_test"
+# The term tables every paper stencil is generated from: the constexpr
+# span rule and read counts, the accessor nests' traced access counts, and
+# the generic engine's box nest clipped to its reach on the block driver
+# (non-positive tiles included).
+"${BUILD_DIR}/tests/kernels_counts_test"
+"${BUILD_DIR}/tests/core_stencil_desc_test"
 "${BUILD_DIR}/tests/core_plan_test"
 # Backend driver negative paths (overflow gate, fallback restore, unknown
 # backend) plus the lattice occupancy math cross-checked against the cache
@@ -83,7 +90,8 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # clients) and the invariants checked.
 "${BUILD_DIR}/bench/bench_chaos_soak"
 echo "ASan+UBSan clean: guard_test + guard_fault_injection_test +" \
-     "array_test + kernels_test + core_plan_test + core_backend_test" \
+     "array_test + kernels_test + kernels_counts_test" \
+     "+ core_stencil_desc_test + core_plan_test + core_backend_test" \
      "+ cachesim_lattice_test + plan_cache_test + exec_test" \
      "+ simd_kernels_test" \
      "+ mg_fastpath_test + multigrid_test + multigrid_operators_test" \

@@ -13,6 +13,7 @@
 
 #include "rt/array/address_space.hpp"
 #include "rt/core/cache_topology.hpp"
+#include "rt/core/stencil_terms.hpp"
 #include "rt/guard/fault_injector.hpp"
 #include "rt/guard/watchdog.hpp"
 #include "rt/array/array3d.hpp"
@@ -39,10 +40,9 @@ using rt::core::TilingPlan;
 using rt::core::Transform;
 using rt::kernels::KernelId;
 
-// The paper kernels' coefficients (JACOBI c, red-black c1/c2).
-constexpr double kJacobiC = 1.0 / 6.0;
-constexpr double kRbC1 = 0.4;
-constexpr double kRbC2 = 0.1;
+using rt::core::terms::kJacobiC;
+using rt::core::terms::kRedBlackC1;
+using rt::core::terms::kRedBlackC2;
 
 /// Interior points of an n1 x n2 x n3 grid (one boundary layer in every
 /// dimension).  All three extents matter: the old two-scalar form silently
@@ -83,12 +83,13 @@ void accessor_step(KernelId id, const TilingPlan& plan, std::vector<A>& x) {
       return;
     case KernelId::kRedBlack:
       if (plan.tiled && !rec) {
-        rt::kernels::redblack_tiled(x[0], kRbC1, kRbC2, plan.tile);
+        rt::kernels::redblack_tiled(x[0], kRedBlackC1, kRedBlackC2, plan.tile);
         return;
       }
       for (long parity = 0; parity < 2; ++parity) {
         blocks(plan, [&](auto... box) {
-          rt::kernels::redblack_colour(x[0], kRbC1, kRbC2, parity, box...);
+          rt::kernels::redblack_colour(x[0], kRedBlackC1, kRedBlackC2, parity,
+                                       box...);
         });
       }
       return;
@@ -390,7 +391,7 @@ MissRates run_jacobi3d_missrates(long n, long k, const RunOptions& opts) {
   CacheHierarchy hier(opts.l1, opts.l2);
   TracedArray3D<double> ta(a, ba, hier), tb(b, bb, hier);
   for (int t = 0; t < opts.time_steps; ++t) {
-    rt::kernels::jacobi3d(ta, tb, 1.0 / 6.0);
+    rt::kernels::jacobi3d(ta, tb, kJacobiC);
     rt::kernels::copy_interior(tb, ta);
   }
   const auto st = hier.stats();

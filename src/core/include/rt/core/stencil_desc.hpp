@@ -15,10 +15,7 @@
 namespace rt::core {
 
 /// One array reference: offset from the loop indices plus a coefficient.
-struct StencilPoint {
-  int di = 0;  ///< offset in the fastest (I) dimension
-  int dj = 0;
-  int dk = 0;
+struct StencilPoint : Offset {
   double w = 0.0;  ///< coefficient applied to this neighbour
   friend constexpr bool operator==(const StencilPoint&,
                                    const StencilPoint&) = default;
@@ -29,18 +26,21 @@ struct StencilDesc {
   std::string name = "stencil";
   std::vector<StencilPoint> points;
 
-  /// Halo extent (max |offset| reach) in each direction; used to derive
-  /// trim amounts and array tile depth exactly as Section 2.3 prescribes.
+  /// StencilSpec::span over the points (name "derived"): trims, array
+  /// tile depth and halo exactly as Section 2.3 prescribes.  Throws
+  /// std::invalid_argument on an empty stencil.
   StencilSpec derive_spec() const;
 
   /// Number of source references per output point.
   std::size_t arity() const { return points.size(); }
 
-  // --- the paper's stencils, as descriptors ---
+  // --- the paper's stencils, as descriptors built from their term
+  // tables (rt/core/stencil_terms.hpp), points in table order ---
   /// 6-point Jacobi: w on each of the six faces.
-  static StencilDesc jacobi6(double w = 1.0 / 6.0);
+  static StencilDesc jacobi6(double w = terms::kJacobiC);
   /// Full 27-point stencil with class coefficients (centre, face, edge,
   /// corner) — RESID's A operator and PSINV's S operator have this shape.
+  /// Points: the centre, then the faces, edges and corners.
   static StencilDesc full27(double c0, double c1, double c2, double c3,
                             std::string name = "full27");
 };

@@ -1,7 +1,8 @@
 #include "rt/core/stencil_desc.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+
+#include "rt/core/stencil_terms.hpp"
 
 namespace rt::core {
 
@@ -9,28 +10,21 @@ StencilSpec StencilDesc::derive_spec() const {
   if (points.empty()) {
     throw std::invalid_argument("derive_spec: empty stencil");
   }
-  int lo_i = 0, hi_i = 0, lo_j = 0, hi_j = 0, lo_k = 0, hi_k = 0;
-  for (const StencilPoint& p : points) {
-    lo_i = std::min(lo_i, p.di);
-    hi_i = std::max(hi_i, p.di);
-    lo_j = std::min(lo_j, p.dj);
-    hi_j = std::max(hi_j, p.dj);
-    lo_k = std::min(lo_k, p.dk);
-    hi_k = std::max(hi_k, p.dk);
-  }
-  StencilSpec s;
-  s.name = "derived";
-  s.trim_i = hi_i - lo_i;  // "magnitude of the largest differences between
-  s.trim_j = hi_j - lo_j;  //  subscripts in each dimension" (Section 2.3)
-  s.atd = hi_k - lo_k + 1; // planes simultaneously live in the array tile
-  return s;
+  return StencilSpec::span("derived", points);
 }
+
+namespace {
+/// Append @p cls to @p d, every point weighted @p w.
+template <std::size_t N>
+void add(StencilDesc& d, const Terms<N>& cls, double w) {
+  for (const Offset& o : cls) d.points.push_back({o, w});
+}
+}  // namespace
 
 StencilDesc StencilDesc::jacobi6(double w) {
   StencilDesc d;
   d.name = "jacobi6";
-  d.points = {{-1, 0, 0, w}, {1, 0, 0, w},  {0, -1, 0, w},
-              {0, 1, 0, w},  {0, 0, -1, w}, {0, 0, 1, w}};
+  add(d, terms::kJacobiFaces, w);
   return d;
 }
 
@@ -38,15 +32,10 @@ StencilDesc StencilDesc::full27(double c0, double c1, double c2, double c3,
                                 std::string name) {
   StencilDesc d;
   d.name = std::move(name);
-  for (int dk = -1; dk <= 1; ++dk) {
-    for (int dj = -1; dj <= 1; ++dj) {
-      for (int di = -1; di <= 1; ++di) {
-        const int m = std::abs(di) + std::abs(dj) + std::abs(dk);
-        const double w = (m == 0) ? c0 : (m == 1) ? c1 : (m == 2) ? c2 : c3;
-        d.points.push_back({di, dj, dk, w});
-      }
-    }
-  }
+  add(d, Terms<1>{terms::kCentre}, c0);
+  add(d, terms::k27Faces, c1);
+  add(d, terms::k27Edges, c2);
+  add(d, terms::k27Corners, c3);
   return d;
 }
 

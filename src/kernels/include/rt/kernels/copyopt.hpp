@@ -7,13 +7,17 @@
 // rather than assert it.
 //
 // The buffer is a rolling 3-plane window of B's (TI+2) x (TJ+2) halo
-// region; plane p of B lives in buffer slot p mod 3.
+// region; plane p of B lives in buffer slot p mod 3.  The point update is
+// JACOBI's term table (rt/core/stencil_terms.hpp) read from the buffer.
 
 #include <algorithm>
 
 #include "rt/core/cost.hpp"
+#include "rt/core/stencil_terms.hpp"
 
 namespace rt::kernels {
+
+namespace terms = rt::core::terms;
 
 /// Tiled Jacobi with copy-in of each array tile.  @p buf must be an
 /// accessor over a (t.ti + 2) x (t.tj + 2) x 3 array.
@@ -38,15 +42,14 @@ void jacobi3d_tiled_copy(Dst& a, Src& b, Buf& buf, double c,
       copy_plane(1);
       for (long k = 1; k < n3 - 1; ++k) {
         copy_plane(k + 1);
-        const long s0 = (k - 1) % 3, s1 = k % 3, s2 = (k + 1) % 3;
         for (long j = jj; j < jhi; ++j) {
           const long bj = j - (jj - 1);
           for (long i = ii; i < ihi; ++i) {
             const long bi = i - (ii - 1);
-            a.store(i, j, k,
-                    c * (buf.load(bi - 1, bj, s1) + buf.load(bi + 1, bj, s1) +
-                         buf.load(bi, bj - 1, s1) + buf.load(bi, bj + 1, s1) +
-                         buf.load(bi, bj, s0) + buf.load(bi, bj, s2)));
+            const auto at = [&](rt::core::Offset o) {
+              return buf.load(bi + o.di, bj + o.dj, (k + o.dk) % 3);
+            };
+            a.store(i, j, k, terms::jacobi(at, c));
           }
         }
       }

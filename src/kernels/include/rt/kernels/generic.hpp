@@ -1,31 +1,37 @@
 #pragma once
-// Generic stencil engine: execute any rt::core::StencilDesc, original or
-// JI-tiled.  This is the library's "apply what the planner planned" path
-// for user-defined stencils (see examples/custom_stencil.cpp); the
-// hand-written kernels in this directory remain for the paper's exact loop
-// nests and for performance.
+// Generic stencil engine: execute any rt::core::StencilDesc.  This is the
+// library's "apply what the planner planned" path for user-defined
+// stencils (see examples/custom_stencil.cpp): one nest over a half-open
+// box, which the block driver rt::simd::for_each_block runs on a plan's
+// tiles like every other stencil.  The paper's stencils have their own
+// nests (term tables in rt/core/stencil_terms.hpp) for the exact operation
+// order and for performance.
 
 #include <algorithm>
 
-#include "rt/core/cost.hpp"
 #include "rt/core/stencil_desc.hpp"
 
 namespace rt::kernels {
 
-/// out(i,j,k) = sum_q w_q * in(i+di_q, j+dj_q, k+dk_q) over the interior
-/// (interior margins sized by the stencil's own reach).
+/// out(i,j,k) = sum_q w_q * in(i+di_q, j+dj_q, k+dk_q), summed in point
+/// order, over the half-open box [i0, i1) x [j0, j1) x [k0, k1) clipped to
+/// the points the stencil's own reach r allows (r <= index < n - r per
+/// dimension, r the largest |offset| there), K outermost.
 template <class Dst, class Src>
-void apply_stencil(Dst& out, Src& in, const rt::core::StencilDesc& d) {
-  const long n1 = out.n1(), n2 = out.n2(), n3 = out.n3();
-  int r1 = 0, r2 = 0, r3 = 0;
+void apply_stencil(Dst& out, Src& in, const rt::core::StencilDesc& d, long i0,
+                   long i1, long j0, long j1, long k0, long k1) {
+  long r1 = 0, r2 = 0, r3 = 0;
   for (const auto& p : d.points) {
-    r1 = std::max({r1, p.di, -p.di});
-    r2 = std::max({r2, p.dj, -p.dj});
-    r3 = std::max({r3, p.dk, -p.dk});
+    r1 = std::max({r1, long{p.di}, -long{p.di}});
+    r2 = std::max({r2, long{p.dj}, -long{p.dj}});
+    r3 = std::max({r3, long{p.dk}, -long{p.dk}});
   }
-  for (long k = r3; k < n3 - r3; ++k) {
-    for (long j = r2; j < n2 - r2; ++j) {
-      for (long i = r1; i < n1 - r1; ++i) {
+  i1 = std::min(i1, out.n1() - r1);
+  j1 = std::min(j1, out.n2() - r2);
+  k1 = std::min(k1, out.n3() - r3);
+  for (long k = std::max(k0, r3); k < k1; ++k) {
+    for (long j = std::max(j0, r2); j < j1; ++j) {
+      for (long i = std::max(i0, r1); i < i1; ++i) {
         double acc = 0.0;
         for (const auto& p : d.points) {
           acc += p.w * in.load(i + p.di, j + p.dj, k + p.dk);
@@ -36,34 +42,10 @@ void apply_stencil(Dst& out, Src& in, const rt::core::StencilDesc& d) {
   }
 }
 
-/// JI-tiled version (paper Fig. 6 structure) of apply_stencil.
+/// The whole grid, clipped to the stencil's reach: the serial reference.
 template <class Dst, class Src>
-void apply_stencil_tiled(Dst& out, Src& in, const rt::core::StencilDesc& d,
-                         rt::core::IterTile t) {
-  const long n1 = out.n1(), n2 = out.n2(), n3 = out.n3();
-  int r1 = 0, r2 = 0, r3 = 0;
-  for (const auto& p : d.points) {
-    r1 = std::max({r1, p.di, -p.di});
-    r2 = std::max({r2, p.dj, -p.dj});
-    r3 = std::max({r3, p.dk, -p.dk});
-  }
-  for (long jj = r2; jj < n2 - r2; jj += t.tj) {
-    const long jhi = std::min(jj + t.tj, n2 - static_cast<long>(r2));
-    for (long ii = r1; ii < n1 - r1; ii += t.ti) {
-      const long ihi = std::min(ii + t.ti, n1 - static_cast<long>(r1));
-      for (long k = r3; k < n3 - r3; ++k) {
-        for (long j = jj; j < jhi; ++j) {
-          for (long i = ii; i < ihi; ++i) {
-            double acc = 0.0;
-            for (const auto& p : d.points) {
-              acc += p.w * in.load(i + p.di, j + p.dj, k + p.dk);
-            }
-            out.store(i, j, k, acc);
-          }
-        }
-      }
-    }
-  }
+void apply_stencil(Dst& out, Src& in, const rt::core::StencilDesc& d) {
+  apply_stencil(out, in, d, 0, out.n1(), 0, out.n2(), 0, out.n3());
 }
 
 }  // namespace rt::kernels

@@ -12,9 +12,14 @@
 // satisfied by rt::array::Array3D (native) and
 // rt::cachesim::TracedArray3D (trace-driven simulation).
 // All indices are 0-based; the interior is 1..n-2 in every dimension
-// (Fortran's 2..N-1).
+// (Fortran's 2..N-1).  The stencil itself is the term table's
+// (rt/core/stencil_terms.hpp).
+
+#include "rt/core/stencil_terms.hpp"
 
 namespace rt::kernels {
+
+namespace terms = rt::core::terms;
 
 /// A(i,j,k) = c * sum of B's six face neighbours over the half-open box
 /// [i0, i1) x [j0, j1) x [k0, k1), K outermost.
@@ -24,10 +29,7 @@ void jacobi3d(Dst& a, Src& b, double c, long i0, long i1, long j0, long j1,
   for (long k = k0; k < k1; ++k) {
     for (long j = j0; j < j1; ++j) {
       for (long i = i0; i < i1; ++i) {
-        a.store(i, j, k,
-                c * (b.load(i - 1, j, k) + b.load(i + 1, j, k) +
-                     b.load(i, j - 1, k) + b.load(i, j + 1, k) +
-                     b.load(i, j, k - 1) + b.load(i, j, k + 1)));
+        a.store(i, j, k, terms::jacobi(terms::point_reader(b, i, j, k), c));
       }
     }
   }

@@ -2,11 +2,16 @@
 // PSINV: the NAS MG / SPEC mgrid smoother u += S r, a 27-point gather with
 // coefficients grouped by neighbour class like RESID (rt/kernels/resid.hpp).
 // One nest over a half-open box; schedules are that nest run on the work
-// items of rt::simd::for_each_block.
+// items of rt::simd::for_each_block.  The smoother itself is the 27-point
+// term table's (rt/core/stencil_terms.hpp).
 
 #include <array>
 
+#include "rt/core/stencil_terms.hpp"
+
 namespace rt::kernels {
+
+namespace terms = rt::core::terms;
 
 /// Smoother coefficients: c[0] centre, c[1] faces, c[2] edges, c[3] corners.
 using SmootherCoeffs = std::array<double, 4>;
@@ -25,24 +30,9 @@ void psinv(U& u, R& r, const SmootherCoeffs& c, long i1lo, long i1hi,
   for (long i3 = i3lo; i3 < i3hi; ++i3) {
     for (long i2 = i2lo; i2 < i2hi; ++i2) {
       for (long i1 = i1lo; i1 < i1hi; ++i1) {
-        const double s1 = r.load(i1 - 1, i2, i3) + r.load(i1 + 1, i2, i3) +
-                          r.load(i1, i2 - 1, i3) + r.load(i1, i2 + 1, i3) +
-                          r.load(i1, i2, i3 - 1) + r.load(i1, i2, i3 + 1);
-        const double s2 =
-            r.load(i1 - 1, i2 - 1, i3) + r.load(i1 + 1, i2 - 1, i3) +
-            r.load(i1 - 1, i2 + 1, i3) + r.load(i1 + 1, i2 + 1, i3) +
-            r.load(i1, i2 - 1, i3 - 1) + r.load(i1, i2 + 1, i3 - 1) +
-            r.load(i1, i2 - 1, i3 + 1) + r.load(i1, i2 + 1, i3 + 1) +
-            r.load(i1 - 1, i2, i3 - 1) + r.load(i1 - 1, i2, i3 + 1) +
-            r.load(i1 + 1, i2, i3 - 1) + r.load(i1 + 1, i2, i3 + 1);
-        const double s3 =
-            r.load(i1 - 1, i2 - 1, i3 - 1) + r.load(i1 + 1, i2 - 1, i3 - 1) +
-            r.load(i1 - 1, i2 + 1, i3 - 1) + r.load(i1 + 1, i2 + 1, i3 - 1) +
-            r.load(i1 - 1, i2 - 1, i3 + 1) + r.load(i1 + 1, i2 - 1, i3 + 1) +
-            r.load(i1 - 1, i2 + 1, i3 + 1) + r.load(i1 + 1, i2 + 1, i3 + 1);
         u.store(i1, i2, i3,
-                u.load(i1, i2, i3) + c[0] * r.load(i1, i2, i3) + c[1] * s1 +
-                    c[2] * s2 + c[3] * s3);
+                terms::psinv(terms::point_reader(r, i1, i2, i3),
+                             terms::point_reader(u, i1, i2, i3), c));
       }
     }
   }

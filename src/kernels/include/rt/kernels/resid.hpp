@@ -3,11 +3,16 @@
 // multigrid benchmark — a full 27-point stencil, r = v - A u, with
 // coefficients grouped by neighbour class (centre / face / edge / corner).
 // One nest over a half-open box; the tiled form of Fig. 13 (right) is that
-// nest run on the JI tiles of rt::simd::for_each_block.
+// nest run on the JI tiles of rt::simd::for_each_block.  The residual
+// itself is the 27-point term table's (rt/core/stencil_terms.hpp).
 
 #include <array>
 
+#include "rt/core/stencil_terms.hpp"
+
 namespace rt::kernels {
+
+namespace terms = rt::core::terms;
 
 /// Stencil coefficients: a[0] centre, a[1] faces, a[2] edges, a[3] corners.
 using ResidCoeffs = std::array<double, 4>;
@@ -15,30 +20,6 @@ using ResidCoeffs = std::array<double, 4>;
 /// NAS MG "a" coefficient vector (class A/B problems): (-8/3, 0, 1/6, 1/12).
 inline ResidCoeffs nas_mg_a() {
   return ResidCoeffs{-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0};
-}
-
-/// One 27-point residual at (i1, i2, i3).
-template <class R, class V, class U>
-inline void resid_point(R& r, V& v, U& u, const ResidCoeffs& a, long i1,
-                        long i2, long i3) {
-  const double s1 = u.load(i1 - 1, i2, i3) + u.load(i1 + 1, i2, i3) +
-                    u.load(i1, i2 - 1, i3) + u.load(i1, i2 + 1, i3) +
-                    u.load(i1, i2, i3 - 1) + u.load(i1, i2, i3 + 1);
-  const double s2 =
-      u.load(i1 - 1, i2 - 1, i3) + u.load(i1 + 1, i2 - 1, i3) +
-      u.load(i1 - 1, i2 + 1, i3) + u.load(i1 + 1, i2 + 1, i3) +
-      u.load(i1, i2 - 1, i3 - 1) + u.load(i1, i2 + 1, i3 - 1) +
-      u.load(i1, i2 - 1, i3 + 1) + u.load(i1, i2 + 1, i3 + 1) +
-      u.load(i1 - 1, i2, i3 - 1) + u.load(i1 - 1, i2, i3 + 1) +
-      u.load(i1 + 1, i2, i3 - 1) + u.load(i1 + 1, i2, i3 + 1);
-  const double s3 =
-      u.load(i1 - 1, i2 - 1, i3 - 1) + u.load(i1 + 1, i2 - 1, i3 - 1) +
-      u.load(i1 - 1, i2 + 1, i3 - 1) + u.load(i1 + 1, i2 + 1, i3 - 1) +
-      u.load(i1 - 1, i2 - 1, i3 + 1) + u.load(i1 + 1, i2 - 1, i3 + 1) +
-      u.load(i1 - 1, i2 + 1, i3 + 1) + u.load(i1 + 1, i2 + 1, i3 + 1);
-  r.store(i1, i2, i3,
-          v.load(i1, i2, i3) - a[0] * u.load(i1, i2, i3) - a[1] * s1 -
-              a[2] * s2 - a[3] * s3);
 }
 
 /// r = v - A u over the half-open box [i1lo, i1hi) x [i2lo, i2hi) x
@@ -49,7 +30,9 @@ void resid(R& r, V& v, U& u, const ResidCoeffs& a, long i1lo, long i1hi,
   for (long i3 = i3lo; i3 < i3hi; ++i3) {
     for (long i2 = i2lo; i2 < i2hi; ++i2) {
       for (long i1 = i1lo; i1 < i1hi; ++i1) {
-        resid_point(r, v, u, a, i1, i2, i3);
+        r.store(i1, i2, i3,
+                terms::resid(terms::point_reader(u, i1, i2, i3),
+                             terms::point_reader(v, i1, i2, i3), a));
       }
     }
   }

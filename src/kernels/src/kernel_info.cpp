@@ -1,25 +1,44 @@
 #include "rt/kernels/kernel_info.hpp"
 
+#include <array>
 #include <stdexcept>
 
+#include "rt/core/stencil_terms.hpp"
 #include "rt/par/thread_pool.hpp"
 
 namespace rt::kernels {
 
 namespace {
-// JACOBI: 6 loads of B + 1 store of A; 5 adds + 1 mul.
-// REDBLACK: per coloured point 7 loads + 1 store; 5 adds + 1 add + 2 mul.
-//           Every interior point is coloured exactly once per full sweep.
-// RESID: 27 loads of U + 1 load of V + 1 store of R;
-//        (5 + 11 + 7) adds + 4 muls + 4 subs = 31 flops.
-// PSINV: 27 loads of R + 1 load + 1 store of U; 31 flops.
-const KernelInfo kInfos[] = {
-    {KernelId::kJacobi, "JACOBI", rt::core::StencilSpec::jacobi3d(), 7, 6, 2},
-    {KernelId::kRedBlack, "REDBLACK", rt::core::StencilSpec::redblack3d(), 8,
+
+namespace terms = rt::core::terms;
+
+/// Memory accesses per point of a combine expression from the term tables
+/// (rt/core/stencil_terms.hpp): the store plus the reads it makes, counted
+/// by running it on a counting reader.
+template <class Combine>
+constexpr std::uint64_t accesses(const Combine& combine) {
+  std::uint64_t n = 1;
+  combine([&n](rt::core::Offset) { ++n; return 0.0; });
+  return n;
+}
+
+constexpr std::array<double, 4> kAny{};
+
+// Flops per point: JACOBI 5 adds + 1 mul; REDBLACK 5 + 1 adds + 2 muls
+// (every interior point is coloured exactly once per full sweep); RESID
+// and PSINV (5 + 11 + 7) adds + 4 muls + 4 subs/adds = 31.
+constexpr KernelInfo kInfos[] = {
+    {KernelId::kJacobi, "JACOBI", rt::core::StencilSpec::jacobi3d(),
+     accesses([](const auto& at) { return terms::jacobi(at, 1.0); }), 6, 2},
+    {KernelId::kRedBlack, "REDBLACK", rt::core::StencilSpec::redblack3d(),
+     accesses([](const auto& at) { return terms::redblack(at, 1.0, 1.0); }),
      8, 1},
-    {KernelId::kResid, "RESID", rt::core::StencilSpec::resid27(), 29, 31, 3},
-    {KernelId::kPsinv, "PSINV", rt::core::StencilSpec{"psinv27", 2, 2, 3}, 29,
-     31, 2},
+    {KernelId::kResid, "RESID", rt::core::StencilSpec::resid27(),
+     accesses([](const auto& at) { return terms::resid(at, at, kAny); }), 31,
+     3},
+    {KernelId::kPsinv, "PSINV", rt::core::StencilSpec::psinv27(),
+     accesses([](const auto& at) { return terms::psinv(at, at, kAny); }), 31,
+     2},
 };
 }  // namespace
 

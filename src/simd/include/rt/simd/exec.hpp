@@ -243,7 +243,8 @@ double sum_squares(const Exec& ex, const Array3D<double>& a);
 
 /// @p tsteps time steps of kernel @p id on its kernel_info(id).num_arrays
 /// @p arrays, with the coefficients the benches and the solve server use
-/// (JACOBI c = 1/6, REDBLACK 0.4 / 0.1, RESID nas_mg_a, PSINV nas_mg_c):
+/// (JACOBI rt::core::terms::kJacobiC = 1/6, REDBLACK kRedBlackC1 /
+/// kRedBlackC2 = 0.4 / 0.1, RESID nas_mg_a, PSINV nas_mg_c):
 ///   * JACOBI ping-pongs: the start state is arrays[tsteps % 2], step s
 ///     writes arrays[(tsteps - 1 - s) % 2]'s interior from the other
 ///     array, so the result lands in arrays[0];

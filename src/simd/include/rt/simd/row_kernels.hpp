@@ -3,12 +3,14 @@
 //
 // The accessor kernels (rt/kernels/*.hpp) address every point through
 // load(i, j, k), recomputing i + p1*(j + p2*k) per access.  The row
-// kernels instead materialise, once per (j, k) row, one restrict-qualified
-// pointer per distinct stencil row — e.g. Jacobi needs the centre row of B
-// plus its four neighbour rows — and sweep the contiguous I range with a
+// kernels instead materialise, once per (j, k) row, one pointer per
+// distinct stencil row — e.g. Jacobi needs the centre row of B plus its
+// four neighbour rows — and sweep the contiguous I range with a
 // `#pragma omp simd` hint.  The I loop is contiguous by construction in
-// the column-major Array3D, so the compiler auto-vectorizes it; because
-// vectorizing across I preserves each element's own operation order, the
+// the column-major Array3D, so the compiler auto-vectorizes it.  A stencil
+// row body evaluates the accessor kernel's own combine expression from the
+// term tables (rt/core/stencil_terms.hpp) over those row pointers, and
+// vectorizing across I preserves each element's operation order, so the
 // results are bit-identical to the accessor kernels for every SimdLevel
 // (asserted exhaustively by tests/exec_test.cpp).
 //

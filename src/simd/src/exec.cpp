@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "rt/core/cache_topology.hpp"
+#include "rt/core/stencil_terms.hpp"
 #include "rt/guard/fault_injector.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
@@ -227,9 +228,9 @@ double sum_squares(const Exec& ex, const Array3D<double>& a) {
 
 namespace {
 
-constexpr double kJacobiC = 1.0 / 6.0;
-constexpr double kRbC1 = 0.4;
-constexpr double kRbC2 = 0.1;
+using rt::core::terms::kJacobiC;
+using rt::core::terms::kRedBlackC1;
+using rt::core::terms::kRedBlackC2;
 
 void fault_point() {
   if (rt::guard::FaultInjector::armed(rt::guard::FaultKind::kHang)) {
@@ -257,14 +258,15 @@ void step(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
       return;
     case KernelId::kRedBlack:
       if (!scalar) {
-        redblack(ex, plan, x[0], kRbC1, kRbC2);
+        redblack(ex, plan, x[0], kRedBlackC1, kRedBlackC2);
       } else if (plan.tiled &&
                  plan.schedule != rt::core::LoopSchedule::kRecursive) {
-        rt::kernels::redblack_tiled(x[0], kRbC1, kRbC2, plan.tile);
+        rt::kernels::redblack_tiled(x[0], kRedBlackC1, kRedBlackC2, plan.tile);
       } else {
         for (long parity = 0; parity < 2; ++parity) {
           blocks([&](auto... box) {
-            rt::kernels::redblack_colour(x[0], kRbC1, kRbC2, parity, box...);
+            rt::kernels::redblack_colour(x[0], kRedBlackC1, kRedBlackC2, parity,
+                                         box...);
           });
         }
       }

@@ -5,6 +5,7 @@
 #include <climits>
 #include <cstdint>
 
+#include "rt/core/stencil_terms.hpp"
 #include "rt/kernels/kernel_info.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -16,6 +17,34 @@
 
 namespace rt::simd {
 namespace {
+
+namespace terms = rt::core::terms;
+
+/// A stencil row body's neighbour reader: one pointer per distinct
+/// (dj, dk) row around row @p c, computed once per row; at(i) reads offset
+/// o at element i + o.di of row (o.dj, o.dk).  Unread rows are dead code.
+/// The pointers are formed plane first: with GCC 12 the 27-point AVX-512F
+/// loops then spill fewer of them than with c + dj * s1 + dk * s2 (which
+/// ran RESID and PSINV ~4% slower at 130^3).
+class Rows {
+ public:
+  Rows(const double* c, long s1, long s2) {
+    for (int dk = -1; dk <= 1; ++dk) {
+      const double* plane = c + dk * s2;
+      row_[dk + 1][0] = plane - s1;
+      row_[dk + 1][1] = plane;
+      row_[dk + 1][2] = plane + s1;
+    }
+  }
+  auto at(long i) const {
+    return [this, i](rt::core::Offset o) {
+      return row_[o.dk + 1][o.dj + 1][i + o.di];
+    };
+  }
+
+ private:
+  const double* row_[3][3];
+};
 
 #define RT_SIMD_RESTRICT __restrict__
 #define RT_SIMD_CAT2(a, b) a##_##b
@@ -168,8 +197,7 @@ void resid_sweep(Array3D<double>& r, const Array3D<double>& v,
                  SimdLevel lvl) {
   assert(r.dims() == v.dims() && r.dims() == u.dims());
   stamp(lvl).resid(r.data(), v.data(), u.data(), r.dims().column_stride(),
-                   r.dims().plane_stride(), a[0], a[1], a[2], a[3], ilo, ihi,
-                   jlo, jhi, klo, khi);
+                   r.dims().plane_stride(), a, ilo, ihi, jlo, jhi, klo, khi);
 }
 
 void redblack_rhs_sweep(Array3D<double>& a, const Array3D<double>& r,
@@ -187,8 +215,7 @@ void psinv_sweep(Array3D<double>& u, const Array3D<double>& r,
                  long klo, long khi, SimdLevel lvl) {
   assert(u.dims() == r.dims());
   stamp(lvl).psinv(u.data(), r.data(), u.dims().column_stride(),
-                   u.dims().plane_stride(), c[0], c[1], c[2], c[3], ilo, ihi,
-                   jlo, jhi, klo, khi);
+                   u.dims().plane_stride(), c, ilo, ihi, jlo, jhi, klo, khi);
 }
 
 void rprj3_sweep(Array3D<double>& s, const Array3D<double>& r, long j1lo,
