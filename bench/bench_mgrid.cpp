@@ -27,6 +27,7 @@
 // Correctness: all variants must produce bitwise-identical residual norms.
 
 #include <chrono>
+#include <climits>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -83,7 +84,16 @@ HostRun run_host(const rt::multigrid::MgOptions& o, int iters) {
 
 int main(int argc, char** argv) {
   const rt::bench::BenchOptions bo = rt::bench::parse_options(argc, argv);
-  const int lt = bo.nmax > 0 ? static_cast<int>(bo.nmax) : 7;
+  // --nmax is the level count lt: the finest grid is (2^lt + 2)^3.
+  const long lt_arg = bo.nmax > 0 ? bo.nmax : 7;
+  if (lt_arg < 2 || lt_arg > INT_MAX ||
+      !rt::multigrid::finest_grid_fits(static_cast<int>(lt_arg))) {
+    std::cerr << "bench_mgrid: --nmax=" << lt_arg
+              << ": need lt >= 2 and a (2^lt + 2)^3 finest grid that can "
+                 "be sized\n";
+    return 2;
+  }
+  const int lt = static_cast<int>(lt_arg);
   const int iters = bo.steps > 2 ? bo.steps : 4;
   const long n = (1L << lt) + 2;
 

@@ -74,9 +74,12 @@ build/bench/bench_backend_ablation ${FULL_FLAG} --steps=1 \
 # policy and MFlops, so a later run can be diffed against this one.  JACOBI
 # rows at N = 382 and 384, whose arrays exceed the last-level cache, run
 # streaming stores; results/BENCH_11.json is the same sweep before them.
+# RESID and PSINV rows run NAS MG's coefficients without their zero class
+# (the term tables' zero-coefficient rule); results/BENCH_12.json is the
+# same sweep before that rule and before the AVX-512F stamp.
 build/bench/bench_threads_scaling --threads=2 --nmin=130 --nstep=126 \
-  --nmax=384 --json=results/BENCH_12.json
+  --nmax=384 --json=results/BENCH_13.json
 
 echo "Done: test_output.txt, bench_output.txt, results/BENCH_3.json," \
      "results/BENCH_6.json, results/BENCH_7.json, results/BENCH_9.json," \
-     "results/BENCH_10.json, results/BENCH_12.json"
+     "results/BENCH_10.json, results/BENCH_13.json"

@@ -6,12 +6,30 @@
 // (rt/kernels/*.hpp) read through point_reader, in table order, so the
 // traced access sequence follows the tables; every ISA stamp of the row
 // bodies (rt_simd) reads through row pointers; StencilSpec and
-// KernelInfo's access counts are computed from the tables.  The order is
-// the paper codes' and must not change: bit-identity between the accessor
-// nests and every row stamp is the contract.
+// KernelInfo's access and flop counts are computed from the tables.  The
+// order is the paper codes' and must not change: bit-identity between the
+// accessor nests and every row stamp is the contract.
+//
+// The zero-coefficient rule.  NAS MG's coefficients zero one class of each
+// 27-point operator: a = (-8/3, 0, 1/6, 1/12) RESID's faces and
+// c = (-3/8, 1/32, -1/64, 0) PSINV's corners, and the NPB source leaves
+// those terms out ("Assume a(1) = 0", "Assume c(3) = 0").  resid and psinv
+// take a compile-time flag Full; resid_full(a) / psinv_full(c) give its
+// value for a coefficient set, and every caller picks it once per sweep
+// or nest call, never per point.  Full = false leaves `- a1 t1` (RESID) or
+// `+ c3 t3` (PSINV) out of the combine; the class sum is still read, in
+// table order, so the traced access sequence and every simulated count
+// stay the same (the row bodies' unread loads are dead code).  Dropping
+// a zero term changes a result in two cases only: the running value
+// before it is -0.0 (x - 0 t1 with x = -0.0 and t1 < 0 is +0.0, x alone
+// is -0.0), or the dropped class sum is +-inf or NaN (0 inf is NaN).  MG
+// data has neither: u starts at +0.0, no V-cycle sum turns it into -0.0,
+// and every value is finite.  Any other coefficient set evaluates every
+// term.
 
 #include <array>
 #include <cstddef>
+#include <type_traits>
 #include <utility>
 
 namespace rt::core {
@@ -84,23 +102,63 @@ constexpr double redblack_rhs(const At& a, const Rhs& r, double c1,
   return u + r(kCentre);
 }
 
-/// RESID: v - a0 u - a1 (faces of u) - a2 (edges) - a3 (corners).
-template <class At, class V>
+/// Whether RESID's combine keeps its face term: false when a[1] == 0.0.
+constexpr bool resid_full(const std::array<double, 4>& a) {
+  return a[1] != 0.0;
+}
+
+/// Whether PSINV's combine keeps its corner term: false when c[3] == 0.0.
+constexpr bool psinv_full(const std::array<double, 4>& c) {
+  return c[3] != 0.0;
+}
+
+/// f(std::bool_constant<full>{}): a run-time choice of the Full flag,
+/// made once for everything f runs.
+template <class F>
+constexpr decltype(auto) with_full(bool full, F&& f) {
+  return full ? f(std::true_type{}) : f(std::false_type{});
+}
+
+/// RESID: v - a0 u - a1 (faces of u) - a2 (edges) - a3 (corners); with
+/// Full = false, without the face term (see the zero-coefficient rule).
+template <bool Full, class At, class V>
 constexpr double resid(const At& u, const V& v,
                        const std::array<double, 4>& a) {
   const double t1 = sum(k27Faces, u), t2 = sum(k27Edges, u),
                t3 = sum(k27Corners, u), vc = v(kCentre), uc = u(kCentre);
-  return vc - a[0] * uc - a[1] * t1 - a[2] * t2 - a[3] * t3;
+  double x = vc - a[0] * uc;
+  if constexpr (Full) x = x - a[1] * t1;
+  return x - a[2] * t2 - a[3] * t3;
 }
 
-/// PSINV: u + c0 r + c1 (faces of r) + c2 (edges) + c3 (corners).
-template <class At, class U>
+/// PSINV: u + c0 r + c1 (faces of r) + c2 (edges) + c3 (corners); with
+/// Full = false, without the corner term (see the zero-coefficient rule).
+template <bool Full, class At, class U>
 constexpr double psinv(const At& r, const U& u,
                        const std::array<double, 4>& c) {
   const double t1 = sum(k27Faces, r), t2 = sum(k27Edges, r),
                t3 = sum(k27Corners, r), uc = u(kCentre), rc = r(kCentre);
-  return uc + c[0] * rc + c[1] * t1 + c[2] * t2 + c[3] * t3;
+  const double x = uc + c[0] * rc + c[1] * t1 + c[2] * t2;
+  if constexpr (Full) return x + c[3] * t3;
+  return x;
 }
+
+// Flops per updated point of each combine expression with every term
+// evaluated: a class sum of N terms is N - 1 adds, and each coefficient
+// costs one multiply and one add into the running value.
+
+template <std::size_t N>
+constexpr int sum_flops(const Terms<N>&) {
+  return static_cast<int>(N) - 1;
+}
+
+/// c * sum: the sum and one multiply.
+inline constexpr int kJacobiFlops = sum_flops(kJacobiFaces) + 1;
+/// c1 * centre + c2 * sum: the sum, two multiplies and one add.
+inline constexpr int kRedBlackFlops = sum_flops(kRedBlackFaces) + 3;
+/// Three class sums, four coefficients each multiplied and combined.
+inline constexpr int k27Flops =
+    sum_flops(k27Faces) + sum_flops(k27Edges) + sum_flops(k27Corners) + 2 * 4;
 
 /// The accessor nests' reader: at(o) = acc.load(i + o.di, j + o.dj, k + o.dk).
 template <class Acc>

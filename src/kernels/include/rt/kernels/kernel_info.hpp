@@ -30,7 +30,12 @@ struct KernelInfo {
   /// Memory accesses per interior point per sweep of the *stencil* nest(s)
   /// (excluding any copy-back loop).
   std::uint64_t accesses_per_point;
-  /// Floating-point operations per interior point per sweep.
+  /// Floating-point operations per interior point per sweep, counted from
+  /// the term tables (rt/core/stencil_terms.hpp) with every term
+  /// evaluated: 6 / 8 / 31 / 31.  RESID and PSINV keep the paper's 31
+  /// although their NAS MG coefficient sets run without the zero class
+  /// (24 and 22 flops executed), so MFlops figures stay comparable with
+  /// earlier results.
   std::uint64_t flops_per_point;
   /// Number of 3D arrays the kernel touches.
   int num_arrays;

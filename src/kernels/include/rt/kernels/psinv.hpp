@@ -23,19 +23,23 @@ inline SmootherCoeffs nas_mg_c() {
 
 /// u += S r over the half-open box [i1lo, i1hi) x [i2lo, i2hi) x
 /// [i3lo, i3hi), I3 outermost.  A pure gather from r, so the order of
-/// boxes cannot change an update.
+/// boxes cannot change an update.  With c[3] == 0 the corner term is left
+/// out of the combine (its sum is still read): the term tables'
+/// zero-coefficient rule, chosen once per call.
 template <class U, class R>
 void psinv(U& u, R& r, const SmootherCoeffs& c, long i1lo, long i1hi,
            long i2lo, long i2hi, long i3lo, long i3hi) {
-  for (long i3 = i3lo; i3 < i3hi; ++i3) {
-    for (long i2 = i2lo; i2 < i2hi; ++i2) {
-      for (long i1 = i1lo; i1 < i1hi; ++i1) {
-        u.store(i1, i2, i3,
-                terms::psinv(terms::point_reader(r, i1, i2, i3),
-                             terms::point_reader(u, i1, i2, i3), c));
+  terms::with_full(terms::psinv_full(c), [&](auto full) {
+    for (long i3 = i3lo; i3 < i3hi; ++i3) {
+      for (long i2 = i2lo; i2 < i2hi; ++i2) {
+        for (long i1 = i1lo; i1 < i1hi; ++i1) {
+          u.store(i1, i2, i3,
+                  terms::psinv<full>(terms::point_reader(r, i1, i2, i3),
+                                     terms::point_reader(u, i1, i2, i3), c));
+        }
       }
     }
-  }
+  });
 }
 
 /// psinv over the whole interior: the serial reference.

@@ -23,19 +23,23 @@ inline ResidCoeffs nas_mg_a() {
 }
 
 /// r = v - A u over the half-open box [i1lo, i1hi) x [i2lo, i2hi) x
-/// [i3lo, i3hi), I3 outermost.
+/// [i3lo, i3hi), I3 outermost.  With a[1] == 0 the face term is left out
+/// of the combine (its sum is still read): the term tables'
+/// zero-coefficient rule, chosen once per call.
 template <class R, class V, class U>
 void resid(R& r, V& v, U& u, const ResidCoeffs& a, long i1lo, long i1hi,
            long i2lo, long i2hi, long i3lo, long i3hi) {
-  for (long i3 = i3lo; i3 < i3hi; ++i3) {
-    for (long i2 = i2lo; i2 < i2hi; ++i2) {
-      for (long i1 = i1lo; i1 < i1hi; ++i1) {
-        r.store(i1, i2, i3,
-                terms::resid(terms::point_reader(u, i1, i2, i3),
-                             terms::point_reader(v, i1, i2, i3), a));
+  terms::with_full(terms::resid_full(a), [&](auto full) {
+    for (long i3 = i3lo; i3 < i3hi; ++i3) {
+      for (long i2 = i2lo; i2 < i2hi; ++i2) {
+        for (long i1 = i1lo; i1 < i1hi; ++i1) {
+          r.store(i1, i2, i3,
+                  terms::resid<full>(terms::point_reader(u, i1, i2, i3),
+                                     terms::point_reader(v, i1, i2, i3), a));
+        }
       }
     }
-  }
+  });
 }
 
 /// r = v - A u over the whole interior (paper Fig. 13, left): the serial

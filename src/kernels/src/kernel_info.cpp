@@ -24,21 +24,26 @@ constexpr std::uint64_t accesses(const Combine& combine) {
 
 constexpr std::array<double, 4> kAny{};
 
-// Flops per point: JACOBI 5 adds + 1 mul; REDBLACK 5 + 1 adds + 2 muls
-// (every interior point is coloured exactly once per full sweep); RESID
-// and PSINV (5 + 11 + 7) adds + 4 muls + 4 subs/adds = 31.
+// Flops per point are the term tables' full-expression counts
+// (rt/core/stencil_terms.hpp); every interior point is coloured exactly
+// once per full red-black sweep.
+static_assert(terms::kJacobiFlops == 6);
+static_assert(terms::kRedBlackFlops == 8);
+static_assert(terms::k27Flops == 31);
+
 constexpr KernelInfo kInfos[] = {
     {KernelId::kJacobi, "JACOBI", rt::core::StencilSpec::jacobi3d(),
-     accesses([](const auto& at) { return terms::jacobi(at, 1.0); }), 6, 2},
+     accesses([](const auto& at) { return terms::jacobi(at, 1.0); }),
+     terms::kJacobiFlops, 2},
     {KernelId::kRedBlack, "REDBLACK", rt::core::StencilSpec::redblack3d(),
      accesses([](const auto& at) { return terms::redblack(at, 1.0, 1.0); }),
-     8, 1},
+     terms::kRedBlackFlops, 1},
     {KernelId::kResid, "RESID", rt::core::StencilSpec::resid27(),
-     accesses([](const auto& at) { return terms::resid(at, at, kAny); }), 31,
-     3},
+     accesses([](const auto& at) { return terms::resid<true>(at, at, kAny); }),
+     terms::k27Flops, 3},
     {KernelId::kPsinv, "PSINV", rt::core::StencilSpec::psinv27(),
-     accesses([](const auto& at) { return terms::psinv(at, at, kAny); }), 31,
-     2},
+     accesses([](const auto& at) { return terms::psinv<true>(at, at, kAny); }),
+     terms::k27Flops, 2},
 };
 }  // namespace
 

@@ -78,8 +78,15 @@ struct MgOptions {
   rt::obs::CounterMode counters = rt::obs::CounterMode::kOff;
 };
 
+/// Whether the finest grid of an lt-level solver, (2^lt + 2)^3 doubles,
+/// can be sized: its side, element count and byte count all fit a long
+/// (lt in [0, 19] on LP64).  Computed with no shift past a long's width.
+bool finest_grid_fits(int lt);
+
 class MgSolver {
  public:
+  /// Throws std::invalid_argument unless 1 <= lb < lt, lt >= 2 and
+  /// finest_grid_fits(lt).
   explicit MgSolver(const MgOptions& opts,
                     rt::cachesim::CacheHierarchy* hier = nullptr);
 

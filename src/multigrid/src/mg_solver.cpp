@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "rt/cachesim/traced_array.hpp"
+#include "rt/kernels/kernel_info.hpp"
 #include "rt/simd/exec.hpp"
 
 namespace rt::multigrid {
@@ -13,6 +16,8 @@ namespace rt::multigrid {
 namespace {
 
 using Grid = rt::array::Array3D<double>;
+using rt::kernels::KernelId;
+using rt::kernels::kernel_info;
 using GB = std::pair<Grid*, std::uint64_t>;
 
 /// Run op(fn) over grids either natively or through traced accessors.
@@ -45,10 +50,27 @@ struct Rng {
 
 }  // namespace
 
+bool finest_grid_fits(int lt) {
+  // 2^lt + 2 fits a long only below its sign bit, and the shift must be
+  // narrower than a long.
+  if (lt < 0 || lt > std::numeric_limits<long>::digits - 2) return false;
+  const long n = (1L << lt) + 2;
+  long bytes = 0;
+  return !__builtin_mul_overflow(n, n, &bytes) &&
+         !__builtin_mul_overflow(bytes, n, &bytes) &&
+         !__builtin_mul_overflow(bytes, static_cast<long>(sizeof(double)),
+                                 &bytes);
+}
+
 MgSolver::MgSolver(const MgOptions& opts, rt::cachesim::CacheHierarchy* hier)
     : opts_(opts), hier_(hier), space_(0, 64) {
   if (opts.lt < 2 || opts.lb < 1 || opts.lb >= opts.lt) {
     throw std::invalid_argument("MgSolver: need 1 <= lb < lt, lt >= 2");
+  }
+  if (!finest_grid_fits(opts.lt)) {
+    throw std::invalid_argument("MgSolver: lt = " + std::to_string(opts.lt) +
+                                ": the (2^lt + 2)^3 finest grid cannot be "
+                                "sized");
   }
   // Host fast path only: trace-driven runs keep the serial accessor
   // operators, inline on the block driver for RESID/PSINV (TracedArray3D
@@ -176,7 +198,7 @@ void MgSolver::resid_level(int l, Grid& r, Grid& v, Grid& u, bool allow_tile) {
           GB{&r, base_of(r)}, GB{&v, base_of(v)}, GB{&u, base_of(u)});
     }
   }
-  flops_ += 31 * interior(r);
+  flops_ += kernel_info(KernelId::kResid).flops_per_point * interior(r);
   comm3_grid(r);
 }
 
@@ -200,7 +222,7 @@ void MgSolver::psinv_level(int l, Grid& u, Grid& r) {
           GB{&u, base_of(u)}, GB{&r, base_of(r)});
     }
   }
-  flops_ += 31 * interior(u);
+  flops_ += kernel_info(KernelId::kPsinv).flops_per_point * interior(u);
   comm3_grid(u);
 }
 

@@ -26,6 +26,14 @@
 // _mm_sfence(), so its stores are globally visible before it returns.
 // Every other level and policy stores normally, with the same bits.
 //
+// RESID and PSINV follow the term tables' zero-coefficient rule: with
+// a[1] == 0 (RESID) or c[3] == 0 (PSINV), NAS MG's sets, the sweep runs a
+// body whose combine leaves that class out, chosen once per call, so its
+// loads and adds are never executed.  The accessor nests make the same
+// choice, so the bits still match; they differ from the full expression
+// only at a -0.0 running value before the dropped term or a non-finite
+// dropped class sum.
+//
 // Aliasing contract: destination and source arrays must be distinct
 // allocations (the accessor kernels are only ever used that way too);
 // red-black updates in place, where the row decomposition itself
@@ -69,7 +77,8 @@ void redblack_sweep(Array3D<double>& a, double c1, double c2, long parity,
                     long ilo, long ihi, long jlo, long jhi, long klo,
                     long khi, SimdLevel lvl);
 
-/// r = v - A u (27-point RESID) over the box; r, v, u share dims.
+/// r = v - A u (27-point RESID) over the box; r, v, u share dims.  With
+/// a[1] == 0 the face term is left out (the zero-coefficient rule).
 void resid_sweep(Array3D<double>& r, const Array3D<double>& v,
                  const Array3D<double>& u, const rt::kernels::ResidCoeffs& a,
                  long ilo, long ihi, long jlo, long jhi, long klo, long khi,
@@ -82,6 +91,7 @@ void redblack_rhs_sweep(Array3D<double>& a, const Array3D<double>& r,
                         long jlo, long jhi, long klo, long khi, SimdLevel lvl);
 
 /// u += S r (27-point NAS MG smoother) over the box; u and r share dims.
+/// With c[3] == 0 the corner term is left out (the zero-coefficient rule).
 void psinv_sweep(Array3D<double>& u, const Array3D<double>& r,
                  const PsinvCoeffs& c, long ilo, long ihi, long jlo, long jhi,
                  long klo, long khi, SimdLevel lvl);

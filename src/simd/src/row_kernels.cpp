@@ -111,23 +111,29 @@ class Rows {
 
 /// One stamp's row bodies.  A streaming stamp's write-only bodies are its
 /// own; its compute bodies are those of the normal stamp of its ISA.
+/// RESID and PSINV have both instantiations, indexed by the Full flag.
 struct Stamp {
   decltype(&jacobi_sweep_base) jacobi;
   decltype(&copy_sweep_base) copy;
   decltype(&init_sweep_base) init;
   decltype(&redblack_sweep_base) redblack;
   decltype(&redblack_rhs_sweep_base) redblack_rhs;
-  decltype(&resid_sweep_base) resid;
-  decltype(&psinv_sweep_base) psinv;
+  decltype(&resid_sweep_base<true>) resid[2];
+  decltype(&psinv_sweep_base<true>) psinv[2];
   decltype(&rprj3_sweep_base) rprj3;
   decltype(&interp_sweep_base) interp;
 };
 
 // isa: the compute bodies' suffix; w: the write-only bodies'.
-#define RT_SIMD_STAMP(isa, w)                                             \
-  Stamp{jacobi_sweep_##w,         copy_sweep_##w,    init_sweep_##w,     \
-        redblack_sweep_##isa,     redblack_rhs_sweep_##isa,              \
-        resid_sweep_##isa,        psinv_sweep_##isa, rprj3_sweep_##isa,  \
+#define RT_SIMD_STAMP(isa, w)                                          \
+  Stamp{jacobi_sweep_##w,                                              \
+        copy_sweep_##w,                                                \
+        init_sweep_##w,                                                \
+        redblack_sweep_##isa,                                          \
+        redblack_rhs_sweep_##isa,                                      \
+        {resid_sweep_##isa<false>, resid_sweep_##isa<true>},           \
+        {psinv_sweep_##isa<false>, psinv_sweep_##isa<true>},           \
+        rprj3_sweep_##isa,                                             \
         interp_sweep_##isa}
 
 /// Indexed by [SimdLevel][Stores].  kScalar callers of a row sweep run the
@@ -196,8 +202,9 @@ void resid_sweep(Array3D<double>& r, const Array3D<double>& v,
                  long ilo, long ihi, long jlo, long jhi, long klo, long khi,
                  SimdLevel lvl) {
   assert(r.dims() == v.dims() && r.dims() == u.dims());
-  stamp(lvl).resid(r.data(), v.data(), u.data(), r.dims().column_stride(),
-                   r.dims().plane_stride(), a, ilo, ihi, jlo, jhi, klo, khi);
+  stamp(lvl).resid[terms::resid_full(a)](
+      r.data(), v.data(), u.data(), r.dims().column_stride(),
+      r.dims().plane_stride(), a, ilo, ihi, jlo, jhi, klo, khi);
 }
 
 void redblack_rhs_sweep(Array3D<double>& a, const Array3D<double>& r,
@@ -214,8 +221,9 @@ void psinv_sweep(Array3D<double>& u, const Array3D<double>& r,
                  const PsinvCoeffs& c, long ilo, long ihi, long jlo, long jhi,
                  long klo, long khi, SimdLevel lvl) {
   assert(u.dims() == r.dims());
-  stamp(lvl).psinv(u.data(), r.data(), u.dims().column_stride(),
-                   u.dims().plane_stride(), c, ilo, ihi, jlo, jhi, klo, khi);
+  stamp(lvl).psinv[terms::psinv_full(c)](
+      u.data(), r.data(), u.dims().column_stride(), u.dims().plane_stride(),
+      c, ilo, ihi, jlo, jhi, klo, khi);
 }
 
 void rprj3_sweep(Array3D<double>& s, const Array3D<double>& r, long j1lo,

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -157,7 +158,8 @@ TEST(StencilTerms, PaperSumOrderIsPinned) {
   EXPECT_EQ(bits_hash(u), 0x567bdafaf769aac5ull);
 }
 
-/// Records every load as (array tag, offset from the point at (5, 5, 5)).
+/// Records every load as (array tag, offset from the point at (5, 5, 5));
+/// stores are dropped.
 struct Recorder {
   int tag;
   std::vector<std::pair<int, Offset>>* log;
@@ -167,12 +169,15 @@ struct Recorder {
                                 static_cast<int>(k - 5)}});
     return 1.0;
   }
+  void store(long, long, long, double) {}
 };
 
 // The accessor nests read through point_reader in the statement's order
 // (the traced access sequence): the class sums first, in table order, then
 // the centre values, except red-black, whose statement starts at its
-// centre.
+// centre.  RESID and PSINV read every class with and without their zero
+// class in the combine, so the nests read the same sequence for the NAS
+// MG coefficients, a dense set and all zeros.
 TEST(StencilTerms, AccessorsReadInStatementOrder) {
   using Log = std::vector<std::pair<int, Offset>>;
   const auto expect = [](const Log& got, std::initializer_list<int> tags,
@@ -196,15 +201,83 @@ TEST(StencilTerms, AccessorsReadInStatementOrder) {
                       terms::point_reader(b, 5, 5, 5), 1.0, 1.0);
   expect(log, {0, 0, 1}, centre, terms::kRedBlackFaces, centre);
   log.clear();
-  terms::resid(terms::point_reader(a, 5, 5, 5),
-               terms::point_reader(b, 5, 5, 5), std::array<double, 4>{});
-  expect(log, {0, 0, 0, 1, 0}, terms::k27Faces, terms::k27Edges,
-         terms::k27Corners, centre, centre);
-  log.clear();
-  terms::psinv(terms::point_reader(a, 5, 5, 5),
-               terms::point_reader(b, 5, 5, 5), std::array<double, 4>{});
-  expect(log, {0, 0, 0, 1, 0}, terms::k27Faces, terms::k27Edges,
-         terms::k27Corners, centre, centre);
+  // a is RESID's u and PSINV's r (the classes), b the other operand.
+  const auto expect_27 = [&](const char* what) {
+    SCOPED_TRACE(what);
+    expect(log, {0, 0, 0, 1, 0}, terms::k27Faces, terms::k27Edges,
+           terms::k27Corners, centre, centre);
+    log.clear();
+  };
+  const std::array<double, 4> zeros{};
+  for (const bool full : {true, false}) {
+    terms::with_full(full, [&](auto f) {
+      terms::resid<f>(terms::point_reader(a, 5, 5, 5),
+                      terms::point_reader(b, 5, 5, 5), zeros);
+      expect_27(f ? "resid<true>" : "resid<false>");
+      terms::psinv<f>(terms::point_reader(a, 5, 5, 5),
+                      terms::point_reader(b, 5, 5, 5), zeros);
+      expect_27(f ? "psinv<true>" : "psinv<false>");
+    });
+  }
+  Recorder out{2, &log};
+  const std::array<double, 4> dense{0.5, -0.1, 0.02, 0.003};
+  for (const auto& k : {zeros, rt::kernels::nas_mg_a(), dense}) {
+    rt::kernels::resid(out, b, a, k, 5, 6, 5, 6, 5, 6);
+    expect_27("resid nest");
+  }
+  for (const auto& k : {zeros, rt::kernels::nas_mg_c(), dense}) {
+    rt::kernels::psinv(b, a, k, 5, 6, 5, 6, 5, 6);
+    expect_27("psinv nest");
+  }
+}
+
+/// A 3^3 grid whose centre, faces, edges and corners hold the given values.
+Array3D<double> class_grid(double centre, double face, double edge,
+                           double corner) {
+  Array3D<double> g(3, 3, 3);
+  for (long k = 0; k < 3; ++k)
+    for (long j = 0; j < 3; ++j)
+      for (long i = 0; i < 3; ++i) {
+        const int m = (i != 1) + (j != 1) + (k != 1);
+        g(i, j, k) = m == 0 ? centre : m == 1 ? face : m == 2 ? edge : corner;
+      }
+  return g;
+}
+
+// The zero-coefficient rule's two differences from the full expression,
+// on NAS MG's coefficients.  RESID: with u's centre and v's centre -0.0,
+// the running value before the face term is -0.0 - (-8/3)(-0.0) = -0.0;
+// the full expression subtracts 0 t1 = -0.0 for faces summing below zero
+// and gives +0.0, the rule keeps -0.0.  PSINV: an inf corner makes the
+// full expression NaN (0 inf), the rule leaves the corners out.
+TEST(StencilTerms, ZeroCoefficientRuleDiffersOnlyAtNegativeZeroAndNonFinite) {
+  const auto a = rt::kernels::nas_mg_a();
+  const auto c = rt::kernels::nas_mg_c();
+  ASSERT_FALSE(terms::resid_full(a));
+  ASSERT_FALSE(terms::psinv_full(c));
+  ASSERT_TRUE(terms::resid_full({-8.0 / 3.0, 1e-300, 0.0, 0.0}));
+  ASSERT_TRUE(terms::psinv_full({0.0, 0.0, 0.0, -1e-300}));
+
+  Array3D<double> u = class_grid(-0.0, -1.0, 0.0, 0.0),
+                  v = class_grid(-0.0, 0.0, 0.0, 0.0), r(3, 3, 3);
+  const auto uw = terms::point_reader(u, 1, 1, 1);
+  const auto vw = terms::point_reader(v, 1, 1, 1);
+  const double full = terms::resid<true>(uw, vw, a);
+  EXPECT_EQ(full, 0.0);
+  EXPECT_FALSE(std::signbit(full));
+  rt::kernels::resid(r, v, u, a);
+  EXPECT_EQ(r(1, 1, 1), 0.0);
+  EXPECT_TRUE(std::signbit(r(1, 1, 1)));
+
+  const double inf = std::numeric_limits<double>::infinity();
+  Array3D<double> rr = class_grid(1.0, 1.0, 1.0, inf),
+                  uu = class_grid(1.0, 0.0, 0.0, 0.0);
+  EXPECT_TRUE(std::isnan(terms::psinv<true>(terms::point_reader(rr, 1, 1, 1),
+                                            terms::point_reader(uu, 1, 1, 1),
+                                            c)));
+  rt::kernels::psinv(uu, rr, c);
+  // 1 - 3/8 + 6/32 - 12/64, every step exact.
+  EXPECT_EQ(uu(1, 1, 1), 0.625);
 }
 
 TEST(StencilDesc, PaperDescriptorsAreTheTermTables) {

@@ -177,6 +177,7 @@ enum class Op {
   kResid,
   kPsinvNas,
   kPsinvDense,
+  kResidDense,
 };
 enum class Sched { kUntiled, kFlat, kRecursive };
 
@@ -185,10 +186,18 @@ int num_grids(Op op) {
     case Op::kRedBlack:
       return 1;
     case Op::kResid:
+    case Op::kResidDense:
       return 3;
     default:
       return 2;
   }
+}
+
+rt::kernels::ResidCoeffs resid_coeffs(Op op) {
+  // The NAS set zeroes the face term; the dense set exercises it.
+  return op == Op::kResid
+             ? rt::kernels::nas_mg_a()
+             : rt::kernels::ResidCoeffs{-2.4, 0.07, 0.15, 0.06};
 }
 
 rt::kernels::SmootherCoeffs psinv_coeffs(Op op) {
@@ -238,7 +247,8 @@ void run_reference(Op op, Sched s, IterTile t, Grids& x) {
         }
         break;
       case Op::kResid:
-        rt::kernels::resid(x[0], x[1], x[2], rt::kernels::nas_mg_a());
+      case Op::kResidDense:
+        rt::kernels::resid(x[0], x[1], x[2], resid_coeffs(op));
         break;
       case Op::kPsinvNas:
       case Op::kPsinvDense:
@@ -263,7 +273,8 @@ void run_executor(Op op, const Exec& ex, const TilingPlan& plan, Grids& x) {
         redblack_rhs(ex, plan, x[0], x[1], 0.4, 0.1);
         break;
       case Op::kResid:
-        resid(ex, plan, x[0], x[1], x[2], rt::kernels::nas_mg_a());
+      case Op::kResidDense:
+        resid(ex, plan, x[0], x[1], x[2], resid_coeffs(op));
         break;
       case Op::kPsinvNas:
       case Op::kPsinvDense:
@@ -305,8 +316,10 @@ TEST_P(ExecSweep, BitIdenticalToSerialAccessorKernel) {
 }
 
 std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
-  static const char* const kOps[] = {"Jacobi", "RedBlack",  "RedBlackRhs",
-                                     "Resid",  "PsinvNas", "PsinvDense"};
+  static const char* const kOps[] = {"Jacobi",     "RedBlack",
+                                     "RedBlackRhs", "Resid",
+                                     "PsinvNas",   "PsinvDense",
+                                     "ResidDense"};
   static const char* const kScheds[] = {"Untiled", "Flat", "Recursive"};
   const auto [op, sched, s] = info.param;
   return std::string(kOps[static_cast<int>(op)]) + "_" +
@@ -317,7 +330,8 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, ExecSweep,
     ::testing::Combine(::testing::Values(Op::kJacobi, Op::kRedBlack,
                                          Op::kRedBlackRhs, Op::kResid,
-                                         Op::kPsinvNas, Op::kPsinvDense),
+                                         Op::kPsinvNas, Op::kPsinvDense,
+                                         Op::kResidDense),
                        ::testing::Values(Sched::kUntiled, Sched::kFlat,
                                          Sched::kRecursive),
                        ::testing::ValuesIn(shapes())),

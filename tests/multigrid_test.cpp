@@ -249,5 +249,22 @@ TEST(MgSolver, RejectsBadLevels) {
   EXPECT_THROW(MgSolver s(o), std::invalid_argument);
 }
 
+TEST(MgSolver, RejectsLevelCountsWhoseFinestGridCannotBeSized) {
+  // (2^19 + 2)^3 doubles is under 2^63 bytes; (2^20 + 2)^3 is over, and
+  // lt >= 63 would shift past a long's width.  None of these allocates.
+  EXPECT_TRUE(finest_grid_fits(2));
+  EXPECT_TRUE(finest_grid_fits(19));
+  EXPECT_FALSE(finest_grid_fits(20));
+  EXPECT_FALSE(finest_grid_fits(62));
+  EXPECT_FALSE(finest_grid_fits(63));
+  EXPECT_FALSE(finest_grid_fits(64));
+  EXPECT_FALSE(finest_grid_fits(-1));
+  MgOptions o;
+  for (const int lt : {20, 63, 64, 1000}) {
+    o.lt = lt;
+    EXPECT_THROW(MgSolver s(o), std::invalid_argument) << "lt " << lt;
+  }
+}
+
 }  // namespace
 }  // namespace rt::multigrid

@@ -5,7 +5,9 @@
 // accessor kernels: every streaming-store stamp this host executes, and
 // the multigrid transfer sweeps (rprj3_sweep, interp_sweep) on boxes that
 // start and end at odd and at even i, one-element and empty boxes, odd
-// and even fine extents, padded grids and -0.0 inputs.  The differential
+// and even fine extents, padded grids and -0.0 inputs, and both forms of
+// the RESID and PSINV row bodies (with and without their zero class) on
+// the same boxes, -0.0 and inf inputs included.  The differential
 // test of every operator under every schedule, pool width and level is
 // exec_test.cpp.
 
@@ -14,12 +16,15 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "rt/array/array3d.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
+#include "rt/kernels/psinv.hpp"
+#include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
 #include "rt/simd/row_kernels.hpp"
 #include "rt/simd/simd.hpp"
@@ -396,6 +401,97 @@ TEST(SimdTransfer, NegativeZerosSumToPositiveZero) {
           interp_sweep(u, z, ri[0], ri[1], rj[0], rj[1], rk[0], rk[1], lvl);
         },
         "interp -0.0");
+  }
+}
+
+// --- 27-point stencil sweeps, box by box ---
+
+/// A grid valued by how many of (i, j, k) are odd (0 to 3): around a point
+/// with all-even indices that is its centre, faces, edges and corners.
+Array3D<double> parity_grid(const Dims3& d, const std::array<double, 4>& m) {
+  Array3D<double> a(d, -3.0);
+  for (long k = 0; k < d.n3; ++k) {
+    for (long j = 0; j < d.n2; ++j) {
+      for (long i = 0; i < d.n1; ++i) a(i, j, k) = m[(i & 1) + (j & 1) + (k & 1)];
+    }
+  }
+  return a;
+}
+
+std::vector<Dims3> stencil_dims() {
+  return {Dims3::unpadded(17, 12, 11), Dims3::padded(18, 13, 10, 21, 15)};
+}
+
+/// RESID's sweep against the accessor nest on every box, at every level.
+void expect_resid_boxes_match(const Array3D<double>& v,
+                              const Array3D<double>& u,
+                              const rt::kernels::ResidCoeffs& a,
+                              const char* what) {
+  const Array3D<double> base = make_grid(u.dims(), 0.3);
+  Array3D<double> want = base;
+  rt::kernels::resid(want, v, u, a);
+  expect_boxes_match(
+      base, want,
+      [&](Array3D<double>& r, const Range& ri, const Range& rj,
+          const Range& rk, SimdLevel lvl) {
+        resid_sweep(r, v, u, a, ri[0], ri[1], rj[0], rj[1], rk[0], rk[1],
+                    lvl);
+      },
+      what);
+}
+
+/// PSINV's sweep against the accessor nest on every box, at every level.
+void expect_psinv_boxes_match(const Array3D<double>& base,
+                              const Array3D<double>& r, const PsinvCoeffs& c,
+                              const char* what) {
+  Array3D<double> want = base;
+  rt::kernels::psinv(want, r, c);
+  expect_boxes_match(
+      base, want,
+      [&](Array3D<double>& u, const Range& ri, const Range& rj,
+          const Range& rk, SimdLevel lvl) {
+        psinv_sweep(u, r, c, ri[0], ri[1], rj[0], rj[1], rk[0], rk[1], lvl);
+      },
+      what);
+}
+
+// Both instantiations of the RESID and PSINV row bodies (NAS MG's sets
+// leave out the zero class, the dense sets keep every term) match the
+// accessor nests, which pick the same form once per call.
+TEST(SimdStencil, ResidAndPsinvMatchTheAccessorsForEveryCoefficientSet) {
+  const rt::kernels::ResidCoeffs dense_a{-2.4, 0.07, 0.15, 0.06};
+  const PsinvCoeffs dense_c{-0.4, 0.03, -0.015, 0.007};
+  for (const Dims3& d : stencil_dims()) {
+    const Array3D<double> u = make_grid(d, 0.5), v = make_grid(d, 0.8);
+    expect_resid_boxes_match(v, u, rt::kernels::nas_mg_a(), "resid nas");
+    expect_resid_boxes_match(v, u, dense_a, "resid dense");
+    expect_psinv_boxes_match(u, v, rt::kernels::nas_mg_c(), "psinv nas");
+    expect_psinv_boxes_match(u, v, dense_c, "psinv dense");
+  }
+}
+
+// Where the rule gives other bits than the full expression (a -0.0
+// running value before RESID's face term, an inf PSINV corner), every
+// stamp still gives the accessor's bits.  Around each all-even point, u's
+// centre and v's centre are -0.0 and u's faces -1 (RESID gives -0.0, the
+// full expression +0.0), and r's corners are inf (PSINV stays finite).
+TEST(SimdStencil, ZeroCoefficientRuleGivesTheAccessorBitsInEveryStamp) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Dims3& d : stencil_dims()) {
+    const Array3D<double> u = parity_grid(d, {-0.0, -1.0, 0.0, 0.0});
+    const Array3D<double> v = parity_grid(d, {-0.0, 0.0, 0.0, 0.0});
+    Array3D<double> r = make_grid(d, 0.3);
+    rt::kernels::resid(r, v, u, rt::kernels::nas_mg_a());
+    ASSERT_EQ(r(2, 2, 2), 0.0);
+    ASSERT_TRUE(std::signbit(r(2, 2, 2)));
+    expect_resid_boxes_match(v, u, rt::kernels::nas_mg_a(), "resid -0.0");
+
+    const Array3D<double> rr = parity_grid(d, {1.0, 1.0, 1.0, inf});
+    Array3D<double> uu = make_grid(d, 0.6);
+    rt::kernels::psinv(uu, rr, rt::kernels::nas_mg_c());
+    ASSERT_TRUE(std::isfinite(uu(2, 2, 2)));
+    expect_psinv_boxes_match(make_grid(d, 0.6), rr, rt::kernels::nas_mg_c(),
+                             "psinv inf");
   }
 }
 
