@@ -7,24 +7,24 @@
 // to T.  The paper's point stands the other way around too: time skewing
 // does not apply to the realistic/multigrid codes of Fig. 5 (middle and
 // bottom), which is why the paper develops JI-tiling.
+//
+// Simulated only: the host rows of the same schedules (serial ping-pong
+// reference, temporal off, skew and diamond, each checked bit for bit and
+// timed) are the temporal rows of bench_threads_scaling.
 
-#include <chrono>
 #include <iostream>
 #include <vector>
 
 #include "rt/array/address_space.hpp"
 #include "rt/array/array3d.hpp"
 #include "rt/bench/options.hpp"
-#include "rt/bench/runner.hpp"
 #include "rt/bench/table.hpp"
 #include "rt/cachesim/perf_model.hpp"
 #include "rt/cachesim/traced_array.hpp"
 #include "rt/core/plan.hpp"
-#include "rt/core/plan_cache.hpp"
 #include "rt/core/temporal.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
-#include "rt/par/thread_pool.hpp"
 #include "rt/simd/exec.hpp"
 
 using rt::array::Array3D;
@@ -50,7 +50,9 @@ Out traced_run(long n, long kd, long p1, long p2, int tsteps, Fn&& fn) {
   rt::cachesim::TracedArray3D<double> ta(a, ba, h), tb(b, bb, h);
   fn(ta, tb);
   auto st = h.stats();
-  st.flops = 6ULL * static_cast<std::uint64_t>(n - 2) * (n - 2) * (kd - 2) *
+  st.flops = rt::kernels::kernel_info(rt::kernels::KernelId::kJacobi)
+                 .flops_per_point *
+             static_cast<std::uint64_t>(n - 2) * (n - 2) * (kd - 2) *
              static_cast<std::uint64_t>(tsteps);
   return Out{100.0 * st.l1.miss_rate(), 100.0 * st.l2_global_miss_rate(),
              rt::cachesim::PerfModel().mflops(st)};
@@ -130,178 +132,6 @@ int main(int argc, char** argv) {
                  "the simplified kernel);\nJI-tiling wins within a sweep on "
                  "the L1 — combining both is the paper's stated\nfuture "
                  "work, previewed in the last row.\n";
-  }
-
-  // --- Host axis: temporal blocking as a first-class path ---
-  // At the largest size the ping-pong pair no longer fits any cache level,
-  // so the spatial paths stream both arrays from memory once per sweep.
-  // The temporal schedules keep a plane window resident across all tsteps
-  // sweeps instead; every variant runs through rt::simd::run_steps, is
-  // planned through PlanCache (degraded plans recorded, never silently
-  // clamped), verified bitwise against the serial ping-pong reference, and
-  // emitted as a standard JSON record plus a "temporal" block.
-  {
-    const long n = sizes.back();
-    const int threads = bo.threads > 0 ? bo.threads : 1;
-    const auto lvl = rt::simd::exec_level(
-        bo.simd_given ? bo.simd : rt::simd::SimdMode::kAuto, threads);
-    const long cs = rt::bench::outer_cache_elems();
-    const Dims3 dims = Dims3::unpadded(n, n, kd);
-    rt::par::ThreadPool pool(threads);
-    const rt::simd::Exec ex{threads > 1 ? &pool : nullptr, lvl};
-    rt::obs::MetricsWriter writer;
-    auto& cache = rt::core::PlanCache::instance();
-    // --tune: pin stored temporal winners so the cache.temporal() queries
-    // below serve measured block depths ahead of the analytic window.
-    std::cout << rt::bench::apply_tune_options(bo, cache) << "\n";
-
-    const auto init = [&](Array3D<double>& b) {
-      for (long k = 0; k < kd; ++k)
-        for (long j = 0; j < n; ++j)
-          for (long i = 0; i < n; ++i) b(i, j, k) = 0.001 * (i + j + k);
-    };
-    const auto secs = [] {
-      return std::chrono::duration<double>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-    };
-    const double flops =
-        6.0 * static_cast<double>(n - 2) * (n - 2) * (kd - 2) * tsteps;
-
-    // Serial ping-pong reference: the values every schedule must hit.
-    Array3D<double> ra(dims), rb(dims);
-    init(rb);
-    const double t0 = secs();
-    rt::kernels::jacobi3d_pingpong(ra, rb, 1.0 / 6.0, tsteps);
-    const double ref_s = secs() - t0;
-
-    std::vector<std::vector<std::string>> hrows;
-    int skipped = 0;
-    // One variant: tsteps steps of run_steps under @p trep's schedule
-    // (spatial when null), timed, verified bitwise against the reference,
-    // and emitted as a table row + JSON record.  A degraded plan, or a pool
-    // that spawned fewer threads than asked, becomes a recorded skipped row
-    // (RunResult::degraded(): metrics zero, status carrying the reason)
-    // instead of a misleading number.
-    const auto run_variant = [&](const std::string& name,
-                                 const rt::core::TemporalReport* trep) {
-      rt::bench::RunResult r;
-      r.plan.transform = rt::core::Transform::kOrig;
-      r.plan.dip = n;
-      r.plan.djp = n;
-      r.threads = pool.num_threads();
-      r.threads_requested = threads;
-      r.simd_requested = bo.simd_given ? bo.simd : rt::simd::SimdMode::kAuto;
-      r.simd = lvl;
-      if (trep != nullptr) {
-        r.plan_status = trep->status;
-        r.plan_detail = trep->detail;
-      }
-      if (r.threads < threads) {
-        r.status = rt::guard::Status::kFellBackUntiled;
-        r.status_detail = "thread pool degraded to " +
-                          std::to_string(r.threads) + " of " +
-                          std::to_string(threads);
-      }
-      bool identical = true;
-      if (trep == nullptr || trep->ok()) {
-        // run_steps starts from g[tsteps % 2], which therefore ends as the
-        // reference's b, and the other array as its a.
-        std::vector<Array3D<double>> g;
-        g.reserve(2);
-        g.emplace_back(dims);
-        g.emplace_back(dims);
-        const std::size_t start = static_cast<std::size_t>(tsteps % 2);
-        init(g[start]);
-        const double t1 = secs();
-        rt::simd::run_steps(ex, rt::kernels::KernelId::kJacobi,
-                            rt::core::TilingPlan{}, g, tsteps,
-                            trep != nullptr ? trep->plan
-                                            : rt::core::TemporalPlan{});
-        const double dt = secs() - t1;
-        if (!r.degraded()) r.host_mflops = flops / dt / 1e6;
-        for (long k = 0; k < kd && identical; ++k)
-          for (long j = 0; j < n && identical; ++j)
-            for (long i = 0; i < n; ++i)
-              if (g[1 - start](i, j, k) != ra(i, j, k) ||
-                  g[start](i, j, k) != rb(i, j, k)) {
-                identical = false;
-                std::cerr << "ERROR: " << name << " diverged at (" << i
-                          << "," << j << "," << k << ")\n";
-                break;
-              }
-      }
-      auto& rec = rt::bench::append_json_record(writer, "JACOBI", n, r);
-      rec.set("temporal", trep != nullptr
-                              ? rt::bench::temporal_json(trep->plan)
-                              : rt::obs::JsonValue());
-      if (r.degraded()) {
-        ++skipped;
-        hrows.push_back({name, "-", "skipped: " +
-                                        std::string(rt::guard::status_name(
-                                            r.plan_status !=
-                                                    rt::guard::Status::kOk
-                                                ? r.plan_status
-                                                : r.status))});
-        return true;  // recorded, not a correctness failure
-      }
-      hrows.push_back({name, rt::bench::fmt(r.host_mflops, 1),
-                       identical ? "bitwise identical" : "DIVERGED"});
-      return identical;
-    };
-
-    bool all_ok = true;
-    // Spatial baselines (temporal off): accessor reference and the best
-    // spatial par+simd path (rows + thread pool), one full sweep per step.
-    {
-      rt::bench::RunResult r;
-      r.plan.transform = rt::core::Transform::kOrig;
-      r.plan.dip = n;
-      r.plan.djp = n;
-      r.threads = 1;
-      r.threads_requested = 1;
-      r.host_mflops = flops / ref_s / 1e6;
-      auto& rec = rt::bench::append_json_record(writer, "JACOBI", n, r);
-      rec.set("temporal", rt::obs::JsonValue());
-      hrows.push_back({"pingpong serial (reference)",
-                       rt::bench::fmt(r.host_mflops, 1), "reference"});
-    }
-    all_ok &= run_variant("pingpong rows+par (best spatial)", nullptr);
-
-    const bool want_skew =
-        !bo.temporal_given || bo.temporal == rt::core::TemporalMode::kSkew;
-    const bool want_diamond =
-        !bo.temporal_given || bo.temporal == rt::core::TemporalMode::kDiamond;
-    if (want_skew) {
-      const auto rep = cache.temporal(rt::core::TemporalMode::kSkew, cs, n,
-                                      n, kd, tsteps, bo.bk, threads);
-      all_ok &= run_variant(
-          "temporal skew (bk=" + std::to_string(rep.plan.bk) + ")", &rep);
-    }
-    if (want_diamond) {
-      const auto rep = cache.temporal(rt::core::TemporalMode::kDiamond, cs,
-                                      n, n, kd, tsteps, bo.bk, threads);
-      all_ok &= run_variant("temporal diamond (W=" +
-                                std::to_string(rep.plan.bk) +
-                                ",tb=" + std::to_string(rep.plan.tb) + ")",
-                            &rep);
-    }
-
-    std::cout << "\nHost temporal blocking at N=" << n << ", " << tsteps
-              << " steps, " << threads << " threads, simd "
-              << rt::simd::simd_level_name(lvl) << ", cache target "
-              << cs / (1024 * 128) << " MB:\n\n";
-    rt::bench::print_table({"version", "MFlops", "verify"}, hrows);
-    if (skipped > 0) {
-      std::cout << "\n" << skipped
-                << " degraded configuration(s) recorded as skipped rows "
-                   "(see status/plan_status in the JSON).\n";
-    }
-    if (!bo.json.empty() && !writer.write_file(bo.json)) {
-      std::cerr << "cannot write " << bo.json << "\n";
-      return 1;
-    }
-    if (!all_ok) return 1;
   }
   return 0;
 }

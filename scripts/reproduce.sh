@@ -32,13 +32,16 @@ cp bench_output.txt results/bench_all.txt
 # the run itself always succeeds.
 build/bench/bench_hw_validation ${FULL_FLAG} --json=results/BENCH_3.json
 
-# Temporal blocking vs. best spatial par+simd (PR 6): host-only at N=448 so
-# the ping-pong pair exceeds even a ~100 MB L3 (2 * 448^2 * 60 * 8B = 192 MB)
-# and JACOBI is genuinely memory-bound — the regime where the wavefront
-# schedules pay off.  Simulation is skipped (trace-driven caches at this
-# size are impractically slow).
-build/bench/bench_timeskew --no-sim --host --nmax=448 --steps=4 \
-  --threads="$(nproc)" --json=results/BENCH_6.json
+# The host kernel driver past the last level: at N=640 (K=30) one array is
+# 98 MB and the JACOBI ping-pong pair 197 MB, past the ~80-110 MB working
+# set at which a sweep fell out of the last level on the 2-vCPU measurement
+# host (whose sysfs reports a 300 MiB L3), so JACOBI is memory-bound — the
+# regime where the temporal wavefronts pay off.  Every kernel x transform x SIMD x thread row and the
+# temporal rows (serial ping-pong reference, off, skew, diamond) are
+# checked bit for bit before they are timed.  results/BENCH_6.json is the
+# temporal comparison from the retired bench_timeskew --host at N=448.
+build/bench/bench_threads_scaling --nmax=640 --steps=4 \
+  --threads="$(nproc)" --json=results/BENCH_14.json
 
 # Measurement-driven autotuning ablation (PR 7): calibrate JACOBI/RESID
 # plans on this host, persist the winners in a repo-local plan store, and
@@ -71,9 +74,11 @@ build/bench/bench_backend_ablation ${FULL_FLAG} --steps=1 \
 # a private L2, and 256 and 384, where they do not (the sweep 130 + 126 s
 # also passes 382 on its way to nmax).  Untiled rows run L2-sized
 # J slabs on a pool; each row is a record with its plan, threads, store
-# policy and MFlops, so a later run can be diffed against this one.  JACOBI
-# rows at N = 382 and 384, whose arrays exceed the last-level cache, run
-# streaming stores; results/BENCH_11.json is the same sweep before them.
+# policy and MFlops, so a later run can be diffed against this one.  Every
+# record reads "stores": "normal": a 384^2 x 30 destination is 35 MB, and
+# choose_stores streams only past the sysfs last level (300 MiB on the
+# measurement host).
+# results/BENCH_11.json is the same sweep from before streaming stores.
 # RESID and PSINV rows run NAS MG's coefficients without their zero class
 # (the term tables' zero-coefficient rule); results/BENCH_12.json is the
 # same sweep before that rule and before the AVX-512F stamp.
@@ -81,5 +86,5 @@ build/bench/bench_threads_scaling --threads=2 --nmin=130 --nstep=126 \
   --nmax=384 --json=results/BENCH_13.json
 
 echo "Done: test_output.txt, bench_output.txt, results/BENCH_3.json," \
-     "results/BENCH_6.json, results/BENCH_7.json, results/BENCH_9.json," \
-     "results/BENCH_10.json, results/BENCH_13.json"
+     "results/BENCH_7.json, results/BENCH_9.json, results/BENCH_10.json," \
+     "results/BENCH_13.json, results/BENCH_14.json"

@@ -6,10 +6,12 @@
 // reports the paper's metrics.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "rt/array/array3d.hpp"
 #include "rt/cachesim/config.hpp"
 #include "rt/cachesim/perf_model.hpp"
 #include "rt/core/plan.hpp"
@@ -163,6 +165,30 @@ struct RunResult {
   HwStats hw;  ///< hardware counters (all-off unless RunOptions::counters)
 };
 
+/// The host timing loop of every host row: one warm-up call of @p step
+/// (page faults, cache warm-up), then step() until opts.min_host_seconds
+/// have passed.  Fills res.host_mflops from @p flops_per_iter, the
+/// warm-up/measure phase stats, and — when opts.counters resolves to
+/// enabled — the hardware-counter block over the measured iterations.
+void time_host(const std::function<void()>& step,
+               std::uint64_t flops_per_iter, const RunOptions& opts,
+               RunResult& res);
+
+/// Run @p body on a copy of @p row under the opts.timeout_seconds
+/// watchdog (a direct call when it is 0): a body that misses the deadline
+/// returns @p row as a recorded Status::kTimeout row instead of wedging
+/// the sweep.  @p body must own everything it touches — the abandonment
+/// contract of rt/guard/watchdog.hpp.
+RunResult run_supervised(const RunOptions& opts, const RunResult& row,
+                         std::function<void(RunResult&)> body);
+
+/// The --verify post-run sweep: NaN/Inf over every array's logical region
+/// (kPost serially, kPara over K planes on a pool of opts.threads) into
+/// res.verify_mode / res.nonfinite; a non-zero count marks res kNonFinite.
+/// Does nothing when opts.verify is kOff.
+void sweep_nonfinite(const std::vector<rt::array::Array3D<double>>& arrays,
+                     const RunOptions& opts, RunResult& res);
+
 /// Run one (kernel, transform, N) configuration on N x N x k_dim arrays.
 RunResult run_kernel(rt::kernels::KernelId id, rt::core::Transform tr, long n,
                      const RunOptions& opts);
@@ -189,10 +215,8 @@ MissRates run_jacobi3d_missrates(long n, long k, const RunOptions& opts);
 /// Append one flat record in the results/BENCH_*.json schema to @p w:
 /// identification (kernel, n, transform, tile, simd, threads, requested
 /// axes), host throughput, and nested "sim" / "hw" blocks (JSON null when
-/// that signal was off).  This is the C++ replacement for the jq
-/// reshaping in scripts/bench_to_json.sh.  Returns the record so callers
-/// can append bench-specific blocks (e.g. "temporal") after the standard
-/// fields.
+/// that signal was off).  Returns the record so callers can append
+/// bench-specific blocks (e.g. "temporal") after the standard fields.
 rt::obs::JsonValue& append_json_record(rt::obs::MetricsWriter& w,
                                        const std::string& kernel, long n,
                                        const RunResult& r);

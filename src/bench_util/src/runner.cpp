@@ -111,15 +111,11 @@ std::uint64_t flops_per_step(KernelId id, long n1, long n2, long n3) {
   return rt::kernels::kernel_info(id).flops_per_point * interior(n1, n2, n3);
 }
 
-/// Host timing loop: run `step` until the time budget is met (each step
-/// is a kHang fault point in run_steps, which is what the run watchdog
-/// exists for).  Fills in
-/// res.host_mflops, the warm-up/measure phase stats, and — when
-/// opts.counters resolves to enabled — the hardware-counter block over the
-/// measured iterations (warm-up excluded).
-template <class StepFn>
-void time_host(StepFn&& step, std::uint64_t flops_per_iter,
-               const RunOptions& opts, RunResult& res) {
+}  // namespace
+
+void time_host(const std::function<void()>& step,
+               std::uint64_t flops_per_iter, const RunOptions& opts,
+               RunResult& res) {
   {
     // Warm-up iteration (page faults, cache warm-up).
     rt::obs::ScopedTimer t(res.warmup);
@@ -139,6 +135,8 @@ void time_host(StepFn&& step, std::uint64_t flops_per_iter,
   const double t0 = now_seconds();
   double t1 = t0;
   do {
+    // Each step is a kHang fault point in run_steps, which is what the
+    // run watchdog (run_supervised) exists for.
     rt::obs::ScopedTimer t(res.measure);
     step();
     ++iters;
@@ -152,6 +150,64 @@ void time_host(StepFn&& step, std::uint64_t flops_per_iter,
   res.host_mflops =
       static_cast<double>(flops_per_iter) * iters / (t1 - t0) / 1e6;
 }
+
+RunResult run_supervised(const RunOptions& opts, const RunResult& row,
+                         std::function<void(RunResult&)> body) {
+  RunResult res = row;
+  if (opts.timeout_seconds <= 0) {
+    body(res);
+    return res;
+  }
+  // The worker closure owns every piece of state it touches (its own copy
+  // of the row; the result lands in shared heap state), so an abandoned
+  // worker can never scribble on this frame — the contract
+  // rt::guard::run_with_deadline requires.
+  struct Shared {
+    std::mutex m;
+    RunResult res;
+  };
+  auto shared = std::make_shared<Shared>();
+  const auto deadline = std::chrono::milliseconds(
+      static_cast<long>(opts.timeout_seconds * 1000.0));
+  const rt::guard::WatchdogResult w = rt::guard::run_with_deadline(
+      [shared, row, body = std::move(body)] {
+        RunResult r = row;
+        body(r);
+        std::lock_guard<std::mutex> lk(shared->m);
+        shared->res = std::move(r);
+      },
+      deadline);
+  if (w.completed) {
+    std::lock_guard<std::mutex> lk(shared->m);
+    return std::move(shared->res);
+  }
+  res.status = rt::guard::Status::kTimeout;
+  res.status_detail =
+      "watchdog: run exceeded " + std::to_string(opts.timeout_seconds) +
+      "s deadline" + (w.abandoned ? " (worker abandoned)" : "");
+  return res;
+}
+
+void sweep_nonfinite(const std::vector<Array3D<double>>& arrays,
+                     const RunOptions& opts, RunResult& res) {
+  if (opts.verify == rt::guard::VerifyMode::kOff) return;
+  res.verify_mode = opts.verify;
+  long bad = 0;
+  if (opts.verify == rt::guard::VerifyMode::kPara && opts.threads > 1) {
+    rt::par::ThreadPool pool(opts.threads);
+    for (const auto& a : arrays) bad += rt::guard::count_nonfinite_par(pool, a);
+  } else {
+    for (const auto& a : arrays) bad += rt::guard::count_nonfinite(a);
+  }
+  res.nonfinite = bad;
+  if (bad > 0 && res.status == rt::guard::Status::kOk) {
+    res.status = rt::guard::Status::kNonFinite;
+    res.status_detail =
+        std::to_string(bad) + " non-finite elements after the measured run";
+  }
+}
+
+namespace {
 
 /// The body of run_kernel_with_plan, minus planning and watchdog concerns.
 RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
@@ -261,25 +317,9 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
               fl_step, opts, res);
   }
 
-  if (opts.verify != rt::guard::VerifyMode::kOff) {
-    // Post-run guardrail: NaN/Inf anywhere in any array's logical region
-    // (simulation mutates the same native arrays through the traced
-    // accessors, so one sweep covers both execution paths).
-    res.verify_mode = opts.verify;
-    long bad = 0;
-    if (opts.verify == rt::guard::VerifyMode::kPara && opts.threads > 1) {
-      rt::par::ThreadPool pool(opts.threads);
-      for (const auto& a : arrays) bad += rt::guard::count_nonfinite_par(pool, a);
-    } else {
-      for (const auto& a : arrays) bad += rt::guard::count_nonfinite(a);
-    }
-    res.nonfinite = bad;
-    if (bad > 0 && res.status == rt::guard::Status::kOk) {
-      res.status = rt::guard::Status::kNonFinite;
-      res.status_detail = std::to_string(bad) +
-                          " non-finite elements after the measured run";
-    }
-  }
+  // Post-run guardrail (simulation mutates the same native arrays through
+  // the traced accessors, so one sweep covers both execution paths).
+  sweep_nonfinite(arrays, opts, res);
   return res;
 }
 
@@ -317,38 +357,13 @@ RunResult run_kernel(KernelId id, Transform tr, long n, const RunOptions& opts) 
 
 RunResult run_kernel_with_plan(KernelId id, const rt::core::TilingPlan& plan,
                                long n, const RunOptions& opts) {
-  if (opts.timeout_seconds <= 0) return run_with_plan_impl(id, plan, n, opts);
-
-  // Watchdog-supervised run: the worker closure owns every piece of state
-  // it touches (the whole run context is built inside run_with_plan_impl on
-  // the worker's stack; the result lands in shared heap state), so an
-  // abandoned worker can never scribble on this frame — the contract
-  // rt::guard::run_with_deadline requires.
-  struct Shared {
-    std::mutex m;
-    RunResult res;
-  };
-  auto shared = std::make_shared<Shared>();
-  const auto deadline = std::chrono::milliseconds(
-      static_cast<long>(opts.timeout_seconds * 1000.0));
-  const rt::guard::WatchdogResult w = rt::guard::run_with_deadline(
-      [shared, id, plan, n, opts] {
-        RunResult r = run_with_plan_impl(id, plan, n, opts);
-        std::lock_guard<std::mutex> lk(shared->m);
-        shared->res = std::move(r);
-      },
-      deadline);
-  if (w.completed) {
-    std::lock_guard<std::mutex> lk(shared->m);
-    return std::move(shared->res);
-  }
-  RunResult res;
-  res.plan = plan;
-  res.status = rt::guard::Status::kTimeout;
-  res.status_detail =
-      "watchdog: run exceeded " + std::to_string(opts.timeout_seconds) +
-      "s deadline" + (w.abandoned ? " (worker abandoned)" : "");
-  return res;
+  // The worker builds the whole run context inside run_with_plan_impl, on
+  // its own stack.
+  RunResult row;
+  row.plan = plan;
+  return run_supervised(opts, row, [id, plan, n, opts](RunResult& r) {
+    r = run_with_plan_impl(id, plan, n, opts);
+  });
 }
 
 MissRates run_jacobi2d_missrates(long n, const RunOptions& opts, long p1) {

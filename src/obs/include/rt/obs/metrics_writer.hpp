@@ -1,9 +1,8 @@
 #pragma once
-// Minimal JSON metrics emitter: the C++ replacement for the jq reshaping in
-// scripts/bench_to_json.sh.  Benches build flat records (one per measured
-// configuration), MetricsWriter serializes them as a JSON array matching
-// the results/BENCH_*.json schema — stable key order, correct string
-// escaping, round-trippable numbers.
+// Minimal JSON metrics emitter for the bench artifacts.  Benches build flat
+// records (one per measured configuration), MetricsWriter serializes them
+// as a JSON array matching the results/BENCH_*.json schema — stable key
+// order, correct string escaping, round-trippable numbers.
 //
 // Deliberately not a JSON parser or a general DOM: JsonValue supports
 // exactly what the schema needs (null, bool, integer, double, string,
