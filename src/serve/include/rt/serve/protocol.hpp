@@ -35,11 +35,13 @@
 //               "sweep_ms": 0.4, "checksum_ms": 0.2}}
 // `status` is a stable rt::guard token ("ok", "invalid_argument",
 // "overloaded", "timeout", ...); `checksum` is checksum_region of the
-// result grid (a word-wise 4-lane hash of its logical region, see below),
-// the bit-identity witness the tests and the e2e benchmark compare against
-// the batch-binary solve paths.  Checksum values are comparable only
-// between servers of the same version: the hash replaced a byte-wise
-// FNV-1a once, which changed every served value.  `simd` and
+// result grid (a sum of keyed per-point mixes over its logical region,
+// see below), the bit-identity witness the tests and the e2e benchmark
+// compare against the batch-binary solve paths.  Checksum values are
+// comparable only between servers of the same version: the definition
+// has changed twice, each time changing every served value (a 4-lane
+// word hash replaced a byte-wise FNV-1a, then the keyed sum replaced the
+// lanes so that partials compose).  `simd` and
 // `threads` are the row-kernel level and solver threads that ran;
 // `timing` splits the request's time into stages (group_ms is this
 // member's own dedup group; init/sweep/checksum are inside it).
@@ -146,14 +148,16 @@ rt::guard::Status write_frame(int fd, const std::string& payload,
 /// each connect).  kOk, or kIoError with the setsockopt errno text.
 rt::guard::Status set_nodelay(int fd, std::string* detail = nullptr);
 
-/// Bit-exact witness of a solve result: rt::simd::checksum, a hash of the
-/// 64-bit patterns of every element of the *logical* region (padding
-/// excluded — two plans with different pads must hash equal when the
-/// answers are equal).  Each K plane hashes its rows in four independent
-/// lanes (element i into lane i mod 4, step lane = rotl((lane ^ w) * M, r));
-/// the planes combine in plane order.  Changing any single element changes
-/// the value, and the value is the same inline and for every @p pool width
-/// (nullptr = hash inline on the calling thread).
+/// Bit-exact witness of a solve result: rt::simd::checksum, the sum mod
+/// 2^64 over every point of the *logical* region (padding excluded — two
+/// plans with different pads must hash equal when the answers are equal)
+/// of (rotl(w, 1) ^ key) * key, w the value's 64-bit pattern and key an
+/// odd function of the point's (i, j, k).  Changing any single element
+/// changes the value; partials over any split of the grid add up to it,
+/// so it is the same inline and for every @p pool width (nullptr = hash
+/// inline on the calling thread), and a served JACOBI solve computes it
+/// inside its last step (run_solve) instead of reading the grid again.
+/// Values are comparable only between servers of the same version.
 std::uint64_t checksum_region(const rt::array::Array3D<double>& a,
                               rt::par::ThreadPool* pool = nullptr);
 

@@ -76,10 +76,13 @@ struct SolveOutcome {
   std::uint64_t checksum = 0;  ///< checksum_region of the result grid
   int iters = 0;               ///< sweeps / V-cycles executed
   double residual = 0;         ///< final residual (apps; 0 for kernels)
-  /// Where run_solve's time went.  Kernel paths: the grid writes that are
-  /// not steps (init, and JACOBI's final shell), the step loop,
-  /// checksum_region.  Apps: solver construct + setup, the iterations
-  /// (with the residual norm), checksum_region.
+  /// Where run_solve's time went.  Kernel paths: the init, the step loop,
+  /// the checksum.  JACOBI with tsteps >= 1 folds the checksum into its
+  /// last step, so its in-sweep cost is in sweep_ms and checksum_ms is the
+  /// pass that writes and hashes arrays[0]'s final shell plus the add;
+  /// every other kernel path's checksum_ms is checksum_region.  Apps:
+  /// solver construct + setup, the iterations (with the residual norm),
+  /// checksum_region.
   double init_ms = 0;
   double sweep_ms = 0;
   double checksum_ms = 0;
@@ -100,7 +103,9 @@ struct SolveOutcome {
 ///     other buffer, so the last step lands in arrays[0]; the other buffer
 ///     gets only its boundary shell, and only when tsteps >= 2 (a step
 ///     reads it).  After the last step arrays[0]'s shell is rewritten at
-///     its own scale.  16 B per point per step instead of 32.
+///     its own scale.  16 B per point per step instead of 32.  The last
+///     step also hashes the interior it writes, and the shell pass hashes
+///     the shell, so the checksum never reads arrays[0] again.
 ///   * RESID: the output arrays[0] gets only its shell (every step
 ///     overwrites its interior); v and u are initialised in full.
 /// The result, arrays[0], is bit-identical to the reference for every
@@ -109,10 +114,10 @@ struct SolveOutcome {
 /// Full-grid inits go through rt::simd::init_grid (same bits as
 /// rt::kernels::init_grid), streaming past the last-level cache.
 /// @p pool (optional) runs the executor's work items, the init and the
-/// checksum's per-plane partials (every path) in parallel — results stay
-/// bit-identical to serial, every grid point is computed independently
-/// with the same FP order, and the checksum combines its partials in plane
-/// order.  @p app_threads sizes the MGRID/SOR solvers'
+/// checksum's partials (every path) in parallel — results stay
+/// bit-identical to serial: every grid point is computed independently
+/// with the same FP order, and the checksum's partials add mod 2^64, in
+/// any order.  @p app_threads sizes the MGRID/SOR solvers'
 /// internal pools.
 ///
 /// Deadline safety: reads/writes only its arguments; checks the rt::guard

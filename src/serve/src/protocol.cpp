@@ -386,7 +386,10 @@ rt::guard::Status set_nodelay(int fd, std::string* detail) {
 
 std::uint64_t checksum_region(const rt::array::Array3D<double>& a,
                               rt::par::ThreadPool* pool) {
-  return rt::simd::checksum(rt::simd::Exec{pool}, a);
+  // Integer arithmetic: every level gives the same value, so take the
+  // widest.
+  return rt::simd::checksum(
+      rt::simd::Exec{pool, rt::simd::resolve(rt::simd::SimdMode::kAuto)}, a);
 }
 
 std::string checksum_hex(std::uint64_t h) {

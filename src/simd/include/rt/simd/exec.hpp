@@ -56,8 +56,11 @@
 //
 // Reductions go through one primitive, reduce_planes: one partial per K
 // plane (on the pool or inline), combined serially in plane order, so a
-// reduced value never depends on the pool width.  The grid checksum and
-// sum_squares (the multigrid L2 residual norm) are built on it.
+// reduced value never depends on the pool width.  sum_squares (the
+// multigrid L2 residual norm) is built on it.  The grid checksum is a sum
+// mod 2^64 of per-point terms, so its partials add in any order: over
+// planes in the standalone pass, and over the work items of JACOBI's last
+// step when run_steps folds it into that step (the checksum fold).
 
 #include <cstdint>
 #include <functional>
@@ -213,20 +216,25 @@ T reduce_planes(const Exec& ex, long n3, T init, const Partial& partial,
   return init;
 }
 
-/// Bit-exact witness of a grid's contents: a word-wise hash of every
-/// element of the *logical* region (padding excluded, so differently
-/// padded grids with equal contents hash equal).
-///   * Each K plane hashes its elements' 64-bit patterns row by row (j
-///     ascending); element i of a row feeds lane i mod 4 of four
-///     independent lanes, each stepped as lane = rotl((lane ^ w) * M, 29)
-///     with M odd.  The four lanes then fold into the plane's partial with
-///     the same step, lane 0 first.
-///   * Planes combine with that step too, in plane order, through
-///     reduce_planes — the value is the same for every pool width.
-/// Every step is a bijection of the running state for a fixed input word
-/// and injective in the word, so changing any single element always
-/// changes the hash; the rotate carries high-bit differences down, so two
-/// sign flips in one lane do not cancel.
+/// Bit-exact witness of a grid's contents: over every point (i, j, k) of
+/// the *logical* region (padding excluded, so differently padded grids
+/// with equal contents hash equal), the sum mod 2^64 of
+///   mix(w, key) = (rotl(w, 1) ^ key) * key,
+/// w the value's 64-bit pattern and key = row_key(j, k) + i * S, where
+/// row_key(j, k) is splitmix64(j + 2^32 k) with bit 0 set and S is the
+/// even constant 0x3c6ef372fe94f82a (so every key is odd, and a row steps
+/// its key by one add).
+///   * For a fixed key, mix is a bijection of w, so changing any single
+///     element always changes the sum.
+///   * The rotate sends the sign bit to bit 0, where a flip moves the term
+///     by +-key: two sign flips cancel only if their keys are equal or
+///     opposite mod 2^64.  (The bit rotated into bit 63, w's bit 62, moves
+///     its term by 2^63 whatever the key, so two flips of it do cancel.)
+///   * The key is the logical position, so shape and plane order matter.
+/// The partials of any boxes that cover the region once add up to the
+/// checksum (checksum_sweep), so the value is the same for every pool
+/// width, level and split.  The standalone pass runs one partial per K
+/// plane at ex.lvl.
 std::uint64_t checksum(const Exec& ex, const Array3D<double>& a);
 
 /// Sum of squares over the interior (1 .. n-2 in each dimension; ghosts
@@ -259,9 +267,20 @@ double sum_squares(const Exec& ex, const Array3D<double>& a);
 /// step is one rt::guard kHang fault point (checked on the calling thread
 /// before the step; a temporal run checks all of them before it starts).
 /// Bit-identical for every pool width, level, plan and schedule.
+/// With @p checksum, run_steps also adds to *checksum the checksum partial
+/// of arrays[0]'s interior (points 1 .. n-2 on every axis) after the steps;
+/// the caller adds the shell's (init_shell).  Spatial JACOBI with
+/// tsteps >= 1 folds it into the last step: each work item keeps its own
+/// partial of the values it writes (mixed in the row bodies before they
+/// are stored; hashed after each box at kScalar), and the partials add up
+/// after the step's barrier, so arrays[0] is never read again.  Every
+/// other run (tsteps <= 0, other kernels, temporal plans) reads the
+/// interior once more after its steps.  The grid bits are the same with
+/// or without it.
 void run_steps(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
                std::vector<Array3D<double>>& arrays, int tsteps,
-               const rt::core::TemporalPlan& tp = {});
+               const rt::core::TemporalPlan& tp = {},
+               std::uint64_t* checksum = nullptr);
 
 // --- One call per operator, each bit-identical to its accessor kernel ---
 
@@ -269,6 +288,13 @@ void run_steps(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
 /// (padding untouched), one K plane per work item, with
 /// stores_for(ex, a); == rt::kernels::init_grid.
 void init_grid(const Exec& ex, Array3D<double>& a, double scale);
+
+/// a = rt::kernels::grid_value(scale, i, j, k) over the boundary shell
+/// only (== rt::kernels::init_grid_shell), one K plane per work item,
+/// with normal stores.  Returns the shell's checksum partial, each value
+/// mixed as it is written; with run_steps' interior partial it makes
+/// checksum(ex, a).
+std::uint64_t init_shell(const Exec& ex, Array3D<double>& a, double scale);
 
 /// a = c * (six face neighbours of b), with stores_for(ex, a);
 /// == rt::kernels::jacobi3d.

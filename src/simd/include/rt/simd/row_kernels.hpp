@@ -25,6 +25,8 @@
 // back to back; AVX-512F: one 64 B store).  A streaming sweep ends with
 // _mm_sfence(), so its stores are globally visible before it returns.
 // Every other level and policy stores normally, with the same bits.
+// jacobi and init can also add the checksum of what they write, mixed in
+// registers on the way to the store (the checksum fold, rt/simd/exec.hpp).
 //
 // RESID and PSINV follow the term tables' zero-coefficient rule: with
 // a[1] == 0 (RESID) or c[3] == 0 (PSINV), NAS MG's sets, the sweep runs a
@@ -44,6 +46,8 @@
 // x [klo,khi): one work item of the executor (rt/simd/exec.hpp), which
 // turns a plan's schedule into those boxes.
 
+#include <cstdint>
+
 #include "rt/array/array3d.hpp"
 #include "rt/kernels/psinv.hpp"
 #include "rt/kernels/resid.hpp"
@@ -56,10 +60,13 @@ using rt::array::Array3D;
 /// Smoother coefficients (centre, faces, edges, corners).
 using PsinvCoeffs = rt::kernels::SmootherCoeffs;
 
-/// a(i,j,k) = c * (six face neighbours of b); a and b share dims.
+/// a(i,j,k) = c * (six face neighbours of b); a and b share dims.  With
+/// @p sum, also adds the checksum_sweep of the values it writes to *sum,
+/// each mixed before it is stored.
 void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,
                   long ilo, long ihi, long jlo, long jhi, long klo, long khi,
-                  SimdLevel lvl, Stores st = Stores::kNormal);
+                  SimdLevel lvl, Stores st = Stores::kNormal,
+                  std::uint64_t* sum = nullptr);
 
 /// dst = src over the box.
 void copy_sweep(Array3D<double>& dst, const Array3D<double>& src, long ilo,
@@ -68,9 +75,17 @@ void copy_sweep(Array3D<double>& dst, const Array3D<double>& src, long ilo,
 
 /// a(i,j,k) = rt::kernels::grid_value(scale, i, j, k) over a box of the
 /// *logical* region (boundaries included).  Every index must fit in an int.
+/// With @p sum, also adds the box's checksum_sweep to *sum, as jacobi_sweep.
 void init_sweep(Array3D<double>& a, double scale, long ilo, long ihi,
                 long jlo, long jhi, long klo, long khi, SimdLevel lvl,
-                Stores st = Stores::kNormal);
+                Stores st = Stores::kNormal, std::uint64_t* sum = nullptr);
+
+/// The checksum's partial over a box of the logical region: the sum mod
+/// 2^64 of its points' terms (rt::simd::checksum).  Partials over boxes
+/// that cover a region once add up to the region's checksum.
+std::uint64_t checksum_sweep(const Array3D<double>& a, long ilo, long ihi,
+                             long jlo, long jhi, long klo, long khi,
+                             SimdLevel lvl);
 
 /// One colour of red-black SOR over the box ((i+j+k) % 2 == parity).
 void redblack_sweep(Array3D<double>& a, double c1, double c2, long parity,

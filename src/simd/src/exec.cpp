@@ -1,8 +1,8 @@
 #include "rt/simd/exec.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <climits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -35,40 +35,6 @@ namespace {
 
 using detail::run_items;
 
-constexpr std::uint64_t kHashMul = 0x9e3779b97f4a7c15ull;  // odd
-constexpr int kHashRot = 29;
-constexpr std::uint64_t kHashInit = 0x243f6a8885a308d3ull;
-
-/// One hash step: a bijection of @p h for a fixed @p w, injective in @p w
-/// for a fixed @p h (odd multiplier, then a rotate).
-std::uint64_t hash_step(std::uint64_t h, std::uint64_t w) {
-  return std::rotl((h ^ w) * kHashMul, kHashRot);
-}
-
-std::uint64_t word(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-/// Partial of K plane @p k: four lanes over each row's words (element i
-/// into lane i mod 4), folded lane 0 first.
-std::uint64_t plane_hash(const Array3D<double>& a, long k) {
-  std::uint64_t l0 = 0x13198a2e03707344ull, l1 = 0xa4093822299f31d0ull,
-                l2 = 0x082efa98ec4e6c89ull, l3 = 0x452821e638d01377ull;
-  const long n1 = a.n1();
-  for (long j = 0; j < a.n2(); ++j) {
-    const double* row = &a(0, j, k);
-    long i = 0;
-    for (; i + 4 <= n1; i += 4) {
-      l0 = hash_step(l0, word(row[i]));
-      l1 = hash_step(l1, word(row[i + 1]));
-      l2 = hash_step(l2, word(row[i + 2]));
-      l3 = hash_step(l3, word(row[i + 3]));
-    }
-    if (i < n1) l0 = hash_step(l0, word(row[i]));
-    if (i + 1 < n1) l1 = hash_step(l1, word(row[i + 1]));
-    if (i + 2 < n1) l2 = hash_step(l2, word(row[i + 2]));
-  }
-  return hash_step(hash_step(hash_step(l0, l1), l2), l3);
-}
-
 /// Partial of interior K plane @p k of sum_squares: 8 lanes keyed by
 /// (i - 1) mod 8, folded pairwise.
 double plane_sum_squares(const Array3D<double>& a, long k) {
@@ -84,6 +50,19 @@ double plane_sum_squares(const Array3D<double>& a, long k) {
     for (int q = 0; i + q < ni; ++q) l[q] += row[i + q] * row[i + q];
   }
   return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+}
+
+/// The checksum partial of @p a's points at least @p d from every face
+/// (0: the whole grid, 1: the interior), one item per K plane.
+std::uint64_t inset_checksum(const Exec& ex, const Array3D<double>& a,
+                             long d) {
+  return reduce_planes(
+      ex, a.n3() - 2 * d, std::uint64_t{0},
+      [&](long k) {
+        return checksum_sweep(a, d, a.n1() - d, d, a.n2() - d, k + d,
+                              k + d + 1, ex.lvl);
+      },
+      std::plus<>{});
 }
 
 }  // namespace
@@ -119,9 +98,18 @@ long slab_count(long n1, long nj, int width, long l2_bytes) {
   return std::min(c, nj);
 }
 
-void for_each_block(const Exec& ex, const TilingPlan& plan, long n1, long n2,
-                    long n3, const BlockFn& body) {
-  if (n1 < 3 || n2 < 3 || n3 < 3) return;  // no interior point
+namespace {
+
+/// for_each_block's work items, each with its index m: sized(count) runs
+/// once, before any item, then body(m, ilo, ihi, jlo, jhi, klo, khi) for
+/// every m in [0, count).
+template <class Sized, class Body>
+void for_each_item(const Exec& ex, const TilingPlan& plan, long n1, long n2,
+                   long n3, const Sized& sized, const Body& body) {
+  if (n1 < 3 || n2 < 3 || n3 < 3) {  // no interior point
+    sized(0);
+    return;
+  }
   const rt::core::IterTile t = plan.tile;
   if (plan.schedule == rt::core::LoopSchedule::kRecursive) {
     struct Leaf {
@@ -132,31 +120,46 @@ void for_each_block(const Exec& ex, const TilingPlan& plan, long n1, long n2,
             [&](long ilo, long ihi, long jlo, long jhi) {
               leaves.push_back({ilo, ihi, jlo, jhi});
             });
+    sized(static_cast<long>(leaves.size()));
     run_items(ex, static_cast<long>(leaves.size()), [&](long idx) {
       const Leaf& l = leaves[static_cast<std::size_t>(idx)];
-      body(l.ilo, l.ihi, l.jlo, l.jhi, 1, n3 - 1);
+      body(idx, l.ilo, l.ihi, l.jlo, l.jhi, 1, n3 - 1);
     });
   } else if (plan.tiled && t.ti > 0 && t.tj > 0) {
     const long nti = (n1 - 2 + t.ti - 1) / t.ti;
     const long ntj = (n2 - 2 + t.tj - 1) / t.tj;
+    sized(nti * ntj);
     run_items(ex, nti * ntj, [&](long idx) {
       const long jj = 1 + (idx / nti) * t.tj;
       const long ii = 1 + (idx % nti) * t.ti;
-      body(ii, std::min(ii + t.ti, n1 - 1), jj, std::min(jj + t.tj, n2 - 1),
-           1, n3 - 1);
+      body(idx, ii, std::min(ii + t.ti, n1 - 1), jj,
+           std::min(jj + t.tj, n2 - 1), 1, n3 - 1);
     });
   } else if (ex.pool == nullptr) {
-    body(1, n1 - 1, 1, n2 - 1, 1, n3 - 1);
+    sized(1);
+    body(0, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1);
   } else {
     const long nj = n2 - 2;
     const long count =
         slab_count(n1, nj, ex.pool->num_threads(),
                    rt::core::host_cache_topology().data_bytes(2));
+    sized(count);
     run_items(ex, count, [&](long m) {
-      body(1, n1 - 1, 1 + nj * m / count, 1 + nj * (m + 1) / count, 1,
+      body(m, 1, n1 - 1, 1 + nj * m / count, 1 + nj * (m + 1) / count, 1,
            n3 - 1);
     });
   }
+}
+
+}  // namespace
+
+void for_each_block(const Exec& ex, const TilingPlan& plan, long n1, long n2,
+                    long n3, const BlockFn& body) {
+  for_each_item(
+      ex, plan, n1, n2, n3, [](long) {},
+      [&](long, long i0, long i1, long j0, long j1, long k0, long k1) {
+        body(i0, i1, j0, j1, k0, k1);
+      });
 }
 
 void for_each_step_block(const Exec& ex, const rt::core::TemporalPlan& tp,
@@ -215,9 +218,7 @@ void for_each_step_block(const Exec& ex, const rt::core::TemporalPlan& tp,
 }
 
 std::uint64_t checksum(const Exec& ex, const Array3D<double>& a) {
-  return reduce_planes(
-      ex, a.n3(), kHashInit, [&](long k) { return plane_hash(a, k); },
-      hash_step);
+  return inset_checksum(ex, a, 0);
 }
 
 double sum_squares(const Exec& ex, const Array3D<double>& a) {
@@ -236,6 +237,31 @@ void fault_point() {
   if (rt::guard::FaultInjector::armed(rt::guard::FaultKind::kHang)) {
     rt::guard::FaultInjector::instance().hang_point();
   }
+}
+
+/// JACOBI's last step, a = c * (neighbours of b) with the checksum fold:
+/// each work item adds the partial of the values it writes to its own
+/// slot (the row bodies mix each value before storing it; the kScalar
+/// accessor nest hashes its box after writing it), and the slots add up
+/// after the barrier.
+std::uint64_t jacobi_fold(const Exec& ex, const TilingPlan& plan,
+                          Array3D<double>& a, const Array3D<double>& b) {
+  const Stores st = stores_for(ex, a);
+  std::vector<std::uint64_t> parts;
+  for_each_item(
+      ex, plan, a.n1(), a.n2(), a.n3(),
+      [&](long count) { parts.assign(static_cast<std::size_t>(count), 0); },
+      [&](long m, long i0, long i1, long j0, long j1, long k0, long k1) {
+        std::uint64_t& part = parts[static_cast<std::size_t>(m)];
+        if (ex.lvl == SimdLevel::kScalar) {
+          rt::kernels::jacobi3d(a, b, kJacobiC, i0, i1, j0, j1, k0, k1);
+          part = checksum_sweep(a, i0, i1, j0, j1, k0, k1, ex.lvl);
+        } else {
+          jacobi_sweep(a, b, kJacobiC, i0, i1, j0, j1, k0, k1, ex.lvl, st,
+                       &part);
+        }
+      });
+  return std::accumulate(parts.begin(), parts.end(), std::uint64_t{0});
 }
 
 /// One step of @p id on @p x; JACOBI writes x[dst] from x[1 - dst].
@@ -296,7 +322,7 @@ void step(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
 
 void run_steps(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
                std::vector<Array3D<double>>& arrays, int tsteps,
-               const rt::core::TemporalPlan& tp) {
+               const rt::core::TemporalPlan& tp, std::uint64_t* checksum) {
   if (tp.mode != rt::core::TemporalMode::kOff) {
     if (id != rt::kernels::KernelId::kJacobi) {
       throw std::invalid_argument(
@@ -321,11 +347,22 @@ void run_steps(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
                          Stores::kNormal);
           }
         });
+    if (checksum != nullptr) *checksum += inset_checksum(ex, arrays[0], 1);
     return;
   }
+  const bool fold = checksum != nullptr &&
+                    id == rt::kernels::KernelId::kJacobi && tsteps > 0;
   for (int s = 0; s < tsteps; ++s) {
     fault_point();
-    step(ex, id, plan, arrays, static_cast<std::size_t>((tsteps - 1 - s) % 2));
+    if (fold && s == tsteps - 1) {
+      *checksum += jacobi_fold(ex, plan, arrays[0], arrays[1]);
+    } else {
+      step(ex, id, plan, arrays,
+           static_cast<std::size_t>((tsteps - 1 - s) % 2));
+    }
+  }
+  if (checksum != nullptr && !fold) {
+    *checksum += inset_checksum(ex, arrays[0], 1);
   }
 }
 
@@ -339,6 +376,33 @@ void init_grid(const Exec& ex, Array3D<double>& a, double scale) {
   run_items(ex, n3, [&](long k) {
     init_sweep(a, scale, 0, n1, 0, n2, k, k + 1, ex.lvl, st);
   });
+}
+
+std::uint64_t init_shell(const Exec& ex, Array3D<double>& a, double scale) {
+  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
+  if (n1 > INT_MAX) {  // init_sweep converts i through int
+    rt::kernels::init_grid_shell(a, scale, ex.pool);
+    return checksum(ex, a) - inset_checksum(ex, a, 1);
+  }
+  return reduce_planes(
+      ex, n3, std::uint64_t{0},
+      [&](long k) {
+        std::uint64_t sum = 0;
+        const auto box = [&](long i0, long i1, long j0, long j1) {
+          init_sweep(a, scale, i0, i1, j0, j1, k, k + 1, ex.lvl,
+                     Stores::kNormal, &sum);
+        };
+        if (k == 0 || k == n3 - 1 || n1 <= 2 || n2 <= 2) {
+          box(0, n1, 0, n2);  // every point of the plane is on the shell
+        } else {
+          box(0, n1, 0, 1);
+          box(0, n1, n2 - 1, n2);
+          box(0, 1, 1, n2 - 1);
+          box(n1 - 1, n1, 1, n2 - 1);
+        }
+        return sum;
+      },
+      std::plus<>{});
 }
 
 void jacobi(const Exec& ex, const TilingPlan& plan, Array3D<double>& a,

@@ -1,9 +1,11 @@
 #include "rt/simd/row_kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <climits>
 #include <cstdint>
+#include <cstring>
 
 #include "rt/core/stencil_terms.hpp"
 #include "rt/kernels/kernel_info.hpp"
@@ -45,6 +47,40 @@ class Rows {
  private:
   const double* row_[3][3];
 };
+
+/// The checksum's term (rt::simd::checksum): point (i, j, k) has the key
+/// row_key(j, k) + i * kKeyStep, odd for every point (row_key is odd,
+/// kKeyStep even), so a row steps its key by one add; a value mixes as
+/// (rotl(bits, 1) ^ key) * key.
+constexpr std::uint64_t kKeyStep = 0x3c6ef372fe94f82aull;  // 2 * golden ratio
+
+/// splitmix64 of j + 2^32 k, made odd.
+constexpr std::uint64_t row_key(long j, long k) {
+  std::uint64_t z = static_cast<std::uint64_t>(j) +
+                    (static_cast<std::uint64_t>(k) << 32) +
+                    0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return (z ^ (z >> 31)) | 1;
+}
+
+/// sum += the mix of the 64 bits w under an odd key, on one word or on a
+/// vector of them (by reference: a vector argument would change the ABI).
+/// For a fixed key the mix is a bijection of w.  The rotate moves the sign
+/// bit to bit 0, where a flip changes the product by +-key, so two sign
+/// flips cancel only if their keys are equal or opposite mod 2^64.
+template <class W>
+constexpr void add_mix(W& sum, const W& w, const W& key) {
+  sum += (((w << 1) | (w >> 63)) ^ key) * key;
+}
+
+/// One 64 B line's words.
+using LineWords =
+    std::uint64_t __attribute__((vector_size(kVecDoubles * sizeof(double))));
+
+constexpr std::uint64_t bits(double v) {
+  return std::bit_cast<std::uint64_t>(v);
+}
 
 #define RT_SIMD_RESTRICT __restrict__
 #define RT_SIMD_CAT2(a, b) a##_##b
@@ -112,10 +148,12 @@ class Rows {
 /// One stamp's row bodies.  A streaming stamp's write-only bodies are its
 /// own; its compute bodies are those of the normal stamp of its ISA.
 /// RESID and PSINV have both instantiations, indexed by the Full flag.
+/// jacobi and init are indexed by their checksum flag.
 struct Stamp {
-  decltype(&jacobi_sweep_base) jacobi;
+  decltype(&jacobi_sweep_base<true>) jacobi[2];
   decltype(&copy_sweep_base) copy;
-  decltype(&init_sweep_base) init;
+  decltype(&init_sweep_base<true>) init[2];
+  decltype(&checksum_sweep_base) checksum;
   decltype(&redblack_sweep_base) redblack;
   decltype(&redblack_rhs_sweep_base) redblack_rhs;
   decltype(&resid_sweep_base<true>) resid[2];
@@ -126,9 +164,10 @@ struct Stamp {
 
 // isa: the compute bodies' suffix; w: the write-only bodies'.
 #define RT_SIMD_STAMP(isa, w)                                          \
-  Stamp{jacobi_sweep_##w,                                              \
+  Stamp{{jacobi_sweep_##w<false>, jacobi_sweep_##w<true>},            \
         copy_sweep_##w,                                                \
-        init_sweep_##w,                                                \
+        {init_sweep_##w<false>, init_sweep_##w<true>},                 \
+        checksum_sweep_##isa,                                          \
         redblack_sweep_##isa,                                          \
         redblack_rhs_sweep_##isa,                                      \
         {resid_sweep_##isa<false>, resid_sweep_##isa<true>},           \
@@ -164,11 +203,12 @@ SimdLevel detail::stamp_level(SimdLevel lvl, CpuFeatures cpu) {
 
 void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,
                   long ilo, long ihi, long jlo, long jhi, long klo, long khi,
-                  SimdLevel lvl, Stores st) {
+                  SimdLevel lvl, Stores st, std::uint64_t* sum) {
   assert(a.dims() == b.dims());
-  stamp(lvl, st).jacobi(a.data(), b.data(), a.dims().column_stride(),
-                        a.dims().plane_stride(), c, ilo, ihi, jlo, jhi, klo,
-                        khi);
+  const std::uint64_t part = stamp(lvl, st).jacobi[sum != nullptr](
+      a.data(), b.data(), a.dims().column_stride(), a.dims().plane_stride(), c,
+      ilo, ihi, jlo, jhi, klo, khi);
+  if (sum != nullptr) *sum += part;
 }
 
 void copy_sweep(Array3D<double>& dst, const Array3D<double>& src, long ilo,
@@ -182,11 +222,20 @@ void copy_sweep(Array3D<double>& dst, const Array3D<double>& src, long ilo,
 
 void init_sweep(Array3D<double>& a, double scale, long ilo, long ihi,
                 long jlo, long jhi, long klo, long khi, SimdLevel lvl,
-                Stores st) {
+                Stores st, std::uint64_t* sum) {
   assert(ihi <= INT_MAX);
-  stamp(lvl, st).init(a.data(), a.dims().column_stride(),
-                      a.dims().plane_stride(), scale, ilo, ihi, jlo, jhi, klo,
-                      khi);
+  const std::uint64_t part = stamp(lvl, st).init[sum != nullptr](
+      a.data(), a.dims().column_stride(), a.dims().plane_stride(), scale, ilo,
+      ihi, jlo, jhi, klo, khi);
+  if (sum != nullptr) *sum += part;
+}
+
+std::uint64_t checksum_sweep(const Array3D<double>& a, long ilo, long ihi,
+                             long jlo, long jhi, long klo, long khi,
+                             SimdLevel lvl) {
+  return stamp(lvl).checksum(a.data(), a.dims().column_stride(),
+                             a.dims().plane_stride(), ilo, ihi, jlo, jhi, klo,
+                             khi);
 }
 
 void redblack_sweep(Array3D<double>& a, double c1, double c2, long parity,

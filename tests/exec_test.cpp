@@ -37,9 +37,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <mutex>
 #include <stdexcept>
@@ -1247,6 +1249,179 @@ TEST(ExecStream, TemporalPlansStoreNormallyAndMatchPingPong) {
                               3, threads));
       EXPECT_TRUE(logical_equal(want[0], got[0]))
           << "tsteps " << tsteps << describe(ex);
+    }
+  }
+}
+
+// --- The checksum: its definition, the shell init and the fold ---
+
+/// The checksum written out point by point: key(i, j, k) =
+/// (splitmix64(j + 2^32 k) | 1) + i * S, term (rotl(w, 1) ^ key) * key.
+std::uint64_t checksum_oracle(const Array3D<double>& a) {
+  std::uint64_t sum = 0;
+  for (long k = 0; k < a.n3(); ++k) {
+    for (long j = 0; j < a.n2(); ++j) {
+      std::uint64_t z = static_cast<std::uint64_t>(j) +
+                        (static_cast<std::uint64_t>(k) << 32) +
+                        0x9e3779b97f4a7c15ull;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+      const std::uint64_t row = (z ^ (z >> 31)) | 1;
+      for (long i = 0; i < a.n1(); ++i) {
+        const std::uint64_t key =
+            row + static_cast<std::uint64_t>(i) * 0x3c6ef372fe94f82aull;
+        const std::uint64_t w = std::bit_cast<std::uint64_t>(a(i, j, k));
+        sum += (std::rotl(w, 1) ^ key) * key;
+      }
+    }
+  }
+  return sum;
+}
+
+/// The checksum partial of @p a's interior (every index 1 .. n-2).
+std::uint64_t interior_partial(const Array3D<double>& a) {
+  if (a.n1() < 3 || a.n2() < 3 || a.n3() < 3) return 0;
+  return checksum_sweep(a, 1, a.n1() - 1, 1, a.n2() - 1, 1, a.n3() - 1,
+                        SimdLevel::kRows);
+}
+
+/// Every level, inline and on 1, 2 and 4 threads; kAvx2 and kAvx512 also
+/// streaming, through a topology whose last level every test grid exceeds.
+std::vector<Exec> fold_execs(Runner& runner) {
+  std::vector<Exec> v;
+  for (const SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kRows,
+                              SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &runner.one,
+                          &runner.two, &runner.four}) {
+      v.push_back(Exec{p, lvl});
+      if (lvl >= SimdLevel::kAvx2) v.push_back(Exec{p, lvl, &tiny_llc()});
+    }
+  }
+  return v;
+}
+
+bool bits_equal(const Array3D<double>& a, const Array3D<double>& b) {
+  return a.dims().alloc_elems() == b.dims().alloc_elems() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(double) *
+                         static_cast<std::size_t>(a.dims().alloc_elems())) ==
+             0;
+}
+
+TEST(ExecChecksum, MatchesTheDefinition) {
+  // Rows shorter than, equal to and longer than a vector; padded grids
+  // (the key is the logical position, never the padded offset).
+  Runner runner;
+  for (const Shape& s : {Shape{1, 1, 1, 0, 0, 0, 0}, Shape{3, 2, 2, 0, 0, 0, 0},
+                         Shape{8, 3, 4, 0, 0, 0, 0}, Shape{19, 6, 5, 0, 0, 0, 0},
+                         Shape{12, 18, 8, 0, 0, 17, 23},
+                         Shape{130, 7, 4, 0, 0, 136, 9}}) {
+    const Array3D<double> a = make_grid(s.n1, s.n2, s.n3, 0.7, s.p1, s.p2);
+    const std::uint64_t want = checksum_oracle(a);
+    for (const Exec& ex : step_execs(runner)) {
+      EXPECT_EQ(checksum(ex, a), want) << describe(s) << describe(ex);
+    }
+  }
+}
+
+TEST(ExecChecksum, InitShellWritesTheShellAndReturnsItsPartial) {
+  Runner runner;
+  for (const Shape& s : {Shape{1, 1, 1, 0, 0, 0, 0}, Shape{2, 3, 4, 0, 0, 0, 0},
+                         Shape{3, 3, 3, 0, 0, 0, 0}, Shape{5, 1, 4, 0, 0, 0, 0},
+                         Shape{9, 7, 6, 0, 0, 0, 0},
+                         Shape{12, 18, 8, 0, 0, 17, 23}}) {
+    const Dims3 d = s.p1 > 0 ? Dims3::padded(s.n1, s.n2, s.n3, s.p1, s.p2)
+                             : Dims3::unpadded(s.n1, s.n2, s.n3);
+    Array3D<double> want(d, std::nan(""));
+    rt::kernels::init_grid_shell(want, 0.75);
+    for (const Exec& ex : step_execs(runner)) {
+      Array3D<double> got(d, std::nan(""));
+      const std::uint64_t shell = init_shell(ex, got, 0.75);
+      EXPECT_TRUE(bits_equal(want, got)) << describe(s) << describe(ex);
+      EXPECT_EQ(shell + interior_partial(got), checksum_oracle(got))
+          << describe(s) << describe(ex);
+    }
+  }
+}
+
+/// Cubic, non-cubic, padded (rows off a line boundary), and n1 not a
+/// multiple of 8 with rows long enough for whole streamed lines.
+const Shape kFoldShapes[] = {{10, 10, 10, 3, 4, 0, 0},
+                             {13, 7, 9, 5, 2, 0, 0},
+                             {12, 9, 8, 5, 4, 17, 11},
+                             {37, 6, 5, 9, 3, 0, 0}};
+
+TEST(ExecChecksum, FoldEqualsTheStandalonePass) {
+  // run_steps' JACOBI with a checksum sink: the grid bits are the
+  // oracle's, and the sink plus the shell's partial is the result's
+  // checksum, for every plan, pool width, level, store policy and tsteps.
+  Runner runner;
+  const std::vector<Exec> execs = fold_execs(runner);
+  for (const Shape& s : kFoldShapes) {
+    for (const Sched sched : {Sched::kUntiled, Sched::kFlat,
+                              Sched::kRecursive}) {
+      const TilingPlan plan = plan_of(sched, IterTile{s.ti, s.tj});
+      for (const int tsteps : {0, 1, 2, 3}) {
+        Grids want = make_grids(2, s, /*padded=*/false);
+        step_oracle(KernelId::kJacobi, tsteps, want);
+        for (const Exec& ex : execs) {
+          Grids got = make_grids(2, s, /*padded=*/true);
+          if (ex.caches != nullptr) {
+            ASSERT_EQ(stores_for(ex, got[0]), Stores::kStream);
+          }
+          std::uint64_t sum = 0;
+          run_steps(ex, KernelId::kJacobi, plan, got, tsteps, {}, &sum);
+          ASSERT_TRUE(logical_equal(want[0], got[0]))
+              << describe(s) << " tsteps " << tsteps << describe(ex);
+          EXPECT_EQ(sum, interior_partial(got[0]))
+              << describe(s) << " sched " << static_cast<int>(sched)
+              << " tsteps " << tsteps << describe(ex)
+              << (ex.caches != nullptr ? " stream" : "");
+          sum += init_shell(ex, got[0], 1.0);
+          EXPECT_EQ(sum, checksum(ex, got[0]))
+              << describe(s) << " tsteps " << tsteps << describe(ex);
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecChecksum, EveryOtherPathAddsTheInteriorsPartial) {
+  // REDBLACK, RESID, PSINV and temporal JACOBI plans read the interior
+  // once more after their steps; the bits are those of a run without it.
+  Runner runner;
+  const Shape s = kFoldShapes[2];
+  const TilingPlan plan = plan_of(Sched::kFlat, IterTile{s.ti, s.tj});
+  for (const Exec& ex : step_execs(runner)) {
+    for (const int tsteps : {-1, 0, 1, 2}) {
+      for (const KernelId id :
+           {KernelId::kRedBlack, KernelId::kResid, KernelId::kPsinv}) {
+        const int arrays = rt::kernels::kernel_info(id).num_arrays;
+        Grids want = make_grids(arrays, s, /*padded=*/true);
+        run_steps(ex, id, plan, want, tsteps);
+        Grids got = make_grids(arrays, s, /*padded=*/true);
+        std::uint64_t sum = 7;
+        run_steps(ex, id, plan, got, tsteps, {}, &sum);
+        EXPECT_TRUE(bits_equal(want[0], got[0]));
+        EXPECT_EQ(sum - 7, interior_partial(got[0]))
+            << rt::kernels::kernel_info(id).name << " tsteps " << tsteps
+            << describe(ex);
+      }
+      if (tsteps < 1) continue;
+      const int threads = ex.pool != nullptr ? ex.pool->num_threads() : 1;
+      for (const TemporalMode mode : {TemporalMode::kSkew,
+                                      TemporalMode::kDiamond}) {
+        const TemporalPlan tp =
+            temporal_plan(mode, s.n1, s.n2, s.n3, tsteps, 3, threads);
+        Grids want = make_grids(2, s, /*padded=*/true);
+        run_steps(ex, KernelId::kJacobi, TilingPlan{}, want, tsteps, tp);
+        Grids got = make_grids(2, s, /*padded=*/true);
+        std::uint64_t sum = 0;
+        run_steps(ex, KernelId::kJacobi, TilingPlan{}, got, tsteps, tp, &sum);
+        EXPECT_TRUE(bits_equal(want[0], got[0]));
+        EXPECT_EQ(sum, interior_partial(got[0]))
+            << "temporal tsteps " << tsteps << describe(ex);
+      }
     }
   }
 }

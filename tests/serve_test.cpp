@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +49,7 @@
 #include "rt/serve/protocol.hpp"
 #include "rt/serve/server.hpp"
 #include "rt/serve/solve.hpp"
+#include "rt/simd/exec.hpp"
 #include "rt/simd/simd.hpp"
 #include "rt/tune/plan_store.hpp"
 #include "tmpdir.hpp"
@@ -350,6 +352,10 @@ TEST(RunSolve, NaNFilledBuffersGiveTheSerialReferenceBits) {
                 << shape.n << "x" << shape.k << " "
                 << rt::core::transform_name(tr) << " tsteps=" << tsteps
                 << " pool=" << (pool ? pool->num_threads() : 0);
+            // The served value is the result grid's own checksum, whether
+            // the last JACOBI step folded it or a standalone pass read it.
+            EXPECT_EQ(out.checksum, checksum_region(arrays[0]))
+                << serve_kernel_name(kernel) << " tsteps=" << tsteps;
           }
         }
       }
@@ -387,14 +393,16 @@ TEST(RunSolve, BackToBackSolvesOfMixedParityReuseOneArraySet) {
 
 // --- checksum_region properties ---
 
-/// Logical shapes for the checksum properties: n1 below, at and off the
-/// lane count, non-cubic, single-plane and single-element grids.
+/// Logical shapes for the checksum properties: rows shorter than, equal to
+/// and off a vector's eight elements, non-cubic, single-plane and
+/// single-element grids.
 const std::vector<Dims3>& checksum_shapes() {
   static const std::vector<Dims3> shapes = {
       Dims3::unpadded(1, 1, 1),  Dims3::unpadded(3, 2, 2),
       Dims3::unpadded(4, 4, 4),  Dims3::unpadded(7, 5, 3),
       Dims3::unpadded(13, 4, 9), Dims3::unpadded(9, 11, 1),
-      Dims3::unpadded(6, 1, 17), Dims3::unpadded(20, 20, 20)};
+      Dims3::unpadded(6, 1, 17), Dims3::unpadded(8, 3, 2),
+      Dims3::unpadded(20, 20, 20)};
   return shapes;
 }
 
@@ -424,6 +432,10 @@ std::string shape_name(const Dims3& d) {
          std::to_string(d.n3);
 }
 
+const rt::simd::SimdLevel kChecksumLevels[] = {
+    rt::simd::SimdLevel::kScalar, rt::simd::SimdLevel::kRows,
+    rt::simd::SimdLevel::kAvx2, rt::simd::SimdLevel::kAvx512};
+
 TEST(Checksum, SameValueInlineAndForEveryPoolWidth) {
   rt::par::ThreadPool p1(1), p2(2), p4(4);
   for (const Dims3& d : checksum_shapes()) {
@@ -434,6 +446,11 @@ TEST(Checksum, SameValueInlineAndForEveryPoolWidth) {
         ASSERT_EQ(checksum_region(a, pool), want)
             << shape_name(d) << " on " << pool->num_threads() << " threads";
       }
+    }
+    // And at every row-kernel level: the mix is integer arithmetic.
+    for (const rt::simd::SimdLevel lvl : kChecksumLevels) {
+      EXPECT_EQ(rt::simd::checksum(rt::simd::Exec{&p2, lvl}, a), want)
+          << shape_name(d) << " at " << rt::simd::simd_level_name(lvl);
     }
   }
 }
@@ -458,7 +475,8 @@ TEST(Checksum, EverySingleBitFlipChangesTheValue) {
     const long step = d.n1 * d.n2 * d.n3 > 1000 ? 7 : 1;
     for (long e = 0; e < d.n1 * d.n2 * d.n3; e += step) {
       const long i = e % d.n1, j = (e / d.n1) % d.n2, k = e / (d.n1 * d.n2);
-      for (const int bit : {0, 52, 63}) {
+      // Bit 62 is the one the rotate carries into bit 63.
+      for (const int bit : {0, 52, 62, 63}) {
         flip_bit(a, i, j, k, bit);
         ASSERT_NE(checksum_region(a), base)
             << shape_name(d) << " (" << i << "," << j << "," << k << ") bit "
@@ -471,29 +489,61 @@ TEST(Checksum, EverySingleBitFlipChangesTheValue) {
   }
 }
 
-TEST(Checksum, TwoSignFlipsInOneLaneDoNotCancel) {
-  // Without the rotate, (h ^ w) * M leaves a sign-bit difference in bit 63
-  // alone, and the next sign flip in the same lane cancels it.  Pairs in
-  // one lane: the next word of the lane (i + 4), the same column one row
-  // up, and the far end of the plane.
+TEST(Checksum, TwoSignFlipsDoNotCancel) {
+  // A sign flip moves its point's term by +-key (the rotate sends the sign
+  // bit to bit 0 before the multiply by the odd key), so two flips cancel
+  // only if their keys are equal or opposite.  Without the rotate each
+  // flip would move the sum by 2^63 and any two would cancel.  Every pair
+  // of the grid is checked through the single-flip changes of the points'
+  // own partials (a pair's change is their sum: the terms are independent,
+  // AnyBoxSplitSumsToTheWhole), and pairs in one row, in one column,
+  // across a plane and across planes also directly on the whole grid.
+  using rt::simd::checksum_sweep;
   for (const Dims3& d : checksum_shapes()) {
     Array3D<double> a = checksum_grid(d);
     const std::uint64_t base = checksum_region(a);
-    for (long k = 0; k < d.n3; ++k) {
-      for (long i = 0; i < d.n1; ++i) {
-        std::vector<std::array<long, 2>> partners;  // (i, j) with j0 = 0
-        if (i + 4 < d.n1) partners.push_back({i + 4, 0});
-        if (d.n2 > 1) partners.push_back({i, 1});
-        if (d.n2 > 2) partners.push_back({i, d.n2 - 1});
-        for (const auto& [i2, j2] : partners) {
-          flip_bit(a, i, 0, k, 63);
-          flip_bit(a, i2, j2, k, 63);
-          ASSERT_NE(checksum_region(a), base)
-              << shape_name(d) << " plane " << k << ": (" << i << ",0) and ("
-              << i2 << "," << j2 << ")";
-          flip_bit(a, i, 0, k, 63);
-          flip_bit(a, i2, j2, k, 63);
-        }
+    const auto at = [&](long e) {
+      return std::array<long, 3>{e % d.n1, (e / d.n1) % d.n2,
+                                 e / (d.n1 * d.n2)};
+    };
+    const auto flip = [&](long e) {
+      const auto [i, j, k] = at(e);
+      flip_bit(a, i, j, k, 63);
+    };
+    const auto term = [&](long e) {
+      const auto [i, j, k] = at(e);
+      return checksum_sweep(a, i, i + 1, j, j + 1, k, k + 1,
+                            rt::simd::SimdLevel::kRows);
+    };
+    const long count = d.n1 * d.n2 * d.n3;
+    std::vector<std::uint64_t> change;
+    std::map<std::uint64_t, long> seen;  // change -> element
+    for (long e = 0; e < count; ++e) {
+      const std::uint64_t before = term(e);
+      flip(e);
+      change.push_back(term(e) - before);
+      flip(e);
+      const auto hit = seen.find(0 - change.back());
+      ASSERT_EQ(hit, seen.end())
+          << shape_name(d) << ": elements " << hit->second << " and " << e;
+      seen.emplace(change.back(), e);
+    }
+    // Every element of the small grids; a strided sample of the large one.
+    const long step = count > 1000 ? 7 : 1;
+    const long row = d.n1, plane = d.n1 * d.n2;
+    for (long e = 0; e < count; e += step) {
+      for (const long other : {e + 1, e + row, e + plane - 1, e + plane,
+                               count - 1 - e}) {
+        if (other <= e || other >= count) continue;
+        flip(e);
+        flip(other);
+        const std::uint64_t got = checksum_region(a);
+        ASSERT_NE(got, base)
+            << shape_name(d) << ": elements " << e << " and " << other;
+        EXPECT_EQ(got - base, change[static_cast<std::size_t>(e)] +
+                                  change[static_cast<std::size_t>(other)]);
+        flip(e);
+        flip(other);
       }
     }
     EXPECT_EQ(checksum_region(a), base);
@@ -516,6 +566,93 @@ TEST(Checksum, ShapeAndPlaneOrderMatter) {
   }
   EXPECT_NE(checksum_region(a), checksum_region(b));
   EXPECT_NE(checksum_region(a), checksum_region(swapped));
+}
+
+TEST(Checksum, AnyBoxSplitSumsToTheWhole) {
+  // The partials (rt::simd::checksum_sweep) of boxes that cover the
+  // logical region once add up, mod 2^64 and in any order, to
+  // checksum_region: J slabs, JI tiles, co_over leaves, single rows, and
+  // the fold's split (the interior's work items plus the shell).
+  using rt::simd::checksum_sweep;
+  rt::par::ThreadPool pool(3);
+  for (const Dims3& d : checksum_shapes()) {
+    for (const long p1 : {0L, d.n1 + 5}) {
+      const Array3D<double> a = checksum_grid(d, p1, p1 > 0 ? d.n2 + 1 : 0);
+      const std::uint64_t want = checksum_region(a);
+      const auto box = [&](long i0, long i1, long j0, long j1, long k0,
+                           long k1, rt::simd::SimdLevel lvl) {
+        return checksum_sweep(a, i0, i1, j0, j1, k0, k1, lvl);
+      };
+      for (const rt::simd::SimdLevel lvl : kChecksumLevels) {
+        const std::string at =
+            shape_name(d) + " p1=" + std::to_string(p1) + " at " +
+            rt::simd::simd_level_name(lvl);
+        for (const long slabs : {1L, 2L, 3L, 7L}) {
+          std::uint64_t sum = 0;
+          for (long m = slabs - 1; m >= 0; --m) {  // any order
+            sum += box(0, d.n1, d.n2 * m / slabs, d.n2 * (m + 1) / slabs, 0,
+                       d.n3, lvl);
+          }
+          EXPECT_EQ(sum, want) << at << " " << slabs << " J slabs";
+        }
+        for (const auto& [ti, tj] : {std::pair{1L, 1L}, std::pair{3L, 2L},
+                                     std::pair{8L, 5L}, std::pair{64L, 64L}}) {
+          std::uint64_t sum = 0;
+          for (long jj = 0; jj < d.n2; jj += tj) {
+            for (long ii = 0; ii < d.n1; ii += ti) {
+              sum += box(ii, std::min(ii + ti, d.n1), jj,
+                         std::min(jj + tj, d.n2), 0, d.n3, lvl);
+            }
+          }
+          EXPECT_EQ(sum, want) << at << " tile " << ti << "x" << tj;
+          std::uint64_t leaves = 0;
+          rt::simd::co_over(0, d.n1, 0, d.n2, ti, tj,
+                            [&](long i0, long i1, long j0, long j1) {
+                              leaves += box(i0, i1, j0, j1, 0, d.n3, lvl);
+                            });
+          EXPECT_EQ(leaves, want) << at << " co_over leaves " << ti << "x"
+                                  << tj;
+        }
+        std::uint64_t rows = 0;
+        for (long k = 0; k < d.n3; ++k) {
+          for (long j = 0; j < d.n2; ++j) {
+            rows += box(0, d.n1, j, j + 1, k, k + 1, lvl);
+          }
+        }
+        EXPECT_EQ(rows, want) << at << " single rows";
+      }
+      // The fold's split: the interior's work items on a pool, plus the
+      // six faces of the shell.
+      if (d.n1 < 3 || d.n2 < 3 || d.n3 < 3) continue;
+      const auto kRows = rt::simd::SimdLevel::kRows;
+      std::vector<std::uint64_t> items;
+      std::mutex m;
+      rt::core::TilingPlan tiled;
+      tiled.tiled = true;
+      tiled.tile = {3, 2};
+      for (const rt::core::TilingPlan& plan : {rt::core::TilingPlan{}, tiled}) {
+        items.clear();
+        rt::simd::for_each_block(
+            rt::simd::Exec{&pool}, plan, d.n1, d.n2, d.n3,
+            [&](long i0, long i1, long j0, long j1, long k0, long k1) {
+              const std::uint64_t part =
+                  checksum_sweep(a, i0, i1, j0, j1, k0, k1, kRows);
+              std::lock_guard<std::mutex> lock(m);
+              items.push_back(part);
+            });
+        std::uint64_t sum = 0;
+        for (const std::uint64_t part : items) sum += part;
+        sum += checksum_sweep(a, 0, d.n1, 0, d.n2, 0, 1, kRows);
+        sum += checksum_sweep(a, 0, d.n1, 0, d.n2, d.n3 - 1, d.n3, kRows);
+        sum += checksum_sweep(a, 0, d.n1, 0, 1, 1, d.n3 - 1, kRows);
+        sum += checksum_sweep(a, 0, d.n1, d.n2 - 1, d.n2, 1, d.n3 - 1, kRows);
+        sum += checksum_sweep(a, 0, 1, 1, d.n2 - 1, 1, d.n3 - 1, kRows);
+        sum += checksum_sweep(a, d.n1 - 1, d.n1, 1, d.n2 - 1, 1, d.n3 - 1,
+                              kRows);
+        EXPECT_EQ(sum, want) << shape_name(d) << " interior items + shell";
+      }
+    }
+  }
 }
 
 TEST_F(ServeFixture, BatchedResultsBitIdenticalToSingleRequest) {
