@@ -19,8 +19,9 @@
 #include "rt/simd/exec.hpp"
 
 int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+  // The problem is fixed; parsing still rejects unknown flags (exit 2)
+  // and honours --help and --csv.
+  rt::bench::parse_options(argc, argv);
   using rt::array::Array3D;
   using rt::array::Dims3;
   const auto spec = rt::core::StencilSpec::jacobi3d();

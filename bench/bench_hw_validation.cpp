@@ -4,7 +4,8 @@
 // loop, and prints the *measured* L1D / LLC load-miss-per-reference next to
 // the cachesim prediction.  The two machines differ (the model is a
 // direct-mapped UltraSparc2 L1, the host is associative — see
-// bench_ablation_assoc for why conflict effects largely vanish), so the
+// bench_figures' ablation_assoc spec for why conflict effects largely
+// vanish), so the
 // interesting signal is the trend across transforms, not equality: tiling
 // should never *raise* the measured miss ratios, and padding's conflict
 // repair shows up only where the host cache geometry resembles the model.

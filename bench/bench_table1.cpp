@@ -4,11 +4,15 @@
 
 #include <iostream>
 
+#include "rt/bench/options.hpp"
 #include "rt/bench/table.hpp"
 #include "rt/core/conflict.hpp"
 #include "rt/core/euc3d.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  // The problem is fixed; parsing still rejects unknown flags (exit 2)
+  // and honours --help and --csv.
+  rt::bench::parse_options(argc, argv);
   using namespace rt::core;
   const long cs = 2048, di = 200, dj = 200;
 

@@ -10,18 +10,28 @@ if [[ "${1:-}" == "--full" ]]; then
   FULL_FLAG="--full"
 fi
 
-cmake -B build -G Ninja
-cmake --build build
+# Configured as the tier-1 command configures it: an existing build/ keeps
+# its generator (naming one here would make CMake refuse a tree made with
+# another).
+cmake -B build -S .
+cmake --build build -j
 ctest --test-dir build 2>&1 | tee test_output.txt
 
 mkdir -p results
 {
   # Only the benches bench/CMakeLists.txt defines (CMake lists their paths
   # in build/bench/bench_targets.txt); a stale binary in build/bench whose
-  # source is gone never runs.
+  # source is gone never runs.  bench_figures is Table 3, Figures 14-21
+  # and the runner-based ablations in one run; its --json records hold the
+  # integer counts of every simulated cell.
   while read -r b; do
-    echo "===== $(basename "$b") ====="
-    "$b" ${FULL_FLAG}
+    name=$(basename "$b")
+    extra=()
+    if [[ $name == bench_figures ]]; then
+      extra=(--json=results/BENCH_15.json)
+    fi
+    echo "===== $name ====="
+    "$b" ${FULL_FLAG} ${extra[@]+"${extra[@]}"}
     echo
   done < build/bench/bench_targets.txt
 } 2>&1 | tee bench_output.txt
@@ -87,4 +97,4 @@ build/bench/bench_threads_scaling --threads=2 --nmin=130 --nstep=126 \
 
 echo "Done: test_output.txt, bench_output.txt, results/BENCH_3.json," \
      "results/BENCH_7.json, results/BENCH_9.json, results/BENCH_10.json," \
-     "results/BENCH_13.json, results/BENCH_14.json"
+     "results/BENCH_13.json, results/BENCH_14.json, results/BENCH_15.json"

@@ -14,6 +14,7 @@
 #include "rt/array/array3d.hpp"
 #include "rt/cachesim/config.hpp"
 #include "rt/cachesim/perf_model.hpp"
+#include "rt/cachesim/stats.hpp"
 #include "rt/core/plan.hpp"
 #include "rt/core/plan_cache.hpp"
 #include "rt/guard/status.hpp"
@@ -156,7 +157,10 @@ struct RunResult {
   rt::guard::VerifyMode verify_mode = rt::guard::VerifyMode::kOff;
   long nonfinite = 0;  ///< non-finite elements found across all arrays
   std::uint64_t sim_accesses = 0;
-  std::uint64_t sim_flops = 0;
+  /// The simulated counts (flops included) every sim_* field and miss rate
+  /// above derives from, all zero when simulation was off: price_sim
+  /// re-prices them under another clock without simulating again.
+  rt::cachesim::HierarchyStats sim;
   double mem_elems = 0;  ///< total allocated elements across all arrays
   /// Host-timing phase breakdown: the single warm-up step and every
   /// measured step (count == HwStats::iters when counters ran).
@@ -189,9 +193,30 @@ RunResult run_supervised(const RunOptions& opts, const RunResult& row,
 void sweep_nonfinite(const std::vector<rt::array::Array3D<double>>& arrays,
                      const RunOptions& opts, RunResult& res);
 
-/// Run one (kernel, transform, N) configuration on N x N x k_dim arrays.
+/// Set @p r's simulated fields from @p st: the counts themselves, the L1
+/// and global L2 miss rates, sim_accesses, and sim_mflops under @p perf.
+void price_sim(RunResult& r, const rt::cachesim::HierarchyStats& st,
+               const rt::cachesim::PerfModelParams& perf);
+
+/// Run one (kernel, transform, N) configuration on N x N x k_dim arrays:
+/// plan_kernel, then run_kernel_with_plan on the plan, stamped with the
+/// planner outcome (an overflowing plan is recorded, not run).
 RunResult run_kernel(rt::kernels::KernelId id, rt::core::Transform tr, long n,
                      const RunOptions& opts);
+
+/// @p run(rep.plan) stamped with the planner outcome, or, when the plan
+/// overflowed, the recorded skip (nothing run).  run_kernel and the
+/// figure driver's cell table both finish a plan_kernel this way.
+RunResult run_planned(
+    const rt::core::PlanReport& rep,
+    const std::function<RunResult(const rt::core::TilingPlan&)>& run);
+
+/// run_kernel's planning step: through opts.plan_cache when set (pinned
+/// autotuned winners are served ahead of the model search), else straight
+/// to opts.backend, on the geometry of opts.l1.
+rt::core::PlanReport plan_kernel(rt::kernels::KernelId id,
+                                 rt::core::Transform tr, long n,
+                                 const RunOptions& opts);
 
 /// Same, but with an explicit externally computed tiling/padding plan
 /// (used by the ablation benches to explore off-policy plans).

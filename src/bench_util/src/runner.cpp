@@ -288,11 +288,7 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
     }
     rt::cachesim::HierarchyStats st = hier.stats();
     st.flops = fl_step * static_cast<std::uint64_t>(opts.time_steps);
-    res.l1_miss_pct = 100.0 * st.l1.miss_rate();
-    res.l2_miss_pct = 100.0 * st.l2_global_miss_rate();
-    res.sim_accesses = st.l1.accesses;
-    res.sim_flops = st.flops;
-    res.sim_mflops = rt::cachesim::PerfModel(opts.perf).mflops(st);
+    price_sim(res, st, opts.perf);
   }
 
   if (opts.time_host) {
@@ -325,34 +321,52 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
 
 }  // namespace
 
-RunResult run_kernel(KernelId id, Transform tr, long n, const RunOptions& opts) {
-  // Through the PlanCache when the caller provides one (pinned autotuned
-  // winners are served ahead of the model search); direct otherwise.
-  // Either way planning routes through opts.backend — kModel against the
+void price_sim(RunResult& r, const rt::cachesim::HierarchyStats& st,
+               const rt::cachesim::PerfModelParams& perf) {
+  r.sim = st;
+  r.l1_miss_pct = 100.0 * st.l1.miss_rate();
+  r.l2_miss_pct = 100.0 * st.l2_global_miss_rate();
+  r.sim_accesses = st.l1.accesses;
+  r.sim_mflops = rt::cachesim::PerfModel(perf).mflops(st);
+}
+
+rt::core::PlanReport plan_kernel(KernelId id, Transform tr, long n,
+                                 const RunOptions& opts) {
+  // Through the PlanCache when the caller provides one, direct otherwise;
+  // either way planning routes through opts.backend — kModel against the
   // same geometry keys and plans exactly as the historical direct path.
   const rt::core::StencilSpec& spec = rt::kernels::kernel_info(id).spec;
   const rt::core::CacheGeom geom = opts.geom();
-  const rt::core::PlanReport rep =
-      opts.plan_cache != nullptr
-          ? opts.plan_cache->plan_backend(opts.backend, tr, geom, n, n, spec,
-                                          opts.k_dim)
-          : rt::core::plan_with_backend(opts.backend, tr, geom, n, n, spec,
-                                        opts.k_dim);
+  return opts.plan_cache != nullptr
+             ? opts.plan_cache->plan_backend(opts.backend, tr, geom, n, n,
+                                             spec, opts.k_dim)
+             : rt::core::plan_with_backend(opts.backend, tr, geom, n, n, spec,
+                                           opts.k_dim);
+}
+
+RunResult run_planned(
+    const rt::core::PlanReport& rep,
+    const std::function<RunResult(const rt::core::TilingPlan&)>& run) {
+  RunResult res;
   if (rep.status == rt::guard::Status::kOverflow) {
     // The planned allocation cannot be represented: skip-and-record, the
     // fallback plan would overflow just the same.
-    RunResult res;
     res.plan = rep.plan;
     res.status = rep.status;
     res.status_detail = rep.detail;
-    res.plan_status = rep.status;
-    res.plan_detail = rep.detail;
-    return res;
+  } else {
+    res = run(rep.plan);
   }
-  RunResult res = run_kernel_with_plan(id, rep.plan, n, opts);
   res.plan_status = rep.status;
   res.plan_detail = rep.detail;
   return res;
+}
+
+RunResult run_kernel(KernelId id, Transform tr, long n, const RunOptions& opts) {
+  return run_planned(plan_kernel(id, tr, n, opts),
+                     [&](const rt::core::TilingPlan& plan) {
+                       return run_kernel_with_plan(id, plan, n, opts);
+                     });
 }
 
 RunResult run_kernel_with_plan(KernelId id, const rt::core::TilingPlan& plan,

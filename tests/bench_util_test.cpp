@@ -333,3 +333,199 @@ TEST(Csv, NoSinkNoOutput) {
 
 }  // namespace
 }  // namespace rt::bench
+
+// ---- CellTable: the figure driver's simulated-cell table ----
+
+#include <bit>
+
+#include "rt/bench/cells.hpp"
+#include "rt/core/gcdpad.hpp"
+
+namespace rt::bench {
+namespace {
+
+using rt::core::TilingPlan;
+using rt::core::Transform;
+using rt::kernels::KernelId;
+
+constexpr long kCellN = 24;
+
+RunOptions tiny_cell() {
+  RunOptions ro;
+  ro.k_dim = 8;
+  ro.time_steps = 1;
+  return ro;
+}
+
+void expect_same_level(const rt::cachesim::LevelStats& a,
+                       const rt::cachesim::LevelStats& b) {
+  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.read_accesses, b.read_accesses);
+  EXPECT_EQ(a.read_misses, b.read_misses);
+  EXPECT_EQ(a.write_accesses, b.write_accesses);
+  EXPECT_EQ(a.write_misses, b.write_misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+}
+
+void expect_same_sim(const RunResult& a, const RunResult& b) {
+  expect_same_level(a.sim.l1, b.sim.l1);
+  expect_same_level(a.sim.l2, b.sim.l2);
+  EXPECT_EQ(a.sim.flops, b.sim.flops);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.l1_miss_pct),
+            std::bit_cast<std::uint64_t>(b.l1_miss_pct));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.l2_miss_pct),
+            std::bit_cast<std::uint64_t>(b.l2_miss_pct));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.sim_mflops),
+            std::bit_cast<std::uint64_t>(b.sim_mflops));
+}
+
+TEST(CellTable, HitReturnsTheCountsOfAFreshRun) {
+  CellTable table;
+  const RunOptions ro = tiny_cell();
+  const RunResult first = table.run(KernelId::kResid, Transform::kGcdPad,
+                                    kCellN, ro);
+  const RunResult hit = table.run(KernelId::kResid, Transform::kGcdPad,
+                                  kCellN, ro);
+  const RunResult fresh =
+      run_kernel(KernelId::kResid, Transform::kGcdPad, kCellN, ro);
+  EXPECT_EQ(table.requested(), 2u);
+  EXPECT_EQ(table.simulated(), 1u);
+  EXPECT_GT(fresh.sim.l1.accesses, 0u);
+  EXPECT_EQ(fresh.sim_accesses, fresh.sim.l1.accesses);
+  expect_same_sim(first, fresh);
+  expect_same_sim(hit, fresh);
+  EXPECT_EQ(hit.plan.dip, fresh.plan.dip);
+  EXPECT_EQ(hit.plan.tile, fresh.plan.tile);
+}
+
+TEST(CellTable, RepricingEqualsARunAtThatClockBitForBit) {
+  CellTable table;
+  RunOptions ro = tiny_cell();
+  const RunResult at360 =
+      table.run(KernelId::kJacobi, Transform::kTile, kCellN, ro);
+  ro.perf = rt::cachesim::PerfModelParams::ultrasparc2_450();
+  const RunResult at450 =
+      table.run(KernelId::kJacobi, Transform::kTile, kCellN, ro);
+  EXPECT_EQ(table.simulated(), 1u);
+  expect_same_sim(at450,
+                  run_kernel(KernelId::kJacobi, Transform::kTile, kCellN, ro));
+  EXPECT_GT(at450.sim_mflops, at360.sim_mflops);
+}
+
+TEST(CellTable, KeySeparatesWaysPolicyStepsKDimAndPadding) {
+  const RunOptions base = tiny_cell();
+  const TilingPlan plan =
+      plan_kernel(KernelId::kJacobi, Transform::kOrig, kCellN, base).plan;
+  std::vector<std::pair<TilingPlan, RunOptions>> cells{{plan, base}};
+  const auto with = [&](auto change) {
+    RunOptions o = base;
+    change(o);
+    cells.emplace_back(plan, o);
+  };
+  with([](RunOptions& o) { o.l1.assoc = 2; });
+  with([](RunOptions& o) { o.l1.write_allocate = true; });
+  with([](RunOptions& o) { o.l1.write_back = true; });
+  with([](RunOptions& o) { o.time_steps = 2; });
+  with([](RunOptions& o) { o.k_dim = 9; });
+  TilingPlan padded = plan;
+  padded.dip += 1;
+  cells.emplace_back(padded, base);
+  padded = plan;
+  padded.djp += 1;
+  cells.emplace_back(padded, base);
+
+  CellTable table;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto& [p, o] = cells[i];
+    const CellKey k = cell_key(KernelId::kJacobi, p, kCellN, o);
+    for (std::size_t j = 0; j < i; ++j) {
+      const auto& [pj, oj] = cells[j];
+      const CellKey kj = cell_key(KernelId::kJacobi, pj, kCellN, oj);
+      EXPECT_TRUE(k < kj || kj < k) << "cells " << i << " and " << j;
+    }
+    table.run_with_plan(KernelId::kJacobi, p, kCellN, o);
+  }
+  EXPECT_EQ(table.simulated(), cells.size());
+
+  // The perf model prices a cell; it does not key one.
+  RunOptions other_clock = base;
+  other_clock.perf = rt::cachesim::PerfModelParams::ultrasparc2_450();
+  table.run_with_plan(KernelId::kJacobi, plan, kCellN, other_clock);
+  EXPECT_EQ(table.simulated(), cells.size());
+}
+
+TEST(CellTable, TwoRoutesToOnePlanShareACell) {
+  // The planner's GcdPad plan and the same plan built by hand from
+  // gcd_pad (as the figure driver's L2-target spec builds it) are one cell.
+  CellTable table;
+  const RunOptions ro = tiny_cell();
+  const RunResult planned =
+      table.run(KernelId::kJacobi, Transform::kGcdPad, kCellN, ro);
+  const auto g = rt::core::gcd_pad(ro.cs_elems(), kCellN, kCellN,
+                                   rt::core::StencilSpec::jacobi3d());
+  TilingPlan built;
+  built.transform = Transform::kGcdPad;
+  built.tiled = g.tile.ti > 0 && g.tile.tj > 0;
+  built.tile = g.tile;
+  built.schedule = rt::core::LoopSchedule::kTiled;
+  built.dip = g.dip;
+  built.djp = g.djp;
+  const RunResult hit =
+      table.run_with_plan(KernelId::kJacobi, built, kCellN, ro);
+  EXPECT_EQ(table.requested(), 2u);
+  EXPECT_EQ(table.simulated(), 1u);
+  expect_same_sim(hit, planned);
+}
+
+TEST(CellTable, RunPlannedSkipsAnOverflowAndStampsEveryOtherOutcome) {
+  rt::core::PlanReport rep;
+  rep.plan.dip = 7;
+  rep.status = rt::guard::Status::kOverflow;
+  rep.detail = "too big";
+  int runs = 0;
+  const auto run = [&runs](const TilingPlan& p) {
+    ++runs;
+    RunResult r;
+    r.plan = p;
+    return r;
+  };
+  const RunResult skip = run_planned(rep, run);
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(skip.status, rt::guard::Status::kOverflow);
+  EXPECT_EQ(skip.status_detail, "too big");
+  EXPECT_EQ(skip.plan_status, rt::guard::Status::kOverflow);
+  EXPECT_EQ(skip.plan.dip, 7);
+
+  rep.status = rt::guard::Status::kFellBackUntiled;
+  rep.detail = "no tile";
+  const RunResult ran = run_planned(rep, run);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(ran.status, rt::guard::Status::kOk);
+  EXPECT_EQ(ran.plan_status, rt::guard::Status::kFellBackUntiled);
+  EXPECT_EQ(ran.plan_detail, "no tile");
+  EXPECT_EQ(ran.plan.dip, 7);
+}
+
+TEST(CellTable, JsonHoldsOneRecordPerSimulatedCellWithItsCounts) {
+  CellTable table;
+  const RunOptions ro = tiny_cell();
+  table.run(KernelId::kJacobi, Transform::kOrig, kCellN, ro);
+  table.run(KernelId::kJacobi, Transform::kOrig, kCellN, ro);
+  const RunResult r = table.run(KernelId::kResid, Transform::kPad, kCellN, ro);
+  rt::obs::MetricsWriter w;
+  table.append_json(w);
+  ASSERT_EQ(w.num_records(), 2u);
+  const std::string doc = w.dump();
+  EXPECT_NE(doc.find("\"kernel\": \"RESID\""), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"misses\": " + std::to_string(r.sim.l1.misses)),
+            std::string::npos)
+      << doc;
+  EXPECT_NE(doc.find("\"flops\": " + std::to_string(r.sim.flops)),
+            std::string::npos)
+      << doc;
+}
+
+}  // namespace
+}  // namespace rt::bench
