@@ -50,12 +50,8 @@ SimOut run_resid_interpad(long n, long kd, const rt::core::InterPadPlan& ip) {
                                   static_cast<std::uint64_t>(ip.base_offsets[2]) * 8);
   rt::cachesim::CacheHierarchy h = rt::cachesim::CacheHierarchy::ultrasparc2();
   rt::cachesim::TracedArray3D<double> tr(r, br, h), tv(v, bv, h), tu(u, bu, h);
-  rt::simd::for_each_block({}, {.tiled = true, .tile = ip.intra.tile}, n, n,
-                           kd, [&](auto... box) {
-                             rt::kernels::resid(tr, tv, tu,
-                                                rt::kernels::nas_mg_a(),
-                                                box...);
-                           });
+  rt::simd::resid({}, {.tiled = true, .tile = ip.intra.tile}, tr, tv, tu,
+                  rt::kernels::nas_mg_a());
   auto st = h.stats();
   st.flops = 31 * static_cast<std::uint64_t>(n - 2) * (n - 2) * (kd - 2);
   return SimOut{100.0 * st.l1.miss_rate(),

@@ -59,11 +59,7 @@ int main(int argc, char** argv) {
     rt::cachesim::CacheHierarchy h = rt::cachesim::CacheHierarchy::ultrasparc2();
     rt::cachesim::TracedArray3D<double> ta(a, 0, h),
         tb(b, static_cast<std::uint64_t>(dims.alloc_elems()) * 8, h);
-    rt::simd::for_each_block({}, {.tiled = true, .tile = t}, n, n, kd,
-                             [&](auto... box) {
-                               rt::kernels::jacobi3d(ta, tb, 1.0 / 6.0,
-                                                     box...);
-                             });
+    rt::simd::jacobi({}, {.tiled = true, .tile = t}, ta, tb, 1.0 / 6.0);
     const auto st = h.stats();
     const bool cf = rt::core::is_conflict_free(
         2048, dip, djp, t.ti + spec.trim_i, t.tj + spec.trim_j, spec.atd);

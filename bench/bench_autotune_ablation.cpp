@@ -125,7 +125,6 @@ int main(int argc, char** argv) {
   ro.counters = bo.counters;
   if (bo.threads > 0) ro.threads = bo.threads;
   ro.simd = bo.simd;
-  ro.simd_align = bo.simd_align;
   ro.timeout_seconds = bo.timeout_seconds;
   ro.backend = bo.resolved_backend(ro.geom());
 

@@ -67,36 +67,29 @@ Array3D<double> make_grid(const Dims3& d, double seed) {
   return a;
 }
 
-/// One serial sweep of @p kid under @p plan, honouring the plan's loop
-/// schedule (flat / tiled / recursive) through the block driver, returning
+/// One serial sweep of @p kid under @p plan's loop schedule (flat / tiled /
+/// recursive), on the accessor nests (rt::simd at kScalar), returning
 /// the checksum of the result's logical region (padding never
 /// participates, so differently padded plans of the same computation hash
 /// equal iff bit-identical).
 std::uint64_t checksum_under_plan(KernelId kid, long n, long kd,
                                   const TilingPlan& plan) {
   const Dims3 d = Dims3::padded(n, n, kd, plan.dip, plan.djp);
-  const rt::simd::Exec serial{};
-  const auto blocks = [&](const rt::simd::BlockFn& body) {
-    rt::simd::for_each_block(serial, plan, n, n, kd, body);
-  };
+  const rt::simd::Exec serial{nullptr, rt::simd::SimdLevel::kScalar};
   switch (kid) {
     case KernelId::kJacobi: {
       Array3D<double> b = make_grid(d, 0.5), a(d);
-      blocks([&](auto... box) {
-        rt::kernels::jacobi3d(a, b, 1.0 / 6.0, box...);
-      });
+      rt::simd::jacobi(serial, plan, a, b, 1.0 / 6.0);
       return rt::simd::checksum(serial, a);
     }
     case KernelId::kResid: {
       Array3D<double> v = make_grid(d, 0.7), u = make_grid(d, 0.1), r(d);
-      const auto a = rt::kernels::nas_mg_a();
-      blocks([&](auto... box) { rt::kernels::resid(r, v, u, a, box...); });
+      rt::simd::resid(serial, plan, r, v, u, rt::kernels::nas_mg_a());
       return rt::simd::checksum(serial, r);
     }
     case KernelId::kPsinv: {
       Array3D<double> r = make_grid(d, 0.7), u = make_grid(d, 0.1);
-      const auto c = rt::kernels::nas_mg_c();
-      blocks([&](auto... box) { rt::kernels::psinv(u, r, c, box...); });
+      rt::simd::psinv(serial, plan, u, r, rt::kernels::nas_mg_c());
       return rt::simd::checksum(serial, u);
     }
     default:

@@ -84,9 +84,7 @@ int main(int argc, char** argv) {
           space.place("b", static_cast<std::uint64_t>(dims.alloc_elems()));
       ClassAcc ca(a, ba, cc), cb(b, bb, cc);
       for (int t = 0; t < bo.steps; ++t) {
-        rt::simd::for_each_block({}, plan, n, n, kd, [&](auto... box) {
-          rt::kernels::jacobi3d(ca, cb, 1.0 / 6.0, box...);
-        });
+        rt::simd::jacobi({}, plan, ca, cb, 1.0 / 6.0);
         rt::kernels::copy_interior(cb, ca);
       }
       const auto& m = cc.classes();

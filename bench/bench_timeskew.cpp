@@ -89,29 +89,23 @@ int main(int argc, char** argv) {
     const Out orig = traced_run(n, kd, n, n, tsteps, [&](auto& a, auto& b) {
       rt::kernels::jacobi3d_pingpong(a, b, 1.0 / 6.0, tsteps);
     });
-    const Out ji = traced_run(
-        n, kd, gcd.dip, gcd.djp, tsteps, [&](auto& a, auto& b) {
-          for (int t = 0; t < tsteps; ++t) {
-            auto& dst = t % 2 == 0 ? a : b;
-            auto& src = t % 2 == 0 ? b : a;
-            rt::simd::for_each_block({}, gcd, n, n, kd, [&](auto... box) {
-              rt::kernels::jacobi3d(dst, src, 1.0 / 6.0, box...);
-            });
-          }
-        });
-    // The skew schedule's (step, plane) items, inline in schedule order.
-    const rt::core::TemporalPlan skew{
-        .mode = rt::core::TemporalMode::kSkew, .tsteps = tsteps, .bk = bk};
-    const auto skewed = [&](auto& a, auto& b) {
-      rt::simd::for_each_step_block(
-          {}, skew, n, n, kd, [&](int t, auto... box) {
-            if (t % 2 == 0) {
-              rt::kernels::jacobi3d(a, b, 1.0 / 6.0, box...);
-            } else {
-              rt::kernels::jacobi3d(b, a, 1.0 / 6.0, box...);
-            }
-          });
+    // tsteps run_steps steps on the traced pair (inline, in schedule
+    // order), the start state b where run_steps reads it,
+    // arrays[tsteps % 2], so step t writes a from b when t is even, as
+    // jacobi3d_pingpong does.
+    const auto steps = [&](const rt::core::TilingPlan& plan,
+                           const rt::core::TemporalPlan& tp) {
+      return [&, plan, tp](auto& a, auto& b) {
+        std::vector x = tsteps % 2 == 1 ? std::vector{a, b}
+                                        : std::vector{b, a};
+        rt::simd::run_steps({}, rt::kernels::KernelId::kJacobi, plan, x,
+                            tsteps, tp);
+      };
     };
+    const Out ji = traced_run(n, kd, gcd.dip, gcd.djp, tsteps, steps(gcd, {}));
+    // The skew schedule's (step, plane) items.
+    const auto skewed =
+        steps({}, {.mode = rt::core::TemporalMode::kSkew, .bk = bk});
     const Out ts = traced_run(n, kd, n, n, tsteps, skewed);
     const Out both = traced_run(n, kd, gcd.dip, gcd.djp, tsteps, skewed);
 

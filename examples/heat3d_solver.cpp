@@ -46,9 +46,7 @@ int main(int argc, char** argv) {
   double prev_probe = 0.0;
   for (int s = 0; s < steps; ++s) {
     // Jacobi relaxation toward the steady-state temperature field.
-    rt::simd::for_each_block({}, plan, n, n, kd, [&](auto... box) {
-      rt::kernels::jacobi3d(t_new, t_old, 1.0 / 6.0, box...);
-    });
+    rt::simd::jacobi({}, plan, t_new, t_old, 1.0 / 6.0);
     rt::kernels::copy_interior(t_old, t_new);
     if ((s + 1) % 10 == 0) {
       // Probe a point near the hot face — heat reaches it quickly, so the

@@ -37,9 +37,9 @@ int main() {
     for (long j = 0; j < n; ++j)
       for (long i = 0; i < n; ++i) b(i, j, k) = 0.001 * (i + j + k);
 
-  simd::for_each_block({}, plan, n, n, kd, [&](auto... box) {
-    kernels::jacobi3d(a, b, 1.0 / 6.0, box...);
-  });
+  //    (Exec{} runs the row sweeps inline; {pool, level} picks threads and
+  //    the SIMD level.)
+  simd::jacobi(simd::Exec{}, plan, a, b, 1.0 / 6.0);
 
   // 4. Verify against the untiled kernel...
   kernels::jacobi3d(a_ref, b, 1.0 / 6.0);

@@ -28,6 +28,7 @@ cmake --build "${BUILD_DIR}" -j \
            core_backend_test cachesim_lattice_test \
            plan_cache_test exec_test simd_kernels_test mg_fastpath_test \
            multigrid_test multigrid_operators_test sor_solver_test \
+           sim_exact_test runner_test \
            obs_test temporal_test \
            tune_test serve_test resil_test bench_chaos_soak
 
@@ -77,6 +78,11 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # norm2u3 walks raw rows by stride: padded grids catch an overrun.
 "${BUILD_DIR}/tests/multigrid_operators_test"
 "${BUILD_DIR}/tests/sor_solver_test"
+# The traced path: rt::simd's operator templates and run_steps instantiated
+# with TracedArray3D, by the bench runner's simulation and by the traced
+# MgSolver / SorSolver whose counts sim_exact_test pins.
+"${BUILD_DIR}/tests/sim_exact_test"
+"${BUILD_DIR}/tests/runner_test"
 # Latency histogram: NaN/inf/negative samples and out-of-range values
 # converted to bucket indices and nanoseconds.
 "${BUILD_DIR}/tests/obs_test"
@@ -95,6 +101,6 @@ echo "ASan+UBSan clean: guard_test + guard_fault_injection_test +" \
      "+ cachesim_lattice_test + plan_cache_test + exec_test" \
      "+ simd_kernels_test" \
      "+ mg_fastpath_test + multigrid_test + multigrid_operators_test" \
-     "+ sor_solver_test + obs_test" \
+     "+ sor_solver_test + sim_exact_test + runner_test + obs_test" \
      "+ temporal_test + tune_test + serve_test + resil_test" \
      "+ bench_chaos_soak reported no findings."

@@ -9,7 +9,6 @@
 //   --no-sim        skip cache simulation
 //   --threads=N     worker threads for host timing (parallel tiled kernels)
 //   --simd=MODE     host-timing SIMD fast path: off | auto | avx2
-//   --simd-align    round padded leading dims up to the vector width
 //   --temporal=M    temporal blocking: off | skew | diamond (benches that
 //                   support it restrict their temporal section to M)
 //   --bk=N          temporal K-block depth / diamond width (0 = auto)
@@ -70,7 +69,6 @@ struct BenchOptions {
   int threads = 0;  ///< --threads=N host-timing width (0 = flag not given)
   rt::simd::SimdMode simd = rt::simd::SimdMode::kOff;  ///< --simd=MODE
   bool simd_given = false;  ///< --simd= was on the command line
-  bool simd_align = false;  ///< --simd-align leading-dim rounding
   /// --temporal=off|skew|diamond temporal-blocking schedule selection.
   rt::core::TemporalMode temporal = rt::core::TemporalMode::kOff;
   bool temporal_given = false;  ///< --temporal= was on the command line

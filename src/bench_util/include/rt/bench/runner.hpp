@@ -49,9 +49,6 @@ struct RunOptions {
   /// bit-identical).  Trace-driven simulation always uses
   /// the accessor kernels — TracedArray3D *is* the accessor concept.
   rt::simd::SimdMode simd = rt::simd::SimdMode::kOff;
-  /// Opt-in: round the planned leading dimension up to the vector width
-  /// (rt::simd::align_leading) after the padding search.
-  bool simd_align = false;
   /// Hardware counters (rt::obs::PerfCounters) around the measured host
   /// loop: kOff never opens them, kAuto opens them when the capability
   /// probe succeeds, kOn always tries (reporting unavailable on failure).

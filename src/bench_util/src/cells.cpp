@@ -2,16 +2,11 @@
 
 #include <string>
 
-#include "rt/simd/simd.hpp"
-
 namespace rt::bench {
 
 CellKey cell_key(rt::kernels::KernelId id, const rt::core::TilingPlan& plan,
                  long n, const RunOptions& opts) {
-  CellKey k{id, plan, n, opts.k_dim, opts.time_steps, opts.l1, opts.l2};
-  // The run rounds the leading dimension itself; the key is what runs.
-  if (opts.simd_align) k.plan.dip = rt::simd::align_leading(k.plan.dip);
-  return k;
+  return CellKey{id, plan, n, opts.k_dim, opts.time_steps, opts.l1, opts.l2};
 }
 
 RunResult CellTable::run(rt::kernels::KernelId id, rt::core::Transform tr,

@@ -76,8 +76,6 @@ BenchOptions parse_options(int argc, char** argv) {
         std::exit(2);
       }
       o.simd_given = true;
-    } else if (a == "--simd-align") {
-      o.simd_align = true;
     } else if (a.rfind("--temporal=", 0) == 0) {
       if (!rt::core::parse_temporal_mode(a.substr(11), &o.temporal)) {
         std::cerr << "bad --temporal value (want off|skew|diamond): " << a
@@ -175,7 +173,7 @@ BenchOptions parse_options(int argc, char** argv) {
       o.backoff_given = true;
     } else if (a == "--help" || a == "-h") {
       std::cout << "flags: --full --host --no-sim --nmin= --nmax= --nstep= "
-                   "--steps= --threads=N --simd=off|auto|avx2 --simd-align "
+                   "--steps= --threads=N --simd=off|auto|avx2 "
                    "--temporal=off|skew|diamond --bk=N --tsteps=N "
                    "--csv=FILE --counters=off|auto|on --json=FILE "
                    "--verify=off|post|para --timeout=SECS "

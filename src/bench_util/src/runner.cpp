@@ -21,9 +21,6 @@
 #include "rt/cachesim/traced_array.hpp"
 #include "rt/kernels/jacobi2d.hpp"
 #include "rt/kernels/jacobi3d.hpp"
-#include "rt/kernels/psinv.hpp"
-#include "rt/kernels/redblack.hpp"
-#include "rt/kernels/resid.hpp"
 #include "rt/par/thread_pool.hpp"
 
 namespace rt::bench {
@@ -41,8 +38,6 @@ using rt::core::Transform;
 using rt::kernels::KernelId;
 
 using rt::core::terms::kJacobiC;
-using rt::core::terms::kRedBlackC1;
-using rt::core::terms::kRedBlackC2;
 
 /// Interior points of an n1 x n2 x n3 grid (one boundary layer in every
 /// dimension).  All three extents matter: the old two-scalar form silently
@@ -57,53 +52,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// One time step of @p id through the accessor kernels, on native arrays
-/// (the serial reference) or traced ones (simulation): each stencil's one
-/// accessor nest runs on the work items of the plan's schedule, inline in
-/// index order (rt::simd::for_each_block with a null pool).  The JACOBI
-/// copy-back recurses with a recursive plan and runs untiled otherwise;
-/// tiled flat REDBLACK plans run the paper's fused Fig. 12 nest.
-template <class A>
-void accessor_step(KernelId id, const TilingPlan& plan, std::vector<A>& x) {
-  const bool rec = plan.schedule == rt::core::LoopSchedule::kRecursive;
-  const auto blocks = [&](const TilingPlan& p, const rt::simd::BlockFn& body) {
-    rt::simd::for_each_block(rt::simd::Exec{}, p, x[0].n1(), x[0].n2(),
-                             x[0].n3(), body);
-  };
-  switch (id) {
-    case KernelId::kJacobi:
-      blocks(plan, [&](auto... box) {
-        rt::kernels::jacobi3d(x[0], x[1], kJacobiC, box...);
-      });
-      blocks(rec ? plan : TilingPlan{}, [&](auto... box) {
-        rt::kernels::copy_interior(x[1], x[0], box...);
-      });
-      return;
-    case KernelId::kRedBlack:
-      if (plan.tiled && !rec) {
-        rt::kernels::redblack_tiled(x[0], kRedBlackC1, kRedBlackC2, plan.tile);
-        return;
-      }
-      for (long parity = 0; parity < 2; ++parity) {
-        blocks(plan, [&](auto... box) {
-          rt::kernels::redblack_colour(x[0], kRedBlackC1, kRedBlackC2, parity,
-                                       box...);
-        });
-      }
-      return;
-    case KernelId::kResid:
-      blocks(plan, [&](auto... box) {
-        rt::kernels::resid(x[0], x[1], x[2], rt::kernels::nas_mg_a(), box...);
-      });
-      return;
-    case KernelId::kPsinv:
-      blocks(plan, [&](auto... box) {
-        rt::kernels::psinv(x[0], x[1], rt::kernels::nas_mg_c(), box...);
-      });
-      return;
-  }
 }
 
 /// Flops per time step (stencil nest(s); the Jacobi copy-back adds none).
@@ -216,11 +164,6 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
   const rt::kernels::KernelInfo& info = rt::kernels::kernel_info(id);
   RunResult res;
   res.plan = plan;
-  if (opts.simd_align) {
-    // Opt-in vector alignment: round the allocation's leading dimension up
-    // after the padding search (never changes which pad the planner chose).
-    res.plan.dip = rt::simd::align_leading(res.plan.dip);
-  }
 
   const long kd = opts.k_dim;
   const Dims3 dims = Dims3::padded(n, n, kd, res.plan.dip, res.plan.djp);
@@ -280,11 +223,19 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
       traced.emplace_back(arrays[static_cast<std::size_t>(i)],
                           bases[static_cast<std::size_t>(i)], hier);
     }
+    // Each simulated step is one run_steps step on the traced arrays (the
+    // accessor nests, inline in index order); JACOBI then copies back, as
+    // the paper's realistic stencil code does (Fig. 5 middle): over the
+    // leaves of a recursive plan, untiled otherwise.
+    const TilingPlan back =
+        res.plan.schedule == rt::core::LoopSchedule::kRecursive ? res.plan
+                                                                 : TilingPlan{};
     for (int t = 0; t < opts.time_steps; ++t) {
-      if (rt::guard::FaultInjector::armed(rt::guard::FaultKind::kHang)) {
-        rt::guard::FaultInjector::instance().hang_point();
-      }
-      accessor_step(id, res.plan, traced);
+      rt::simd::run_steps(rt::simd::Exec{}, id, res.plan, traced, 1);
+      if (id != KernelId::kJacobi) continue;
+      rt::simd::for_each_block({}, back, n, n, kd, [&](auto... box) {
+        rt::kernels::copy_interior(traced[1], traced[0], box...);
+      });
     }
     rt::cachesim::HierarchyStats st = hier.stats();
     st.flops = fl_step * static_cast<std::uint64_t>(opts.time_steps);

@@ -154,11 +154,6 @@ class MgSolver {
   /// r = v - Au at the finest level plus its L2 norm; marks both held.
   void finest_residual();
 
-  /// True when operators run through the executor instead of the
-  /// (possibly traced) accessor kernels.
-  bool fast_path() const {
-    return hier_ == nullptr && lvl_ != rt::simd::SimdLevel::kScalar;
-  }
   rt::simd::Exec exec() const { return {pool_.get(), lvl_}; }
   /// First-touch initialization: zero the whole allocation plane-parallel
   /// on the pool (same bytes Grid's default construction writes serially).

@@ -12,11 +12,14 @@
 // f = 0; the general f term is folded in by pre-scaling (see .cpp).
 // Tiled and untiled runs are bitwise identical (tests assert it).
 //
-// Host fast path (threads/simd options): sweeps run the two-pass
-// colour-barrier schedule through the executor (rt/simd/exec.hpp) — row
-// kernels, on a pool when threads > 1 — still bit-identical to the serial
-// kernels.  Arrays are first-touch initialized on the pool for NUMA
-// placement.  Trace-driven runs stay serial.
+// Every sweep is one rt::simd::redblack_rhs call (rt/simd/exec.hpp), which
+// picks the nest: with the host fast path (threads/simd options) the
+// two-pass colour-barrier schedule of row kernels, on a pool when
+// threads > 1; at kScalar and in trace-driven runs (inline) the accessor
+// nests, where a flat tiled plan runs the paper's fused Fig. 12 walk and
+// a recursive one runs both colours over its leaves.  All of them are
+// bit-identical to the serial kernels.  Arrays are first-touch
+// initialized on the pool for NUMA placement.
 //
 // Plan validation: a plan whose pad (dip/djp) does not cover the logical
 // extent n cannot be applied; instead of silently clamping to unpadded

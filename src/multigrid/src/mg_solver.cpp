@@ -72,10 +72,8 @@ MgSolver::MgSolver(const MgOptions& opts, rt::cachesim::CacheHierarchy* hier)
                                 ": the (2^lt + 2)^3 finest grid cannot be "
                                 "sized");
   }
-  // Host fast path only: trace-driven runs keep the serial accessor
-  // operators, inline on the block driver for RESID/PSINV (TracedArray3D
-  // is not thread-safe, and the row kernels bypass the accessors
-  // entirely).
+  // Host fast path only: a traced run's operators take TracedArray3D
+  // accessors, which the executor runs on the accessor nests, inline.
   if (hier_ == nullptr) {
     if (opts.threads != 1) {
       pool_ = std::make_unique<rt::par::ThreadPool>(opts.threads);
@@ -180,23 +178,14 @@ void MgSolver::resid_level(int l, Grid& r, Grid& v, Grid& u, bool allow_tile) {
   const bool tile = allow_tile && l == opts_.lt && opts_.resid_plan.tiled;
   const rt::core::TilingPlan plan =
       tile ? opts_.resid_plan : rt::core::TilingPlan{};
-  const auto a = rt::kernels::nas_mg_a();
   {
     rt::obs::ScopedTimer timer(phases_.resid);
-    if (fast_path()) {
-      rt::simd::resid(exec(), plan, r, v, u, a);
-    } else {
-      run_op(
-          hier_,
-          [&](auto&& ra, auto&& va, auto&& ua) {
-            rt::simd::for_each_block({}, plan, r.n1(), r.n2(), r.n3(),
-                                     [&](auto... box) {
-                                       rt::kernels::resid(ra, va, ua, a,
-                                                          box...);
-                                     });
-          },
-          GB{&r, base_of(r)}, GB{&v, base_of(v)}, GB{&u, base_of(u)});
-    }
+    run_op(
+        hier_,
+        [&](auto&& ra, auto&& va, auto&& ua) {
+          rt::simd::resid(exec(), plan, ra, va, ua, rt::kernels::nas_mg_a());
+        },
+        GB{&r, base_of(r)}, GB{&v, base_of(v)}, GB{&u, base_of(u)});
   }
   flops_ += kernel_info(KernelId::kResid).flops_per_point * interior(r);
   comm3_grid(r);
@@ -206,21 +195,14 @@ void MgSolver::psinv_level(int l, Grid& u, Grid& r) {
   const bool tile = opts_.tile_psinv && l == opts_.lt && opts_.resid_plan.tiled;
   const rt::core::TilingPlan plan =
       tile ? opts_.resid_plan : rt::core::TilingPlan{};
-  const auto c = rt::kernels::nas_mg_c();
   {
     rt::obs::ScopedTimer timer(phases_.psinv);
-    if (fast_path()) {
-      rt::simd::psinv(exec(), plan, u, r, c);
-    } else {
-      run_op(
-          hier_,
-          [&](auto&& ua, auto&& ra) {
-            rt::simd::for_each_block(
-                {}, plan, u.n1(), u.n2(), u.n3(),
-                [&](auto... box) { rt::kernels::psinv(ua, ra, c, box...); });
-          },
-          GB{&u, base_of(u)}, GB{&r, base_of(r)});
-    }
+    run_op(
+        hier_,
+        [&](auto&& ua, auto&& ra) {
+          rt::simd::psinv(exec(), plan, ua, ra, rt::kernels::nas_mg_c());
+        },
+        GB{&u, base_of(u)}, GB{&r, base_of(r)});
   }
   flops_ += kernel_info(KernelId::kPsinv).flops_per_point * interior(u);
   comm3_grid(u);
@@ -229,12 +211,9 @@ void MgSolver::psinv_level(int l, Grid& u, Grid& r) {
 void MgSolver::rprj3_level(Grid& coarse, Grid& fine) {
   {
     rt::obs::ScopedTimer timer(phases_.rprj3);
-    if (fast_path()) {
-      rt::simd::rprj3(exec(), coarse, fine);
-    } else {
-      run_op(hier_, [](auto&& s, auto&& r) { rprj3(s, r); },
-             GB{&coarse, base_of(coarse)}, GB{&fine, base_of(fine)});
-    }
+    run_op(
+        hier_, [&](auto&& s, auto&& r) { rt::simd::rprj3(exec(), s, r); },
+        GB{&coarse, base_of(coarse)}, GB{&fine, base_of(fine)});
   }
   flops_ += 30 * interior(coarse);
   comm3_grid(coarse);
@@ -243,12 +222,10 @@ void MgSolver::rprj3_level(Grid& coarse, Grid& fine) {
 void MgSolver::interp_level(Grid& fine, Grid& coarse) {
   {
     rt::obs::ScopedTimer timer(phases_.interp);
-    if (fast_path()) {
-      rt::simd::interp_add(exec(), fine, coarse);
-    } else {
-      run_op(hier_, [](auto&& u, auto&& z) { interp_add(u, z); },
-             GB{&fine, base_of(fine)}, GB{&coarse, base_of(coarse)});
-    }
+    run_op(
+        hier_,
+        [&](auto&& u, auto&& z) { rt::simd::interp_add(exec(), u, z); },
+        GB{&fine, base_of(fine)}, GB{&coarse, base_of(coarse)});
   }
   flops_ += 8 * interior(fine);
 }

@@ -6,7 +6,7 @@
 
 #include "rt/array/address_space.hpp"
 #include "rt/cachesim/traced_array.hpp"
-#include "rt/kernels/redblack.hpp"
+#include "rt/core/stencil_terms.hpp"
 #include "rt/simd/exec.hpp"
 
 namespace rt::multigrid {
@@ -115,37 +115,22 @@ void SorSolver::setup(std::uint64_t seed, int charges) {
 void SorSolver::sweep() {
   const double c1 = 1.0 - opts_.omega;
   const double c2 = opts_.omega / 6.0;
-  // The accessor path: the serial reference, natively or traced.  Tiled
-  // plans run the paper's fused Fig. 12 nest; untiled ones one colour at a
-  // time on the block driver, inline.
-  const auto accessor_sweep = [&](auto&& u, auto&& r) {
-    if (opts_.plan.tiled) {
-      rt::kernels::redblack_tiled_rhs(u, r, c1, c2, opts_.plan.tile);
-      return;
-    }
-    for (long parity = 0; parity < 2; ++parity) {
-      rt::simd::for_each_block({}, opts_.plan, u_.n1(), u_.n2(), u_.n3(),
-                               [&](auto... box) {
-                                 rt::kernels::redblack_colour_rhs(
-                                     u, r, c1, c2, parity, box...);
-                               });
-    }
-  };
   {
     rt::obs::ScopedTimer timer(phases_.sweep);
+    const rt::simd::Exec ex{pool_.get(), lvl_};
     if (hier_) {
-      accessor_sweep(rt::cachesim::TracedArray3D<double>(u_, u_base_, *hier_),
-                     rt::cachesim::TracedArray3D<double>(rhs_, rhs_base_,
-                                                         *hier_));
-    } else if (lvl_ == rt::simd::SimdLevel::kScalar) {
-      accessor_sweep(u_, rhs_);
+      rt::cachesim::TracedArray3D<double> u(u_, u_base_, *hier_);
+      rt::cachesim::TracedArray3D<double> r(rhs_, rhs_base_, *hier_);
+      rt::simd::redblack_rhs(ex, opts_.plan, u, r, c1, c2);
     } else {
-      rt::simd::redblack_rhs({pool_.get(), lvl_}, opts_.plan, u_, rhs_, c1,
-                             c2);
+      rt::simd::redblack_rhs(ex, opts_.plan, u_, rhs_, c1, c2);
     }
   }
+  // The combine c1 u + c2 (6 neighbours) + r: red-black's, plus the add of
+  // the constant term.
+  constexpr std::uint64_t kFlopsPerPoint = rt::core::terms::kRedBlackFlops + 1;
   const auto pts = static_cast<std::uint64_t>(opts_.n - 2);
-  flops_ += 10 * pts * pts * pts;
+  flops_ += kFlopsPerPoint * pts * pts * pts;
 }
 
 double SorSolver::residual_linf() {

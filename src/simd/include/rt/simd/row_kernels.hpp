@@ -18,7 +18,7 @@
 // target("avx2") and target("avx512f") clones on x86); each sweep looks up
 // the stamp for its SimdLevel once per call, narrowed to the widest one
 // the CPU executes, so no global -mavx2 build flag is needed.  The
-// write-only sweeps (jacobi, copy, init) also take a Stores policy: with
+// write-only sweeps (jacobi, init) also take a Stores policy: with
 // Stores::kStream at kAvx2 or kAvx512 they run that ISA's streaming stamp
 // instead, non-temporal stores for every whole 64 B line of a row and
 // normal stores for its head and tail (AVX2: both 32 B halves of a line
@@ -67,11 +67,6 @@ void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,
                   long ilo, long ihi, long jlo, long jhi, long klo, long khi,
                   SimdLevel lvl, Stores st = Stores::kNormal,
                   std::uint64_t* sum = nullptr);
-
-/// dst = src over the box.
-void copy_sweep(Array3D<double>& dst, const Array3D<double>& src, long ilo,
-                long ihi, long jlo, long jhi, long klo, long khi,
-                SimdLevel lvl, Stores st = Stores::kNormal);
 
 /// a(i,j,k) = rt::kernels::grid_value(scale, i, j, k) over a box of the
 /// *logical* region (boundaries included).  Every index must fit in an int.

@@ -1,7 +1,6 @@
 #pragma once
 // SIMD fast-path policy layer: which instruction set the row-sweep kernels
-// (rt/simd/row_kernels.hpp) run with, and the opt-in leading-dimension
-// alignment that makes every (j, k) row start on a vector boundary.
+// (rt/simd/row_kernels.hpp) run with.
 //
 // The layer exists because the accessor kernels execute every stencil
 // point through scalar-looking load()/store() calls whose index math the
@@ -26,7 +25,6 @@
 
 #include <string>
 
-#include "rt/array/array3d.hpp"
 
 namespace rt::simd {
 
@@ -84,15 +82,5 @@ const char* stores_name(Stores s);
 
 /// Parse "off" / "auto" / "avx2" (anything else returns false).
 bool parse_simd_mode(const std::string& s, SimdMode* out);
-
-/// Round a leading dimension up to a multiple of the vector width so that
-/// consecutive rows keep the same alignment phase (row j+1 starts exactly
-/// p1 elements after row j; p1 % kVecDoubles == 0 makes that phase 0).
-/// Applied *after* the padding search so it never changes which pad the
-/// planner picked, only rounds the allocation up.
-long align_leading(long p1, long vec = kVecDoubles);
-
-/// Dims with p1 rounded up via align_leading (p2/n3 untouched).
-rt::array::Dims3 align_dims(rt::array::Dims3 d, long vec = kVecDoubles);
 
 }  // namespace rt::simd

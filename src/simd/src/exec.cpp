@@ -11,10 +11,7 @@
 #include "rt/core/cache_topology.hpp"
 #include "rt/core/stencil_terms.hpp"
 #include "rt/guard/fault_injector.hpp"
-#include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
-#include "rt/kernels/psinv.hpp"
-#include "rt/kernels/redblack.hpp"
 
 namespace rt::simd {
 
@@ -227,23 +224,12 @@ double sum_squares(const Exec& ex, const Array3D<double>& a) {
       [&](long k) { return plane_sum_squares(a, k + 1); }, std::plus<>{});
 }
 
-namespace {
+namespace detail {
 
-using rt::core::terms::kJacobiC;
-using rt::core::terms::kRedBlackC1;
-using rt::core::terms::kRedBlackC2;
-
-void fault_point() {
-  if (rt::guard::FaultInjector::armed(rt::guard::FaultKind::kHang)) {
-    rt::guard::FaultInjector::instance().hang_point();
-  }
+std::uint64_t interior_checksum(const Exec& ex, const Array3D<double>& a) {
+  return inset_checksum(ex, a, 1);
 }
 
-/// JACOBI's last step, a = c * (neighbours of b) with the checksum fold:
-/// each work item adds the partial of the values it writes to its own
-/// slot (the row bodies mix each value before storing it; the kScalar
-/// accessor nest hashes its box after writing it), and the slots add up
-/// after the barrier.
 std::uint64_t jacobi_fold(const Exec& ex, const TilingPlan& plan,
                           Array3D<double>& a, const Array3D<double>& b) {
   const Stores st = stores_for(ex, a);
@@ -252,119 +238,20 @@ std::uint64_t jacobi_fold(const Exec& ex, const TilingPlan& plan,
       ex, plan, a.n1(), a.n2(), a.n3(),
       [&](long count) { parts.assign(static_cast<std::size_t>(count), 0); },
       [&](long m, long i0, long i1, long j0, long j1, long k0, long k1) {
-        std::uint64_t& part = parts[static_cast<std::size_t>(m)];
-        if (ex.lvl == SimdLevel::kScalar) {
-          rt::kernels::jacobi3d(a, b, kJacobiC, i0, i1, j0, j1, k0, k1);
-          part = checksum_sweep(a, i0, i1, j0, j1, k0, k1, ex.lvl);
-        } else {
-          jacobi_sweep(a, b, kJacobiC, i0, i1, j0, j1, k0, k1, ex.lvl, st,
-                       &part);
-        }
+        jacobi_box(ex, st, a, b, rt::core::terms::kJacobiC,
+                   &parts[static_cast<std::size_t>(m)], i0, i1, j0, j1, k0,
+                   k1);
       });
   return std::accumulate(parts.begin(), parts.end(), std::uint64_t{0});
 }
 
-/// One step of @p id on @p x; JACOBI writes x[dst] from x[1 - dst].
-void step(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
-          std::vector<Array3D<double>>& x, std::size_t dst) {
-  using rt::kernels::KernelId;
-  const auto blocks = [&](const BlockFn& body) {
-    for_each_block(ex, plan, x[0].n1(), x[0].n2(), x[0].n3(), body);
-  };
-  const bool scalar = ex.lvl == SimdLevel::kScalar;
-  switch (id) {
-    case KernelId::kJacobi:
-      if (!scalar) {
-        jacobi(ex, plan, x[dst], x[1 - dst], kJacobiC);
-        return;
-      }
-      blocks([&](auto... box) {
-        rt::kernels::jacobi3d(x[dst], x[1 - dst], kJacobiC, box...);
-      });
-      return;
-    case KernelId::kRedBlack:
-      if (!scalar) {
-        redblack(ex, plan, x[0], kRedBlackC1, kRedBlackC2);
-      } else if (plan.tiled &&
-                 plan.schedule != rt::core::LoopSchedule::kRecursive) {
-        rt::kernels::redblack_tiled(x[0], kRedBlackC1, kRedBlackC2, plan.tile);
-      } else {
-        for (long parity = 0; parity < 2; ++parity) {
-          blocks([&](auto... box) {
-            rt::kernels::redblack_colour(x[0], kRedBlackC1, kRedBlackC2, parity,
-                                         box...);
-          });
-        }
-      }
-      return;
-    case KernelId::kResid:
-      if (!scalar) {
-        resid(ex, plan, x[0], x[1], x[2], rt::kernels::nas_mg_a());
-        return;
-      }
-      blocks([&](auto... box) {
-        rt::kernels::resid(x[0], x[1], x[2], rt::kernels::nas_mg_a(), box...);
-      });
-      return;
-    case KernelId::kPsinv:
-      if (!scalar) {
-        psinv(ex, plan, x[0], x[1], rt::kernels::nas_mg_c());
-        return;
-      }
-      blocks([&](auto... box) {
-        rt::kernels::psinv(x[0], x[1], rt::kernels::nas_mg_c(), box...);
-      });
-      return;
+void fault_point() {
+  if (rt::guard::FaultInjector::armed(rt::guard::FaultKind::kHang)) {
+    rt::guard::FaultInjector::instance().hang_point();
   }
 }
 
-}  // namespace
-
-void run_steps(const Exec& ex, rt::kernels::KernelId id, const TilingPlan& plan,
-               std::vector<Array3D<double>>& arrays, int tsteps,
-               const rt::core::TemporalPlan& tp, std::uint64_t* checksum) {
-  if (tp.mode != rt::core::TemporalMode::kOff) {
-    if (id != rt::kernels::KernelId::kJacobi) {
-      throw std::invalid_argument(
-          "run_steps: temporal schedules run JACOBI only");
-    }
-    for (int s = 0; s < tsteps; ++s) fault_point();
-    rt::core::TemporalPlan sched = tp;
-    sched.tsteps = tsteps;
-    const auto dst = [&](int t) {
-      return static_cast<std::size_t>((tsteps - 1 - t) % 2);
-    };
-    for_each_step_block(
-        ex, sched, arrays[0].n1(), arrays[0].n2(), arrays[0].n3(),
-        [&](int t, long i0, long i1, long j0, long j1, long k0, long k1) {
-          Array3D<double>& a = arrays[dst(t)];
-          const Array3D<double>& b = arrays[1 - dst(t)];
-          if (ex.lvl == SimdLevel::kScalar) {
-            rt::kernels::jacobi3d(a, b, kJacobiC, i0, i1, j0, j1, k0, k1);
-          } else {
-            // A wavefront re-reads what it writes: normal stores.
-            jacobi_sweep(a, b, kJacobiC, i0, i1, j0, j1, k0, k1, ex.lvl,
-                         Stores::kNormal);
-          }
-        });
-    if (checksum != nullptr) *checksum += inset_checksum(ex, arrays[0], 1);
-    return;
-  }
-  const bool fold = checksum != nullptr &&
-                    id == rt::kernels::KernelId::kJacobi && tsteps > 0;
-  for (int s = 0; s < tsteps; ++s) {
-    fault_point();
-    if (fold && s == tsteps - 1) {
-      *checksum += jacobi_fold(ex, plan, arrays[0], arrays[1]);
-    } else {
-      step(ex, id, plan, arrays,
-           static_cast<std::size_t>((tsteps - 1 - s) % 2));
-    }
-  }
-  if (checksum != nullptr && !fold) {
-    *checksum += inset_checksum(ex, arrays[0], 1);
-  }
-}
+}  // namespace detail
 
 void init_grid(const Exec& ex, Array3D<double>& a, double scale) {
   const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
@@ -405,74 +292,12 @@ std::uint64_t init_shell(const Exec& ex, Array3D<double>& a, double scale) {
       std::plus<>{});
 }
 
-void jacobi(const Exec& ex, const TilingPlan& plan, Array3D<double>& a,
-            const Array3D<double>& b, double c) {
-  const Stores st = stores_for(ex, a);
-  for_each_block(ex, plan, a.n1(), a.n2(), a.n3(),
-                 [&](long i0, long i1, long j0, long j1, long k0, long k1) {
-                   jacobi_sweep(a, b, c, i0, i1, j0, j1, k0, k1, ex.lvl, st);
-                 });
-}
-
-void copy_interior(const Exec& ex, Array3D<double>& dst,
-                   const Array3D<double>& src) {
-  const Stores st = stores_for(ex, dst);
-  for_each_block(ex, TilingPlan{}, dst.n1(), dst.n2(), dst.n3(),
-                 [&](long i0, long i1, long j0, long j1, long k0, long k1) {
-                   copy_sweep(dst, src, i0, i1, j0, j1, k0, k1, ex.lvl, st);
-                 });
-}
-
-void redblack(const Exec& ex, const TilingPlan& plan, Array3D<double>& a,
-              double c1, double c2) {
-  for (long parity = 0; parity < 2; ++parity) {
-    for_each_block(
-        ex, plan, a.n1(), a.n2(), a.n3(),
-        [&](long i0, long i1, long j0, long j1, long k0, long k1) {
-          redblack_sweep(a, c1, c2, parity, i0, i1, j0, j1, k0, k1, ex.lvl);
-        });
-  }
-}
-
-void redblack_rhs(const Exec& ex, const TilingPlan& plan, Array3D<double>& a,
-                  const Array3D<double>& r, double c1, double c2) {
-  for (long parity = 0; parity < 2; ++parity) {
-    for_each_block(ex, plan, a.n1(), a.n2(), a.n3(),
-                   [&](long i0, long i1, long j0, long j1, long k0, long k1) {
-                     redblack_rhs_sweep(a, r, c1, c2, parity, i0, i1, j0, j1,
-                                        k0, k1, ex.lvl);
-                   });
-  }
-}
-
-void resid(const Exec& ex, const TilingPlan& plan, Array3D<double>& r,
-           const Array3D<double>& v, const Array3D<double>& u,
-           const rt::kernels::ResidCoeffs& a) {
-  for_each_block(ex, plan, r.n1(), r.n2(), r.n3(),
-                 [&](long i0, long i1, long j0, long j1, long k0, long k1) {
-                   resid_sweep(r, v, u, a, i0, i1, j0, j1, k0, k1, ex.lvl);
-                 });
-}
-
-void psinv(const Exec& ex, const TilingPlan& plan, Array3D<double>& u,
-           const Array3D<double>& r, const PsinvCoeffs& c) {
-  for_each_block(ex, plan, u.n1(), u.n2(), u.n3(),
-                 [&](long i0, long i1, long j0, long j1, long k0, long k1) {
-                   psinv_sweep(u, r, c, i0, i1, j0, j1, k0, k1, ex.lvl);
-                 });
-}
-
-namespace {
-
-/// The transfer sweeps index one grid by the other's interior: rprj3 reads
-/// fine 2j - 2 .. 2j around coarse j, interp_add reads coarse up to
-/// i / 2 + 1 for fine i.  Once per call, before any work, every axis's
-/// last read of @p read must lie inside its extent (so inside its
-/// allocation); an empty swept interior reads nothing.
-void check_transfer(const char* op, const Array3D<double>& swept,
-                    const Array3D<double>& read, bool reads_fine) {
-  const long n[3] = {swept.n1(), swept.n2(), swept.n3()};
-  const long m[3] = {read.n1(), read.n2(), read.n3()};
+void detail::check_transfer(const char* op, const std::array<long, 3>& n,
+                            const std::array<long, 3>& m, bool reads_fine) {
+  // rprj3 reads fine 2j - 2 .. 2j around coarse j, interp_add reads coarse
+  // up to i / 2 + 1 for fine i: every axis's last read of the other grid
+  // must lie inside its extent (so inside its allocation).  An empty swept
+  // interior reads nothing.
   if (std::min({n[0], n[1], n[2]}) < 3) return;
   for (int d = 0; d < 3; ++d) {
     const long last = n[d] - 2;
@@ -484,24 +309,6 @@ void check_transfer(const char* op, const Array3D<double>& swept,
           " of extent " + std::to_string(m[d]) + ")");
     }
   }
-}
-
-}  // namespace
-
-void rprj3(const Exec& ex, Array3D<double>& s, const Array3D<double>& r) {
-  check_transfer("rprj3", s, r, /*reads_fine=*/true);
-  for_each_block(ex, TilingPlan{}, s.n1(), s.n2(), s.n3(),
-                 [&](long i0, long i1, long j0, long j1, long k0, long k1) {
-                   rprj3_sweep(s, r, i0, i1, j0, j1, k0, k1, ex.lvl);
-                 });
-}
-
-void interp_add(const Exec& ex, Array3D<double>& u, const Array3D<double>& z) {
-  check_transfer("interp_add", u, z, /*reads_fine=*/false);
-  for_each_block(ex, TilingPlan{}, u.n1(), u.n2(), u.n3(),
-                 [&](long i0, long i1, long j0, long j1, long k0, long k1) {
-                   interp_sweep(u, z, i0, i1, j0, j1, k0, k1, ex.lvl);
-                 });
 }
 
 }  // namespace rt::simd

@@ -151,7 +151,6 @@ constexpr std::uint64_t bits(double v) {
 /// jacobi and init are indexed by their checksum flag.
 struct Stamp {
   decltype(&jacobi_sweep_base<true>) jacobi[2];
-  decltype(&copy_sweep_base) copy;
   decltype(&init_sweep_base<true>) init[2];
   decltype(&checksum_sweep_base) checksum;
   decltype(&redblack_sweep_base) redblack;
@@ -165,7 +164,6 @@ struct Stamp {
 // isa: the compute bodies' suffix; w: the write-only bodies'.
 #define RT_SIMD_STAMP(isa, w)                                          \
   Stamp{{jacobi_sweep_##w<false>, jacobi_sweep_##w<true>},            \
-        copy_sweep_##w,                                                \
         {init_sweep_##w<false>, init_sweep_##w<true>},                 \
         checksum_sweep_##isa,                                          \
         redblack_sweep_##isa,                                          \
@@ -209,15 +207,6 @@ void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,
       a.data(), b.data(), a.dims().column_stride(), a.dims().plane_stride(), c,
       ilo, ihi, jlo, jhi, klo, khi);
   if (sum != nullptr) *sum += part;
-}
-
-void copy_sweep(Array3D<double>& dst, const Array3D<double>& src, long ilo,
-                long ihi, long jlo, long jhi, long klo, long khi,
-                SimdLevel lvl, Stores st) {
-  assert(dst.dims() == src.dims());
-  stamp(lvl, st).copy(dst.data(), src.data(), dst.dims().column_stride(),
-                      dst.dims().plane_stride(), ilo, ihi, jlo, jhi, klo,
-                      khi);
 }
 
 void init_sweep(Array3D<double>& a, double scale, long ilo, long ihi,

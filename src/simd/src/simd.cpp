@@ -74,14 +74,4 @@ bool parse_simd_mode(const std::string& s, SimdMode* out) {
   return true;
 }
 
-long align_leading(long p1, long vec) {
-  if (vec <= 1) return p1;
-  return ((p1 + vec - 1) / vec) * vec;
-}
-
-rt::array::Dims3 align_dims(rt::array::Dims3 d, long vec) {
-  d.p1 = align_leading(d.p1, vec);
-  return d;
-}
-
 }  // namespace rt::simd

@@ -1,9 +1,12 @@
 // Differential test of the executor (rt/simd/exec.hpp), the one dispatch
-// every host fast path runs through.  Every operator, under every loop
-// schedule (untiled J slabs, the flat JI tile grid, the recursive co_over
-// leaves), inline and on 1- to 4-thread pools, at every SimdLevel, must be
-// bitwise equal to the untiled serial accessor oracle — run on unpadded
-// grids, while the executor runs on the shape's padded ones.
+// every sweep runs through.  Every operator, under every loop schedule
+// (untiled J slabs, the flat JI tile grid, the recursive co_over leaves),
+// inline and on 1- to 4-thread pools, at every SimdLevel (kScalar: the
+// accessor nests), must be bitwise equal to the untiled serial accessor
+// oracle — run on unpadded grids, while the executor runs on the shape's
+// padded ones.  On TracedArray3D accessors every operator must give the
+// bits and the per-level simulated counts of the accessor nests run by
+// hand on the block driver, inline, whatever pool the Exec carries.
 // Shapes cover n = 3, cubic, padded (odd and vector-aligned leading
 // dimensions) and ragged non-cubic grids, with tiles that do not divide,
 // or exceed, the interior, J extents the slabs do not divide, and a grid
@@ -19,7 +22,7 @@
 //
 // Streaming stores (Stores::kStream) are checked the same way: an executor
 // given a topology whose last level is smaller than every test grid
-// streams jacobi, copy_interior, init_grid and run_steps' JACOBI, on rows
+// streams jacobi, init_grid and run_steps' JACOBI, on rows
 // of 3 to 17 elements and padded rows that start off a line boundary,
 // under every schedule and pool width; the store-policy rule itself is
 // checked as a pure function.
@@ -52,13 +55,15 @@
 #include <vector>
 
 #include "rt/array/array3d.hpp"
+#include "rt/cachesim/hierarchy.hpp"
+#include "rt/cachesim/traced_array.hpp"
 #include "rt/core/cache_topology.hpp"
 #include "rt/core/temporal.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/psinv.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
-#include "rt/multigrid/operators.hpp"
+#include "rt/kernels/transfer.hpp"
 #include "rt/par/thread_pool.hpp"
 #include "rt/simd/exec.hpp"
 
@@ -141,12 +146,12 @@ const std::vector<Shape>& shapes() {
   return kShapes;
 }
 
-/// kAvx2 and kAvx512 run on every host: without them the sweeps run the
-/// widest stamp the CPU executes (the narrowing rule is
-/// rt::simd::detail::stamp_level, tested for every feature set in
-/// simd_kernels_test).
-const SimdLevel kLevels[] = {SimdLevel::kRows, SimdLevel::kAvx2,
-                             SimdLevel::kAvx512};
+/// kScalar runs the accessor nests (on the pool too); kAvx2 and kAvx512
+/// run on every host: without them the sweeps run the widest stamp the
+/// CPU executes (the narrowing rule is rt::simd::detail::stamp_level,
+/// tested for every feature set in simd_kernels_test).
+const SimdLevel kLevels[] = {SimdLevel::kScalar, SimdLevel::kRows,
+                             SimdLevel::kAvx2, SimdLevel::kAvx512};
 
 /// Every executor configuration: inline (no pool) and 1 to 4 threads, at
 /// every level.
@@ -260,13 +265,16 @@ void run_reference(Op op, Sched s, IterTile t, Grids& x) {
   }
 }
 
-/// The executor's run of @p op, kSteps times.
-void run_executor(Op op, const Exec& ex, const TilingPlan& plan, Grids& x) {
+/// The executor's run of @p op, kSteps times, on any accessor; JACOBI
+/// copies back with the accessor nest.
+template <class A>
+void run_executor(Op op, const Exec& ex, const TilingPlan& plan,
+                  std::vector<A>& x) {
   for (int step = 0; step < kSteps; ++step) {
     switch (op) {
       case Op::kJacobi:
         jacobi(ex, plan, x[0], x[1], 1.0 / 6.0);
-        copy_interior(ex, x[1], x[0]);
+        rt::kernels::copy_interior(x[1], x[0]);
         break;
       case Op::kRedBlack:
         redblack(ex, plan, x[0], 0.4, 0.1);
@@ -317,15 +325,20 @@ TEST_P(ExecSweep, BitIdenticalToSerialAccessorKernel) {
   }
 }
 
-std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
+/// "RedBlack_Flat": the test-name stem of an operator and schedule.
+std::string op_sched_name(Op op, Sched sched) {
   static const char* const kOps[] = {"Jacobi",     "RedBlack",
                                      "RedBlackRhs", "Resid",
                                      "PsinvNas",   "PsinvDense",
                                      "ResidDense"};
   static const char* const kScheds[] = {"Untiled", "Flat", "Recursive"};
-  const auto [op, sched, s] = info.param;
   return std::string(kOps[static_cast<int>(op)]) + "_" +
-         kScheds[static_cast<int>(sched)] + "_" + describe(s);
+         kScheds[static_cast<int>(sched)];
+}
+
+std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
+  const auto [op, sched, s] = info.param;
+  return op_sched_name(op, sched) + "_" + describe(s);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -339,8 +352,149 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::ValuesIn(shapes())),
     sweep_name);
 
-// --- Plane operators: the copy-back and the grid transfers ---
+// --- Traced accessors: the operators on TracedArray3D ---
 
+/// A small two-level hierarchy (1 KiB L1, 8 KiB L2, the paper's line
+/// sizes and policies), so that any change in the traced address order
+/// moves the miss counts of these small grids.
+rt::cachesim::CacheHierarchy small_hierarchy() {
+  rt::cachesim::CacheConfig l1 = rt::cachesim::CacheConfig::ultrasparc2_l1();
+  rt::cachesim::CacheConfig l2 = rt::cachesim::CacheConfig::ultrasparc2_l2();
+  l1.size_bytes = 1024;
+  l2.size_bytes = 8192;
+  return rt::cachesim::CacheHierarchy(l1, l2);
+}
+
+using Traced = rt::cachesim::TracedArray3D<double>;
+
+/// The accessor oracle of @p op, kSteps times, as the simulated runner
+/// wrote it by hand: each stencil's accessor nest on for_each_block's work
+/// items with a null pool, except that red-black with a flat tiled plan
+/// runs the paper's fused Fig. 12 walk; JACOBI copies back.
+void traced_oracle(Op op, const TilingPlan& plan, std::vector<Traced>& x) {
+  const auto blocks = [&](const BlockFn& body) {
+    for_each_block(Exec{}, plan, x[0].n1(), x[0].n2(), x[0].n3(), body);
+  };
+  const bool fused =
+      plan.tiled && plan.schedule != LoopSchedule::kRecursive;
+  for (int step = 0; step < kSteps; ++step) {
+    switch (op) {
+      case Op::kJacobi:
+        blocks([&](auto... box) {
+          rt::kernels::jacobi3d(x[0], x[1], 1.0 / 6.0, box...);
+        });
+        rt::kernels::copy_interior(x[1], x[0]);
+        break;
+      case Op::kRedBlack:
+        if (fused) {
+          rt::kernels::redblack_tiled(x[0], 0.4, 0.1, plan.tile);
+          break;
+        }
+        for (long parity = 0; parity < 2; ++parity) {
+          blocks([&](auto... box) {
+            rt::kernels::redblack_colour(x[0], 0.4, 0.1, parity, box...);
+          });
+        }
+        break;
+      case Op::kRedBlackRhs:
+        if (fused) {
+          rt::kernels::redblack_tiled_rhs(x[0], x[1], 0.4, 0.1, plan.tile);
+          break;
+        }
+        for (long parity = 0; parity < 2; ++parity) {
+          blocks([&](auto... box) {
+            rt::kernels::redblack_colour_rhs(x[0], x[1], 0.4, 0.1, parity,
+                                             box...);
+          });
+        }
+        break;
+      case Op::kResid:
+      case Op::kResidDense:
+        blocks([&](auto... box) {
+          rt::kernels::resid(x[0], x[1], x[2], resid_coeffs(op), box...);
+        });
+        break;
+      case Op::kPsinvNas:
+      case Op::kPsinvDense:
+        blocks([&](auto... box) {
+          rt::kernels::psinv(x[0], x[1], psinv_coeffs(op), box...);
+        });
+        break;
+    }
+  }
+}
+
+/// Traced views of @p g, placed back to back from address 0.
+std::vector<Traced> traced(Grids& g, rt::cachesim::CacheHierarchy& h) {
+  std::vector<Traced> t;
+  std::uint64_t base = 0;
+  for (Array3D<double>& a : g) {
+    t.emplace_back(a, base, h);
+    base += static_cast<std::uint64_t>(a.dims().alloc_elems()) * 8;
+  }
+  return t;
+}
+
+bool same_counts(const rt::cachesim::HierarchyStats& a,
+                 const rt::cachesim::HierarchyStats& b) {
+  return a.l1.accesses == b.l1.accesses && a.l1.misses == b.l1.misses &&
+         a.l2.accesses == b.l2.accesses && a.l2.misses == b.l2.misses;
+}
+
+using TracedParam = std::tuple<Op, Sched>;
+
+class ExecTraced : public ::testing::TestWithParam<TracedParam> {};
+
+TEST_P(ExecTraced, SameBitsAndCountsAsTheAccessorNestsInline) {
+  const auto [op, sched] = GetParam();
+  // Every Exec, pool or not, any level: a traced operator runs inline.
+  ThreadPool three(3);
+  const Exec execs[] = {Exec{}, Exec{nullptr, SimdLevel::kScalar},
+                        Exec{&three, SimdLevel::kScalar},
+                        Exec{&three, SimdLevel::kAvx2}};
+  for (const Shape& s : {shapes()[5], shapes()[6], shapes()[12]}) {
+    const TilingPlan plan = plan_of(sched, IterTile{s.ti, s.tj});
+    Grids want = make_grids(num_grids(op), s, /*padded=*/true);
+    rt::cachesim::CacheHierarchy hw = small_hierarchy();
+    std::vector<Traced> tw = traced(want, hw);
+    traced_oracle(op, plan, tw);
+    for (const Exec& ex : execs) {
+      Grids got = make_grids(num_grids(op), s, /*padded=*/true);
+      rt::cachesim::CacheHierarchy hg = small_hierarchy();
+      std::vector<Traced> tg = traced(got, hg);
+      run_executor(op, ex, plan, tg);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(logical_equal(want[i], got[i]))
+            << "grid " << i << " " << describe(s) << describe(ex);
+      }
+      EXPECT_TRUE(same_counts(hw.stats(), hg.stats()))
+          << describe(s) << describe(ex) << ": L1 "
+          << hg.stats().l1.accesses << "/" << hg.stats().l1.misses
+          << " L2 " << hg.stats().l2.accesses << "/" << hg.stats().l2.misses
+          << ", want L1 " << hw.stats().l1.accesses << "/"
+          << hw.stats().l1.misses << " L2 " << hw.stats().l2.accesses << "/"
+          << hw.stats().l2.misses;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, ExecTraced,
+    ::testing::Combine(::testing::Values(Op::kJacobi, Op::kRedBlack,
+                                         Op::kRedBlackRhs, Op::kResid,
+                                         Op::kPsinvNas, Op::kPsinvDense,
+                                         Op::kResidDense),
+                       ::testing::Values(Sched::kUntiled, Sched::kFlat,
+                                         Sched::kRecursive)),
+    [](const ::testing::TestParamInfo<TracedParam>& info) {
+      return op_sched_name(std::get<0>(info.param), std::get<1>(info.param));
+    });
+
+// --- The copy-back and the grid transfers ---
+
+// The simulated JACOBI step's copy-back (rt::bench's runner) is the
+// accessor copy nest on the block driver's work items: every schedule, on
+// every pool width, covers the interior exactly once.
 class ExecCopy : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(ExecCopy, BitIdenticalToSerialAccessorKernel) {
@@ -350,9 +504,16 @@ TEST_P(ExecCopy, BitIdenticalToSerialAccessorKernel) {
   rt::kernels::copy_interior(want, src);
   Runner runner;
   for (const Exec& ex : runner.execs()) {
-    Array3D<double> got = make_grid(s.n1, s.n2, s.n3, 0.2, s.p1, s.p2);
-    copy_interior(ex, got, src);
-    EXPECT_TRUE(logical_equal(want, got)) << describe(ex);
+    for (const Sched sched :
+         {Sched::kUntiled, Sched::kFlat, Sched::kRecursive}) {
+      Array3D<double> got = make_grid(s.n1, s.n2, s.n3, 0.2, s.p1, s.p2);
+      for_each_block(ex, plan_of(sched, IterTile{s.ti, s.tj}), s.n1, s.n2,
+                     s.n3, [&](auto... box) {
+                       rt::kernels::copy_interior(got, src, box...);
+                     });
+      EXPECT_TRUE(logical_equal(want, got))
+          << "sched " << static_cast<int>(sched) << describe(ex);
+    }
   }
 }
 
@@ -391,7 +552,7 @@ TEST_P(ExecTransfer, BitIdenticalToSerialAccessorKernel) {
   if (is_rprj3) {
     const Array3D<double> r = make_grid(f1, f2, f3, 0.4, fp1, fp2);
     Array3D<double> want = make_grid(c.n1, c.n2, c.n3, 0.2, 0, 0);
-    rt::multigrid::rprj3(want, r);
+    rt::kernels::rprj3(want, r);
     for (const Exec& ex : runner.execs()) {
       Array3D<double> got = make_grid(c.n1, c.n2, c.n3, 0.2, c.p1, c.p2);
       rprj3(ex, got, r);
@@ -401,7 +562,7 @@ TEST_P(ExecTransfer, BitIdenticalToSerialAccessorKernel) {
   }
   const Array3D<double> z = make_grid(c.n1, c.n2, c.n3, 0.6, c.p1, c.p2);
   Array3D<double> want = make_grid(f1, f2, f3, 0.1, 0, 0);
-  for (int step = 0; step < kSteps; ++step) rt::multigrid::interp_add(want, z);
+  for (int step = 0; step < kSteps; ++step) rt::kernels::interp_add(want, z);
   for (const Exec& ex : runner.execs()) {
     Array3D<double> got = make_grid(f1, f2, f3, 0.1, fp1, fp2);
     for (int step = 0; step < kSteps; ++step) interp_add(ex, got, z);
@@ -433,7 +594,7 @@ TEST(ExecTransferShape, MgSolverPairAndTheLimitsRun) {
         const Array3D<double> r = make_grid(f1, f2, f3, 0.4, 0, 0);
         Array3D<double> want = make_grid(m[0], m[1], m[2], 0.2, 0, 0);
         Array3D<double> got = want;
-        rt::multigrid::rprj3(want, r);
+        rt::kernels::rprj3(want, r);
         ASSERT_NO_THROW(rprj3(ex, got, r));
         EXPECT_TRUE(logical_equal(want, got)) << describe(ex);
       }
@@ -445,7 +606,7 @@ TEST(ExecTransferShape, MgSolverPairAndTheLimitsRun) {
         const Array3D<double> z = make_grid(m[0], m[1], m[2], 0.6, 0, 0);
         Array3D<double> want = make_grid(f1, f2, f3, 0.1, 0, 0);
         Array3D<double> got = want;
-        rt::multigrid::interp_add(want, z);
+        rt::kernels::interp_add(want, z);
         ASSERT_NO_THROW(interp_add(ex, got, z));
         EXPECT_TRUE(logical_equal(want, got)) << describe(ex);
       }
@@ -656,7 +817,6 @@ TEST(ExecDriver, DegenerateTilesAndEmptyInteriorsAreSafe) {
       Array3D<double> a(2, 7, 6, 5.0);
       const Array3D<double> src(2, 7, 6, 1.0);
       jacobi(ex, plan, a, src, 1.0 / 6.0);
-      copy_interior(ex, a, src);
       EXPECT_TRUE(logical_equal(a, Array3D<double>(2, 7, 6, 5.0)));
     }
   }

@@ -10,6 +10,7 @@
 #include "rt/cachesim/hierarchy.hpp"
 #include "rt/cachesim/traced_array.hpp"
 #include "rt/kernels/psinv.hpp"
+#include "rt/kernels/transfer.hpp"
 #include "rt/multigrid/operators.hpp"
 #include "rt/par/thread_pool.hpp"
 
@@ -17,8 +18,10 @@ namespace rt::multigrid {
 namespace {
 
 using rt::array::Array3D;
+using rt::kernels::interp_add;
 using rt::kernels::nas_mg_c;
 using rt::kernels::psinv;
+using rt::kernels::rprj3;
 
 Array3D<double> rand_grid(long n, std::uint64_t seed) {
   Array3D<double> a(n, n, n);

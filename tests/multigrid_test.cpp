@@ -8,6 +8,7 @@
 #include "rt/core/plan.hpp"
 #include "rt/multigrid/mg_solver.hpp"
 #include "rt/kernels/psinv.hpp"
+#include "rt/kernels/transfer.hpp"
 #include "rt/multigrid/operators.hpp"
 #include "rt/simd/exec.hpp"
 
@@ -15,8 +16,10 @@ namespace rt::multigrid {
 namespace {
 
 using rt::array::Array3D;
+using rt::kernels::interp_add;
 using rt::kernels::nas_mg_c;
 using rt::kernels::psinv;
+using rt::kernels::rprj3;
 
 Array3D<double> rand_grid(long n, std::uint64_t seed) {
   Array3D<double> a(n, n, n);

@@ -1,6 +1,5 @@
 // rt::simd policy layer and sweep composition: mode parsing, mode->level
-// resolution (resolve and exec_level), leading-dimension alignment, and
-// the property the executor rests on — sweeping arbitrary sub-boxes of
+// resolution (resolve and exec_level), and the property the executor rests on — sweeping arbitrary sub-boxes of
 // the interior equals one full sweep.  Checked box by box against the
 // accessor kernels: every streaming-store stamp this host executes, and
 // the multigrid transfer sweeps (rprj3_sweep, interp_sweep) on boxes that
@@ -25,7 +24,7 @@
 #include "rt/kernels/kernel_info.hpp"
 #include "rt/kernels/psinv.hpp"
 #include "rt/kernels/resid.hpp"
-#include "rt/multigrid/operators.hpp"
+#include "rt/kernels/transfer.hpp"
 #include "rt/simd/row_kernels.hpp"
 #include "rt/simd/simd.hpp"
 
@@ -161,20 +160,6 @@ TEST(SimdPolicy, ExecLevelRunsAccessorKernelsOnlySingleThreaded) {
   }
 }
 
-TEST(SimdPolicy, AlignLeadingRoundsUpToVectorWidth) {
-  EXPECT_EQ(align_leading(1), 8);
-  EXPECT_EQ(align_leading(8), 8);
-  EXPECT_EQ(align_leading(9), 16);
-  EXPECT_EQ(align_leading(200), 200);
-  EXPECT_EQ(align_leading(201), 208);
-  EXPECT_EQ(align_leading(13, 4), 16);  // explicit vector width
-  const Dims3 d = align_dims(Dims3::padded(5, 7, 9, 11, 13));
-  EXPECT_EQ(d.p1, 16);   // 11 -> next multiple of 8
-  EXPECT_EQ(d.p2, 13);   // untouched
-  EXPECT_EQ(d.n1, 5);    // logical extents untouched
-  EXPECT_TRUE(d.valid());
-}
-
 // --- Streaming stamps, box by box ---
 
 /// The levels with a streaming stamp that this host executes (none off
@@ -235,16 +220,6 @@ TEST(SimdStream, EveryStampMatchesTheAccessorKernels) {
                    d.n3 - 1, lvl, Stores::kStream);
       EXPECT_TRUE(storage_equal(want, got))
           << "jacobi level " << int(lvl) << " n1 " << d.n1 << " p1 " << d.p1;
-
-      want = make_grid(d, 0.9);
-      got = make_grid(d, 0.9);
-      rt::kernels::copy_interior(want, b);
-      copy_sweep(got, b, 1, mid, 1, d.n2 - 1, 1, d.n3 - 1, lvl,
-                 Stores::kStream);
-      copy_sweep(got, b, mid, d.n1 - 1, 1, d.n2 - 1, 1, d.n3 - 1, lvl,
-                 Stores::kStream);
-      EXPECT_TRUE(storage_equal(want, got))
-          << "copy level " << int(lvl) << " n1 " << d.n1 << " p1 " << d.p1;
 
       want = Array3D<double>(d, -3.0);
       got = Array3D<double>(d, -3.0);
@@ -356,7 +331,7 @@ TEST(SimdTransfer, InterpSweepMatchesInterpAddOnEveryBox) {
     const Array3D<double> z = make_grid(g.coarse, 0.6);
     const Array3D<double> base = make_grid(g.fine, 0.1);
     Array3D<double> want = base;
-    rt::multigrid::interp_add(want, z);
+    rt::kernels::interp_add(want, z);
     expect_boxes_match(
         base, want,
         [&](Array3D<double>& u, const Range& ri, const Range& rj,
@@ -372,7 +347,7 @@ TEST(SimdTransfer, Rprj3SweepMatchesRprj3OnEveryBox) {
     const Array3D<double> r = make_grid(g.fine, 0.4);
     const Array3D<double> base = make_grid(g.coarse, 0.2);
     Array3D<double> want = base;
-    rt::multigrid::rprj3(want, r);
+    rt::kernels::rprj3(want, r);
     expect_boxes_match(
         base, want,
         [&](Array3D<double>& s, const Range& ri, const Range& rj,
@@ -391,7 +366,7 @@ TEST(SimdTransfer, NegativeZerosSumToPositiveZero) {
     const Array3D<double> z(g.coarse, -0.0);
     const Array3D<double> base(g.fine, -0.0);
     Array3D<double> want = base;
-    rt::multigrid::interp_add(want, z);
+    rt::kernels::interp_add(want, z);
     ASSERT_FALSE(std::signbit(want(1, 1, 1)));
     ASSERT_FALSE(std::signbit(want(2, 2, 2)));
     expect_boxes_match(

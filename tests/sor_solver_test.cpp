@@ -1,6 +1,6 @@
 // Red-black SOR Poisson solver: convergence, tiled/untiled bitwise
 // equivalence, pool-width bitwise equivalence, rhs-kernel consistency, and
-// traced execution.
+// traced execution (a recursive plan's colour passes over its leaves).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,8 @@
 #include <cmath>
 #include <vector>
 
+#include "rt/array/address_space.hpp"
+#include "rt/cachesim/traced_array.hpp"
 #include "rt/core/plan.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/multigrid/sor_solver.hpp"
@@ -191,6 +193,60 @@ TEST(SorSolver, TracedRunMatchesNative) {
   EXPECT_EQ(nat.residual_linf(), sim.residual_linf());
   // 9 accesses per interior point per sweep (8 stencil + 1 rhs).
   EXPECT_EQ(h.stats().l1.accesses, 9u * 18 * 18 * 18);
+}
+
+TEST(SorSolver, RecursivePlanRunsColourPassesOverItsLeaves) {
+  // The fused Fig. 12 walk is for flat tiled plans only: a recursive plan
+  // runs red, then black, over its co_over leaves — traced, with the
+  // counts of that walk at the solver's layout, and at kScalar, with
+  // redblack_naive_rhs's bits.
+  SorOptions o;
+  o.n = 26;
+  o.plan = {.tiled = true,
+            .tile = rt::core::IterTile{5, 4},
+            .schedule = rt::core::LoopSchedule::kRecursive};
+  const double c1 = 1.0 - o.omega, c2 = o.omega / 6.0;
+  SorSolver nat(o);
+  ASSERT_EQ(nat.simd_level(), rt::simd::SimdLevel::kScalar);
+  nat.setup();
+  nat.sweep();
+  // The start state: u = 0 and the solver's pre-scaled constant term.
+  const Array3D<double>& f = nat.f();
+  Array3D<double> u(f.dims()), rhs(f.dims());
+  const double c = -(o.omega / 6.0);
+  for (long k = 0; k < o.n; ++k)
+    for (long j = 0; j < o.n; ++j)
+      for (long i = 0; i < o.n; ++i) rhs(i, j, k) = c * f(i, j, k);
+  Array3D<double> want = u;
+  rt::kernels::redblack_naive_rhs(want, rhs, c1, c2);
+
+  rt::cachesim::CacheHierarchy h = rt::cachesim::CacheHierarchy::ultrasparc2();
+  SorSolver sim(o, &h);
+  sim.setup();
+  sim.sweep();
+  rt::cachesim::CacheHierarchy ho = rt::cachesim::CacheHierarchy::ultrasparc2();
+  rt::array::AddressSpace space(0, 64);
+  const auto elems = static_cast<std::uint64_t>(u.dims().alloc_elems());
+  rt::cachesim::TracedArray3D<double> tu(
+      u, space.place_mod("u", elems, 8, 16384, 0), ho);
+  rt::cachesim::TracedArray3D<double> tr(
+      rhs, space.place_mod("rhs", elems, 8, 16384, 8192), ho);
+  for (long parity = 0; parity < 2; ++parity) {
+    rt::simd::for_each_block({}, o.plan, o.n, o.n, o.n, [&](auto... box) {
+      rt::kernels::redblack_colour_rhs(tu, tr, c1, c2, parity, box...);
+    });
+  }
+  EXPECT_EQ(h.stats().l1.accesses, ho.stats().l1.accesses);
+  EXPECT_EQ(h.stats().l1.misses, ho.stats().l1.misses);
+  EXPECT_EQ(h.stats().l2.accesses, ho.stats().l2.accesses);
+  EXPECT_EQ(h.stats().l2.misses, ho.stats().l2.misses);
+  for (long k = 0; k < o.n; ++k)
+    for (long j = 0; j < o.n; ++j)
+      for (long i = 0; i < o.n; ++i) {
+        ASSERT_EQ(nat.u()(i, j, k), want(i, j, k));
+        ASSERT_EQ(sim.u()(i, j, k), want(i, j, k));
+        ASSERT_EQ(u(i, j, k), want(i, j, k));
+      }
 }
 
 TEST(SorSolver, SolveWithoutToleranceRunsTheBudgetUnchecked) {
